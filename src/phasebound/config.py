@@ -10,7 +10,7 @@ import json
 import math
 
 from .errors import ValidationError
-from .estimation import SimGrid
+from .estimation import SAMPLES_CAP, SimGrid
 from .fock import ProbeSpec
 from .priors import PhasePrior
 
@@ -159,8 +159,9 @@ class ScenarioConfig:
         _require(isinstance(seed, int) and seed >= 0,
                  f"seed must be a nonnegative integer, got {seed}")
         samples = raw.get("samples", 100000)
-        _require(isinstance(samples, int) and samples >= 10000,
-                 f"samples must be an integer >= 10000, got {samples}")
+        _require(isinstance(samples, int) and 10000 <= samples <= SAMPLES_CAP,
+                 f"samples must be an integer in [10000, {SAMPLES_CAP}], "
+                 f"got {samples}")
 
         return cls(prior=prior, probes=probes, etas=list(etas), grid=grid,
                    rd_grid_size=rd_grid_size, rd_slopes=list(rd_slopes),

@@ -4,8 +4,12 @@ The probe goes through a transmittance-eta channel, the environment keeps
 the loss count, and the surviving signal mode is measured with the
 canonical phase POVM. Its outcome density is a fixed window g(u) dragged
 around the circle by the true phase, so the whole experiment lives on a
-shared len-L lattice of angle differences: both grids are powers of two
-and every theta - phi lands back on the lattice exactly.
+shared len-L lattice of angle differences, L = max(g_phi, g_theta): both
+grids are powers of two and every theta - phi lands back on the lattice
+exactly. The joint g(theta - phi) w(phi) is therefore a circular
+convolution: the outcome marginal, the posterior moments and the joint
+entropy each come from one FFT convolution on the lattice, read off at
+the theta points. Memory is O(L), not O(g_phi * g_theta).
 
 The estimator is the posterior mean, optimal for the non-periodic squared
 error used throughout. All grid sums are plain Riemann sums on open
@@ -16,11 +20,11 @@ the residual.
 import math
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.special import xlogy
 
-from .capacity import binomial_loss_matrix
 from .errors import NumericalError, ValidationError
-from .fock import DensityMatrix
+from .fock import DensityMatrix, loss_branches
 from .priors import TWO_PI
 
 __all__ = ["SimGrid", "SimulationResult", "MonteCarloResult",
@@ -28,6 +32,8 @@ __all__ = ["SimGrid", "SimulationResult", "MonteCarloResult",
            "measurement_mutual_information", "monte_carlo_mse"]
 
 CONVERGED_TOL = 1e-4     # fine-vs-half-grid MSE drift for the converged flag
+LATTICE_CAP = 2 ** 22    # largest grid size; _core peaks near 26 floats/point
+SAMPLES_CAP = 10 ** 7    # largest Monte Carlo draw a scenario may request
 
 
 class SimGrid:
@@ -36,35 +42,15 @@ class SimGrid:
     def __init__(self, phi_points=2048, theta_points=2048):
         for name, n, floor in [("phi_points", phi_points, 128),
                                ("theta_points", theta_points, 256)]:
-            if n < floor or n & (n - 1):
+            if n < floor or n > LATTICE_CAP or n & (n - 1):
                 raise ValidationError(
-                    f"{name} must be a power of two >= {floor}, got {n}")
+                    f"{name} must be a power of two in [{floor}, "
+                    f"{LATTICE_CAP}], got {n}")
         self.phi_points = int(phi_points)
         self.theta_points = int(theta_points)
 
     def __repr__(self):
         return f"SimGrid(phi={self.phi_points}, theta={self.theta_points})"
-
-
-def _branch_vectors(probe, eta):
-    """Post-loss amplitude vector over surviving count m, per loss count l.
-
-    Branch l holds c_{m+l} sqrt(B(m+l, l)); unlike the companion picture
-    the complex probe phases stay, because here they shape the signal
-    coherences the POVM sees. Branches lighter than 1e-14 are dropped.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise ValidationError(f"transmittance must lie in [0, 1], got {eta}")
-    kern = binomial_loss_matrix(probe.cutoff, eta)
-    c = probe.amplitudes
-    out = []
-    for l in range(probe.cutoff + 1):
-        m = np.arange(probe.cutoff + 1 - l)
-        v = c[l:] * np.sqrt(kern[m + l, l])
-        if (np.abs(v) ** 2).sum() < 1e-14:
-            continue
-        out.append((l, v))
-    return out
 
 
 def lossy_signal_state(probe, eta, phi):
@@ -73,32 +59,32 @@ def lossy_signal_state(probe, eta, phi):
     Block diagonal in the loss count l; the generator labels carry the
     original photon number m + l so phase operations stay correct.
     """
-    branches = _branch_vectors(probe, eta)
     basis, gen, blocks = [], [], []
-    for l, v in branches:
+    for l, v in loss_branches(probe, eta):
         ms = np.arange(v.size)
         basis.extend((l, int(m)) for m in ms)
-        gen.extend(int(m) + l for m in ms)
-        blocks.append(v * np.exp(1j * (ms + l) * phi))
-    dim = len(basis)
-    mat = np.zeros((dim, dim), dtype=complex)
-    off = 0
-    for v in blocks:
-        mat[off:off + v.size, off:off + v.size] = np.outer(v, v.conj())
-        off += v.size
-    return DensityMatrix(mat, basis, np.array(gen))
+        gen.extend(ms + l)
+        v = v * np.exp(1j * (ms + l) * phi)
+        blocks.append(np.outer(v, v.conj()))
+    return DensityMatrix(block_diag(*blocks), basis, np.array(gen))
 
 
-def _signal_diagonals(probe, eta):
-    """C_d = sum_m rho_S(0)[m+d, m] for d = 0..cutoff.
+def _fourier_series(diags, theta):
+    """(1/2pi)(C_0 + 2 Re sum_d C_d e^{-i d theta}), C_d = sum_m rho[m+d, m].
 
-    These determine the outcome window g(u); C_0 is the trace.
+    Negative dips beyond 1e-10 mean the coefficients were not those of a
+    state and raise; smaller ones are clipped.
     """
-    n = probe.cutoff + 1
-    rho = np.zeros((n, n), dtype=complex)
-    for l, v in _branch_vectors(probe, eta):
-        rho[:v.size, :v.size] += np.outer(v, v.conj())
-    return np.array([np.trace(rho, offset=-d) for d in range(n)])
+    theta = np.asarray(theta, dtype=float)
+    vals = np.full(theta.shape, diags[0].real)
+    for d in range(1, diags.size):
+        if diags[d] != 0.0:
+            vals += 2.0 * (diags[d] * np.exp(-1j * d * theta)).real
+    vals /= TWO_PI
+    if vals.min() < -1e-10:
+        raise NumericalError(
+            f"outcome density dips to {vals.min()}; not a valid state")
+    return np.clip(vals, 0.0, None)
 
 
 def canonical_phase_density(signal_matrix, theta):
@@ -110,57 +96,64 @@ def canonical_phase_density(signal_matrix, theta):
     rho = np.asarray(signal_matrix, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValidationError("signal matrix must be square")
-    theta = np.asarray(theta, dtype=float)
-    n = rho.shape[0]
-    vals = np.full(theta.shape, np.trace(rho).real)
-    for d in range(1, n):
-        cd = np.trace(rho, offset=-d)
-        if cd != 0.0:
-            vals = vals + 2.0 * (cd * np.exp(-1j * d * theta)).real
-    vals = vals / TWO_PI
-    if vals.min() < -1e-10:
-        raise NumericalError(
-            f"outcome density dips to {vals.min()}; not a valid state")
-    return np.clip(vals, 0.0, None)
+    diags = np.array([np.trace(rho, offset=-d) for d in range(rho.shape[0])])
+    return _fourier_series(diags, theta)
 
 
 def _window(probe, eta, lattice):
-    """g on the difference lattice, clipped nonneg after the 1e-10 check."""
-    diags = _signal_diagonals(probe, eta)
-    u = np.arange(lattice) * (TWO_PI / lattice)
-    g = np.full(lattice, diags[0].real)
-    for d in range(1, diags.size):
-        if diags[d] != 0.0:
-            g += 2.0 * (diags[d] * np.exp(-1j * d * u)).real
-    g /= TWO_PI
-    if g.min() < -1e-10:
-        raise NumericalError(
-            f"outcome density dips to {g.min()}; not a valid state")
-    return np.clip(g, 0.0, None)
+    """g on the len-`lattice` difference grid.
+
+    Its coefficients C_d = sum_m rho_S(0)[m+d, m] are the summed
+    autocorrelations of the loss-branch vectors.
+    """
+    diags = np.zeros(probe.cutoff + 1, dtype=complex)
+    for _, v in loss_branches(probe, eta):
+        diags[:v.size] += np.correlate(v, v, "full")[v.size - 1:]
+    return _fourier_series(diags, np.arange(lattice) * (TWO_PI / lattice))
 
 
 def _core(probe, eta, prior, g_phi, g_theta):
-    """One full grid evaluation: returns (mse, info, estimator, tables)."""
+    """One full grid evaluation: returns (mse, info, estimator, g, w, phi).
+
+    The joint g(theta - phi) w(phi) is never formed. Every sum over phi
+    for a fixed theta is a circular convolution on the lattice, taken by
+    FFT and read off at the theta points; the sum of J ln J over the joint
+    splits into (g ln g) * w + g * (w ln w).
+    """
     lattice = max(g_phi, g_theta)
     g = _window(probe, eta, lattice)
     w = prior.grid_density(g_phi) * (TWO_PI / g_phi)
+    if not w.sum() > 0.0:
+        raise ValidationError(
+            f"prior puts no mass on the {g_phi}-point phase grid")
     w = w / w.sum()
     phi = np.arange(g_phi) * (TWO_PI / g_phi)
-    # every theta_t - phi_i difference is a lattice point by construction
-    idx = (np.arange(g_theta)[:, None] * (lattice // g_theta)
-           - np.arange(g_phi)[None, :] * (lattice // g_phi)) % lattice
-    joint = g[idx] * w[None, :] * (TWO_PI / g_theta)
-    joint /= joint.sum()
-    p_theta = joint.sum(axis=1)
-    prior_mean = w @ phi
-    est = np.full(g_theta, prior_mean)
-    seen = p_theta > 0.0
-    est[seen] = (joint[seen] @ phi) / p_theta[seen]
-    mse = float(np.einsum("ti,ti->", joint,
-                          (phi[None, :] - est[:, None]) ** 2))
+    mean = w @ phi
+    # moments about the prior mean keep m2 - m1 * shift from cancelling
+    # digits when the prior is narrow
+    dphi = phi - mean
+    wlnw = xlogy(w, w)
+    # phi_i sits on lattice point i * lattice // g_phi
+    spread = np.zeros((4, lattice))
+    spread[:, ::lattice // g_phi] = [w, w * dphi, w * dphi ** 2, wlnw]
+    fw = np.fft.rfft(spread)
+    fg, fglng = np.fft.rfft([g, xlogy(g, g)])
+    fw[3] *= fg
+    fw[3] += fglng * fw[0]
+    fw[:3] *= fg
+    p, m1, m2, s = np.fft.irfft(fw, n=lattice)[:, ::lattice // g_theta]
+    p = np.maximum(p, 0.0)   # FFT rounding can dip below an exact zero
+    z = p.sum()
+    shift = np.zeros(g_theta)
+    seen = p > 0.0
+    # the posterior mean lies in the phi range; the clip only bites where
+    # p is rounding noise and the ratio is meaningless
+    shift[seen] = np.clip(m1[seen] / p[seen], -mean, phi[-1] - mean)
+    est = mean + shift
+    mse = max(float(np.sum(m2 - m1 * shift) / z), 0.0)
     # discrete mutual information; the differential corrections cancel
-    info = float(xlogy(joint, joint).sum() - xlogy(p_theta, p_theta).sum()
-                 - xlogy(w, w).sum())
+    info = float(s.sum() / z - math.log(z) - xlogy(p / z, p / z).sum()
+                 - wlnw.sum())
     return mse, max(info, 0.0), est, g, w, phi
 
 
@@ -200,8 +193,6 @@ def bayesian_mmse(probe, eta, prior, grid=None):
     the two MSE values agree within 1e-4. The fine values are primary.
     """
     grid = grid or SimGrid()
-    if not 0.0 <= eta <= 1.0:
-        raise ValidationError(f"transmittance must lie in [0, 1], got {eta}")
     mse, info, est, g, w, phi = _core(probe, eta, prior,
                                       grid.phi_points, grid.theta_points)
     mse_c = _core(probe, eta, prior,
@@ -216,8 +207,6 @@ def bayesian_mmse(probe, eta, prior, grid=None):
 def measurement_mutual_information(probe, eta, prior, grid=None):
     """I(Phi; Theta) of the canonical measurement in nats (fine grid only)."""
     grid = grid or SimGrid()
-    if not 0.0 <= eta <= 1.0:
-        raise ValidationError(f"transmittance must lie in [0, 1], got {eta}")
     return _core(probe, eta, prior, grid.phi_points, grid.theta_points)[1]
 
 
@@ -231,8 +220,6 @@ def monte_carlo_mse(probe, eta, prior, grid=None, samples=100000, seed=0):
     if samples < 10000:
         raise ValidationError(f"need at least 10000 samples, got {samples}")
     grid = grid or SimGrid()
-    if not 0.0 <= eta <= 1.0:
-        raise ValidationError(f"transmittance must lie in [0, 1], got {eta}")
     mse, info, est, g, w, phi = _core(probe, eta, prior,
                                       grid.phi_points, grid.theta_points)
     lattice = max(grid.phi_points, grid.theta_points)

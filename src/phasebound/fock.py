@@ -19,9 +19,9 @@ from scipy.sparse.csgraph import connected_components
 from .capacity import binomial_loss_matrix, shannon_entropy
 from .errors import NumericalError, ValidationError
 
-__all__ = ["ProbeSpec", "ChiDecomposition", "DensityMatrix", "chi_decompose",
-           "modulated_state", "average_state", "phase_randomize",
-           "von_neumann_entropy", "holevo_quantity"]
+__all__ = ["ProbeSpec", "ChiDecomposition", "DensityMatrix", "loss_branches",
+           "chi_decompose", "modulated_state", "average_state",
+           "phase_randomize", "von_neumann_entropy", "holevo_quantity"]
 
 CUTOFF_CAP = 128
 TAIL_MASS = 1e-12
@@ -135,23 +135,33 @@ class ChiDecomposition:
         return len(self.loss_counts)
 
 
+def loss_branches(probe, eta):
+    """Post-loss amplitude vector over surviving count m, per loss count l.
+
+    Returns (l, v_l) pairs with v_l[m] = c_{m+l} sqrt(B_eta(m+l, l)); the
+    complex probe phases stay, because they shape the signal coherences.
+    Branches whose weight |v_l|^2 is below 1e-14 are dropped. An eta
+    outside [0, 1] raises ValidationError from the loss matrix.
+    """
+    kern = binomial_loss_matrix(probe.cutoff, eta)   # kern[n, l]
+    out = []
+    for l in range(probe.cutoff + 1):
+        v = probe.amplitudes[l:] * np.sqrt(kern[l:, l])
+        if (np.abs(v) ** 2).sum() >= 1e-14:
+            out.append((l, v))
+    return out
+
+
 def chi_decompose(probe, eta):
     """Split the probe by loss count; see ChiDecomposition."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValidationError(f"transmittance must lie in [0, 1], got {eta}")
-    p = probe.probabilities
-    kern = binomial_loss_matrix(probe.cutoff, eta)   # kern[n, l]
-    q = p @ kern
     counts, weights, b_ns, b_amps = [], [], [], []
-    for l in range(probe.cutoff + 1):
-        if q[l] < 1e-14:
-            continue
-        ns = np.flatnonzero(p * kern[:, l] > 0.0)
-        amps = np.sqrt(p[ns] * kern[ns, l] / q[l])
+    for l, v in loss_branches(probe, eta):
+        mass = np.abs(v) ** 2
+        ms = np.flatnonzero(mass > 0.0)
         counts.append(l)
-        weights.append(q[l])
-        b_ns.append(ns)
-        b_amps.append(amps)
+        weights.append(mass.sum())
+        b_ns.append(ms + l)
+        b_amps.append(np.sqrt(mass[ms] / mass.sum()))
     return ChiDecomposition(probe, eta, counts, weights, b_ns, b_amps)
 
 

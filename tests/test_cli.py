@@ -161,6 +161,15 @@ def test_exit_codes(tmp_path, capsys):
     assert err.value.code == 2
 
 
+def test_prior_missing_every_grid_point_exits_2(tmp_path, capsys):
+    raw = dict(SMALL)
+    raw["prior"] = {"kind": "uniform", "center": 1.0, "width": 1e-6}
+    cfg = write_config(tmp_path, raw)
+    for command in ("simulate", "bounds"):
+        assert main([command, "--config", cfg]) == 2
+        assert "256-point phase grid" in capsys.readouterr().err
+
+
 def test_numerical_errors_map_to_exit_3(tmp_path, capsys, monkeypatch):
     def explode(probe, eta, prior, grid=None):
         raise NumericalError("negative eigenvalue -1e-3")

@@ -80,6 +80,7 @@ def test_ladder_families_need_integer_sizes():
     {"seed": -3},
     {"seed": 1.5},
     {"samples": 100},
+    {"samples": 10 ** 7 + 1},   # over the cap, rejected before any draw
     {"banana": 1},
 ])
 def test_invalid_configs_rejected(raw):

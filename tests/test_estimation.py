@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
+from phasebound import estimation
 from phasebound.errors import NumericalError, ValidationError
 from phasebound.estimation import (SimGrid, bayesian_mmse,
                                    canonical_phase_density, lossy_signal_state,
@@ -44,6 +46,8 @@ def test_sim_grid_validation():
         SimGrid(2048, 200)
     with pytest.raises(ValidationError):
         SimGrid(1536, 2048)   # not a power of two
+    with pytest.raises(ValidationError):
+        SimGrid(2 ** 23, 256)  # past the lattice cap, before any allocation
 
 
 def test_lossy_signal_state_blocks():
@@ -194,3 +198,56 @@ def test_unequal_grids_consistent():
     mc = monte_carlo_mse(probe, 0.5, UNIFORM, SimGrid(2048, 256),
                          samples=20000, seed=3)
     assert abs(mc.mean - coarse_theta.mse) < 0.05
+
+
+def dense_core(probe, eta, prior, g_phi, g_theta):
+    """Reference for estimation._core: the dense g_theta x g_phi joint.
+
+    Returns (mse, info, estimator, p_theta). The window is read off the
+    reduced signal matrix, not from the loss-branch autocorrelations.
+    """
+    lattice = max(g_phi, g_theta)
+    g = canonical_phase_density(
+        lossy_signal_state(probe, eta, 0.0).reduced_signal(),
+        np.arange(lattice) * (TWO_PI / lattice))
+    w = prior.grid_density(g_phi) * (TWO_PI / g_phi)
+    w = w / w.sum()
+    phi = np.arange(g_phi) * (TWO_PI / g_phi)
+    # every theta_t - phi_i difference is a lattice point by construction
+    idx = (np.arange(g_theta)[:, None] * (lattice // g_theta)
+           - np.arange(g_phi)[None, :] * (lattice // g_phi)) % lattice
+    joint = g[idx] * w[None, :] * (TWO_PI / g_theta)
+    joint /= joint.sum()
+    p_theta = joint.sum(axis=1)
+    est = np.full(g_theta, w @ phi)
+    seen = p_theta > 0.0
+    est[seen] = (joint[seen] @ phi) / p_theta[seen]
+    mse = float(np.einsum("ti,ti->", joint,
+                          (phi[None, :] - est[:, None]) ** 2))
+    info = float(xlogy(joint, joint).sum() - xlogy(p_theta, p_theta).sum()
+                 - xlogy(w, w).sum())
+    return mse, max(info, 0.0), est, p_theta
+
+
+@pytest.mark.parametrize("g_phi,g_theta", [(256, 256), (1024, 256),
+                                           (256, 1024)])
+def test_convolution_core_matches_dense_oracle(g_phi, g_theta):
+    priors = [UNIFORM, PhasePrior.uniform(center=1.0, width=0.5),
+              PhasePrior.wrapped_gaussian(math.pi, 0.4)]
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    # PROBE_01's window 1 + cos(u) has an exact zero on the lattice
+    probes = [PROBE_01, ProbeSpec.flat_superposition(4),
+              ProbeSpec.coherent(1.0), ProbeSpec(c / np.linalg.norm(c))]
+    for prior in priors:
+        for probe in probes:
+            for eta in [1.0, 0.5, 0.0]:
+                mse, info, est = estimation._core(probe, eta, prior,
+                                                  g_phi, g_theta)[:3]
+                ref_mse, ref_info, ref_est, p_theta = dense_core(
+                    probe, eta, prior, g_phi, g_theta)
+                case = (prior.kind, probe, eta)
+                assert abs(mse - ref_mse) <= 1e-11 * ref_mse, case
+                assert abs(info - ref_info) <= 1e-11, case
+                seen = p_theta > 0.0
+                assert np.abs(est - ref_est)[seen].max() <= 1e-11, case
