@@ -13,6 +13,7 @@ from .errors import ValidationError
 from .estimation import SAMPLES_CAP, SimGrid
 from .fock import ProbeSpec
 from .priors import PhasePrior
+from .rate_distortion import RD_GRID_CAP
 
 __all__ = ["ScenarioConfig"]
 
@@ -151,9 +152,17 @@ class ScenarioConfig:
         rd = raw.get("rd", {})
         _require(isinstance(rd, dict), "rd must be an object")
         rd_grid_size = rd.get("grid_size", 128)
+        _require(isinstance(rd_grid_size, int)
+                 and 16 <= rd_grid_size <= RD_GRID_CAP,
+                 f"rd grid_size must be an integer in [16, {RD_GRID_CAP}], "
+                 f"got {rd_grid_size!r}")
         rd_slopes = rd.get("slopes", [0.0, 0.25, 0.5])
         _require(isinstance(rd_slopes, list) and len(rd_slopes) > 0,
                  "rd slopes must be a non-empty list")
+        for s in rd_slopes:
+            _require(isinstance(s, (int, float)) and math.isfinite(s)
+                     and s >= 0.0,
+                     f"rd slopes must be finite and >= 0, got {s!r}")
 
         seed = raw.get("seed", 0)
         _require(isinstance(seed, int) and seed >= 0,

@@ -20,15 +20,14 @@ the residual.
 import math
 
 import numpy as np
-from scipy.linalg import block_diag
 from scipy.special import xlogy
 
 from .errors import NumericalError, ValidationError
-from .fock import DensityMatrix, loss_branches
+from .fock import loss_branches
 from .priors import TWO_PI
 
 __all__ = ["SimGrid", "SimulationResult", "MonteCarloResult",
-           "lossy_signal_state", "canonical_phase_density", "bayesian_mmse",
+           "canonical_phase_density", "bayesian_mmse",
            "measurement_mutual_information", "monte_carlo_mse"]
 
 CONVERGED_TOL = 1e-4     # fine-vs-half-grid MSE drift for the converged flag
@@ -51,22 +50,6 @@ class SimGrid:
 
     def __repr__(self):
         return f"SimGrid(phi={self.phi_points}, theta={self.theta_points})"
-
-
-def lossy_signal_state(probe, eta, phi):
-    """State of (environment loss record, signal mode) after the channel.
-
-    Block diagonal in the loss count l; the generator labels carry the
-    original photon number m + l so phase operations stay correct.
-    """
-    basis, gen, blocks = [], [], []
-    for l, v in loss_branches(probe, eta):
-        ms = np.arange(v.size)
-        basis.extend((l, int(m)) for m in ms)
-        gen.extend(ms + l)
-        v = v * np.exp(1j * (ms + l) * phi)
-        blocks.append(np.outer(v, v.conj()))
-    return DensityMatrix(block_diag(*blocks), basis, np.array(gen))
 
 
 def _fourier_series(diags, theta):

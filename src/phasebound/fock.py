@@ -1,11 +1,11 @@
 """Truncated Fock-space engine for phase-modulated probes through loss.
 
 A probe is a photon-number amplitude list. Loss splits it into the chi_l
-branches indexed by the loss count l; with an orthonormal companion index
-per photon number (the idler convention) the branches are orthonormal and
-the output spectrum is the loss distribution itself. Density matrices are
-kept over an explicit flat basis of (companion, m) pairs so partial traces
-and phase randomization stay bookkeeping, not index gymnastics.
+branches indexed by the loss count l; the environment keeps the loss
+record, so the branches are orthonormal and the output spectrum is the
+loss distribution itself. Every state built here (rho_phi, its prior
+average and the dephased average) is therefore block-diagonal in l, and
+is kept as that list of blocks, each over the surviving count m.
 
 Entropies are in nats.
 """
@@ -13,8 +13,7 @@ Entropies are in nats.
 import math
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.linalg import toeplitz
 
 from .capacity import binomial_loss_matrix, shannon_entropy
 from .errors import NumericalError, ValidationError
@@ -115,21 +114,20 @@ class ProbeSpec:
 
 
 class ChiDecomposition:
-    """Loss branches of a probe: weights q_l and branch amplitudes.
+    """Loss branches of a probe: weights q_l and unit branch vectors u_l.
 
-    Branch l has amplitude sqrt(p_n B_eta(n, l) / q_l) on the basis element
-    (companion n, signal m = n - l); branches with q_l < 1e-14 are dropped.
-    Distinct branches occupy disjoint (n, m) pairs, so they are exactly
+    u_l[m] = c_{m+l} sqrt(B_eta(m+l, l) / q_l) over surviving count m,
+    complex probe phases kept; branches with q_l < 1e-14 are dropped. The
+    environment's loss record l separates the branches, so they are exactly
     orthonormal.
     """
 
-    def __init__(self, probe, eta, loss_counts, weights, branch_ns, branch_amps):
+    def __init__(self, probe, eta, loss_counts, weights, vectors):
         self.probe = probe
         self.eta = float(eta)
         self.loss_counts = list(loss_counts)
         self.weights = np.asarray(weights, dtype=float)
-        self.branch_ns = branch_ns      # list of int arrays: n values per branch
-        self.branch_amps = branch_amps  # list of float arrays, same shapes
+        self.vectors = vectors   # list of unit complex arrays u_l
 
     def __len__(self):
         return len(self.loss_counts)
@@ -154,136 +152,102 @@ def loss_branches(probe, eta):
 
 def chi_decompose(probe, eta):
     """Split the probe by loss count; see ChiDecomposition."""
-    counts, weights, b_ns, b_amps = [], [], [], []
+    counts, weights, vectors = [], [], []
     for l, v in loss_branches(probe, eta):
-        mass = np.abs(v) ** 2
-        ms = np.flatnonzero(mass > 0.0)
+        q = (np.abs(v) ** 2).sum()
         counts.append(l)
-        weights.append(mass.sum())
-        b_ns.append(ms + l)
-        b_amps.append(np.sqrt(mass[ms] / mass.sum()))
-    return ChiDecomposition(probe, eta, counts, weights, b_ns, b_amps)
+        weights.append(q)
+        vectors.append(v / np.sqrt(q))
+    return ChiDecomposition(probe, eta, counts, weights, vectors)
 
 
 class DensityMatrix:
-    """Hermitian unit-trace matrix over an explicit (companion, m) basis.
+    """Hermitian unit-trace state, block-diagonal in the loss count.
 
-    `generator[i]` is the photon number driving the phase of basis element i
-    (companion label by default, the idler convention where companion = n).
+    Each block covers one loss count l over the surviving count
+    m = 0..cutoff-l; its element m has photon number m + l, which sets its
+    phase. The blocks are never mixed, so the state needs no labels.
     """
 
-    def __init__(self, matrix, basis, generator=None):
-        m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != len(basis):
-            raise ValidationError("matrix shape does not match the basis")
-        if np.abs(m - m.conj().T).max() > 1e-12:
-            raise ValidationError("matrix is not Hermitian within 1e-12")
-        tr = np.trace(m).real
+    def __init__(self, blocks):
+        blocks = [np.asarray(b, dtype=complex) for b in blocks]
+        for b in blocks:
+            if b.ndim != 2 or b.shape[0] != b.shape[1]:
+                raise ValidationError("every block must be a square matrix")
+            if np.abs(b - b.conj().T).max(initial=0.0) > 1e-12:
+                raise ValidationError("block is not Hermitian within 1e-12")
+        tr = sum(np.trace(b).real for b in blocks)
         if abs(tr - 1.0) > 1e-10:
             raise ValidationError(f"trace is {tr!r}, not 1")
-        self.matrix = m
-        self.basis = list(basis)
-        if generator is None:
-            generator = np.array([c for c, _ in self.basis])
-        self.generator = np.asarray(generator)
+        self.blocks = blocks
 
     def reduced_signal(self):
-        """Trace out the companion index; returns a plain (m_max+1)^2 array."""
-        m_max = max(m for _, m in self.basis)
-        out = np.zeros((m_max + 1, m_max + 1), dtype=complex)
-        comps = np.array([c for c, _ in self.basis])
-        ms = np.array([m for _, m in self.basis])
-        for c in np.unique(comps):
-            idx = np.flatnonzero(comps == c)
-            out[np.ix_(ms[idx], ms[idx])] += self.matrix[np.ix_(idx, idx)]
+        """Trace out the loss record: the blocks summed into the top-left
+        corner of a plain (m_max+1)^2 array."""
+        dim = max(b.shape[0] for b in self.blocks)
+        out = np.zeros((dim, dim), dtype=complex)
+        for b in self.blocks:
+            out[:b.shape[0], :b.shape[0]] += b
         return out
 
     def __repr__(self):
-        return f"DensityMatrix(dim={len(self.basis)})"
-
-
-def _assemble(decomp, phases):
-    """Dense matrix over the union basis; branch l gets its vector times
-    e^{i n phi} as an outer product, weighted by q_l."""
-    basis, gen, offsets = [], [], []
-    for ns, l in zip(decomp.branch_ns, decomp.loss_counts):
-        offsets.append(len(basis))
-        basis.extend((int(n), int(n - l)) for n in ns)
-        gen.extend(int(n) for n in ns)
-    dim = len(basis)
-    mat = np.zeros((dim, dim), dtype=complex)
-    for off, ns, amps, w in zip(offsets, decomp.branch_ns, decomp.branch_amps,
-                                decomp.weights):
-        v = amps * np.exp(1j * ns * phases)
-        sl = slice(off, off + ns.size)
-        mat[sl, sl] = w * np.outer(v, v.conj())
-    return mat, basis, np.array(gen)
+        return f"DensityMatrix(blocks={[b.shape[0] for b in self.blocks]})"
 
 
 def modulated_state(decomp, phi):
-    """rho_phi: each branch amplitude picks up e^{i n phi} by photon number."""
-    mat, basis, gen = _assemble(decomp, float(phi))
-    return DensityMatrix(mat, basis, gen)
+    """rho_phi: q_l (v v^dagger) per block, v[m] = u_l[m] e^{i(m+l)phi}."""
+    blocks = []
+    for l, q, u in zip(decomp.loss_counts, decomp.weights, decomp.vectors):
+        v = u * np.exp(1j * (np.arange(u.size) + l) * float(phi))
+        blocks.append(q * np.outer(v, v.conj()))
+    return DensityMatrix(blocks)
 
 
 def average_state(decomp, prior, grid_size=512, method="fourier"):
     """Prior-averaged state rho_bar.
 
-    The (i, j) entry of rho_phi carries e^{i(n_i - n_j)phi}, so averaging
-    multiplies the phi = 0 entry by the prior Fourier coefficient of order
-    n_i - n_j: exact, and the default. method="quadrature" instead sums
-    rho_phi over a grid_size-point grid with prior weights (renormalized),
-    as an independent cross-check path.
+    Entry (m, m') of a block carries e^{i(m-m')phi}, so averaging
+    multiplies the phi = 0 block by the leading submatrix of one Toeplitz
+    table F[m, m'] = f(m - m') of prior Fourier coefficients: exact, and
+    the default. method="quadrature" instead sums rho_phi over a
+    grid_size-point grid with prior weights (renormalized), as an
+    independent cross-check path.
     """
     if grid_size < 64:
         raise ValidationError(f"phase grid must have >= 64 points, got {grid_size}")
     if method == "fourier":
-        mat, basis, gen = _assemble(decomp, 0.0)
-        f = prior.fourier_coefficients(int(gen.max()) if gen.size else 0)
-        diff = gen[:, None] - gen[None, :]
-        table = np.concatenate([f[::-1].conj(), f[1:]])
-        mat = mat * table[diff + (len(f) - 1)]
-        return DensityMatrix(mat, basis, gen)
+        table = toeplitz(prior.fourier_coefficients(decomp.probe.cutoff))
+        return DensityMatrix(b * table[:b.shape[0], :b.shape[0]]
+                             for b in modulated_state(decomp, 0.0).blocks)
     if method != "quadrature":
         raise ValidationError(f"unknown averaging method {method!r}")
     phis = np.arange(grid_size) * (2.0 * np.pi / grid_size)
     w = prior.grid_density(grid_size)
     w = w / w.sum()
-    mat, basis, gen = _assemble(decomp, 0.0)
-    acc = np.zeros_like(mat)
+    acc = [np.zeros((u.size, u.size), dtype=complex) for u in decomp.vectors]
     for phi, weight in zip(phis, w):
         if weight == 0.0:
             continue
-        phase = np.exp(1j * gen * phi)
-        acc += weight * (mat * np.outer(phase, phase.conj()))
-    return DensityMatrix(acc, basis, gen)
+        for a, b in zip(acc, modulated_state(decomp, phi).blocks):
+            a += weight * b
+    return DensityMatrix(acc)
 
 
 def phase_randomize(rho):
-    """Zero every coherence between different phase-generator eigenvalues."""
-    keep = rho.generator[:, None] == rho.generator[None, :]
-    return DensityMatrix(np.where(keep, rho.matrix, 0.0), rho.basis,
-                         rho.generator)
+    """Zero every coherence between different photon numbers.
+
+    Photon numbers within a block are distinct, so each block keeps only
+    its diagonal.
+    """
+    return DensityMatrix(np.diag(np.diag(b)) for b in rho.blocks)
 
 
 def von_neumann_entropy(rho):
-    """-sum lambda ln lambda over eigenvalues above 1e-14.
+    """-sum lambda ln lambda over eigenvalues above 1e-14, block by block.
 
-    Exactly-zero off-diagonal blocks are split off first (the matrices here
-    are block-diagonal in the loss count), so the eigenproblem stays small.
     An eigenvalue below -1e-8 means the state itself is broken.
     """
-    m = rho.matrix
-    pattern = csr_matrix(np.abs(m) > 0.0)
-    n_comp, labels = connected_components(pattern, directed=False)
-    eigs = []
-    for comp in range(n_comp):
-        idx = np.flatnonzero(labels == comp)
-        if idx.size == 1:
-            eigs.append(m[idx[0], idx[0]].real)
-        else:
-            eigs.extend(np.linalg.eigvalsh(m[np.ix_(idx, idx)]))
-    eigs = np.asarray(eigs, dtype=float)
+    eigs = np.concatenate([np.linalg.eigvalsh(b) for b in rho.blocks])
     if eigs.min(initial=0.0) < -1e-8:
         raise NumericalError(f"state has eigenvalue {eigs.min()}, below -1e-8")
     lam = eigs[eigs > 1e-14]

@@ -36,18 +36,23 @@ class PhasePrior:
     @classmethod
     def uniform(cls, center=np.pi, width=TWO_PI):
         """Uniform window of the given width centered at `center` (radians)."""
-        width = float(width)
+        center, width = float(center), float(width)
+        if not np.isfinite(center):
+            raise ValidationError(f"uniform prior needs a finite center, got {center}")
         if not 0.0 < width <= TWO_PI:
             raise ValidationError(f"uniform prior needs 0 < width <= 2*pi, got {width}")
-        return cls("uniform", {"center": float(center) % TWO_PI, "width": width})
+        return cls("uniform", {"center": center % TWO_PI, "width": width})
 
     @classmethod
     def wrapped_gaussian(cls, mean, sigma, grid_size=_DEFAULT_GRID):
         """Gaussian of width `sigma` wrapped onto the circle (+/-5 images)."""
-        sigma = float(sigma)
-        if sigma <= 0.0:
-            raise ValidationError(f"wrapped_gaussian needs sigma > 0, got {sigma}")
-        return cls("wrapped_gaussian", {"mean": float(mean) % TWO_PI, "sigma": sigma},
+        mean, sigma = float(mean), float(sigma)
+        if not np.isfinite(mean):
+            raise ValidationError(f"wrapped_gaussian needs a finite mean, got {mean}")
+        if not 0.0 < sigma < np.inf:
+            raise ValidationError(
+                f"wrapped_gaussian needs finite sigma > 0, got {sigma}")
+        return cls("wrapped_gaussian", {"mean": mean % TWO_PI, "sigma": sigma},
                    grid_size=grid_size)
 
     @classmethod

@@ -17,6 +17,7 @@ __all__ = ["shannon_lb_rate", "shannon_lb_distortion", "blahut_arimoto_point",
 
 BA_TOL = 1e-9          # nats between successive rate iterates
 BA_MAX_ITER = 100000
+RD_GRID_CAP = 4096     # largest prior discretization a scenario may request
 
 
 def shannon_lb_rate(entropy_power, distortion):

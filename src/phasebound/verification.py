@@ -172,15 +172,12 @@ def _check_branch_orthonormality(probes, etas):
             k = len(decomp)
             # branch vectors live on the joint (surviving, lost) basis;
             # the lost-count record is what separates the branches
-            embedded = []
-            for ns, amps, lost in zip(decomp.branch_ns, decomp.branch_amps,
-                                      decomp.loss_counts):
-                embedded.append({(n - lost, lost): a
-                                 for n, a in zip(ns, amps)})
-            gram = np.zeros((k, k))
+            embedded = [{(m, lost): a for m, a in enumerate(u.tolist())}
+                        for u, lost in zip(decomp.vectors, decomp.loss_counts)]
+            gram = np.zeros((k, k), dtype=complex)
             for i in range(k):
                 for j in range(k):
-                    gram[i, j] = sum(embedded[i].get(key, 0.0) * v
+                    gram[i, j] = sum(embedded[i].get(key, 0.0).conjugate() * v
                                      for key, v in embedded[j].items())
             err = float(np.abs(gram - np.eye(k)).max())
             _track(bad, 1e-10 - err, best,

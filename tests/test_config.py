@@ -77,6 +77,11 @@ def test_ladder_families_need_integer_sizes():
     {"probes": [{"family": "coherent"}]},  # no size and no target list
     {"prior": {"kind": "wrapped_gaussian"}},
     {"rd": {"slopes": []}},
+    {"rd": {"grid_size": 400000}},   # over the cap, rejected before any array
+    {"rd": {"grid_size": "abc"}},
+    {"rd": {"grid_size": 100.5}},
+    {"rd": {"slopes": ["x"]}},
+    {"rd": {"slopes": [float("nan")]}},
     {"seed": -3},
     {"seed": 1.5},
     {"samples": 100},

@@ -7,10 +7,11 @@ from scipy.special import xlogy
 from phasebound import estimation
 from phasebound.errors import NumericalError, ValidationError
 from phasebound.estimation import (SimGrid, bayesian_mmse,
-                                   canonical_phase_density, lossy_signal_state,
+                                   canonical_phase_density,
                                    measurement_mutual_information,
                                    monte_carlo_mse)
-from phasebound.fock import ProbeSpec, chi_decompose, holevo_quantity
+from phasebound.fock import (ProbeSpec, chi_decompose, holevo_quantity,
+                             modulated_state)
 from phasebound.priors import PhasePrior
 
 TWO_PI = 2.0 * math.pi
@@ -50,33 +51,35 @@ def test_sim_grid_validation():
         SimGrid(2 ** 23, 256)  # past the lattice cap, before any allocation
 
 
-def test_lossy_signal_state_blocks():
-    state = lossy_signal_state(PROBE_01, 1.0, math.pi)
-    assert state.basis == [(0, 0), (0, 1)]
+def test_modulated_state_signal_blocks():
+    state = modulated_state(chi_decompose(PROBE_01, 1.0), math.pi)
+    assert [b.shape for b in state.blocks] == [(2, 2)]
     red = state.reduced_signal()
     assert abs(red[1, 0] - (-0.5)) < 1e-14
 
-    half = lossy_signal_state(PROBE_01, 0.5, 0.0)
-    assert half.basis == [(0, 0), (0, 1), (1, 0)]
-    assert list(half.generator) == [0, 1, 1]
-    red = half.reduced_signal()
+    half = chi_decompose(PROBE_01, 0.5)
+    assert half.loss_counts == [0, 1]
+    state = modulated_state(half, 0.0)
+    assert [b.shape for b in state.blocks] == [(2, 2), (1, 1)]
+    red = state.reduced_signal()
     # surviving coherence scales by sqrt(eta)
     assert abs(red[0, 1] - 0.5 * math.sqrt(0.5)) < 1e-14
     assert abs(np.trace(red).real - 1.0) < 1e-12
 
     with pytest.raises(ValidationError):
-        lossy_signal_state(PROBE_01, 1.5, 0.0)
+        chi_decompose(PROBE_01, 1.5)
 
 
 def test_canonical_density_two_level():
-    red = lossy_signal_state(PROBE_01, 1.0, 0.0).reduced_signal()
+    red = modulated_state(chi_decompose(PROBE_01, 1.0), 0.0).reduced_signal()
     theta = np.linspace(0.0, TWO_PI, 97, endpoint=False)
     dens = canonical_phase_density(red, theta)
     assert np.abs(dens - (1.0 + np.cos(theta)) / TWO_PI).max() < 1e-12
 
 
 def test_canonical_density_number_state_is_flat():
-    red = lossy_signal_state(ProbeSpec.number(3), 0.7, 1.1).reduced_signal()
+    red = modulated_state(chi_decompose(ProbeSpec.number(3), 0.7),
+                          1.1).reduced_signal()
     theta = np.linspace(0.0, TWO_PI, 64, endpoint=False)
     dens = canonical_phase_density(red, theta)
     assert np.abs(dens - 1.0 / TWO_PI).max() < 1e-13
@@ -86,7 +89,7 @@ def test_canonical_density_normalizes():
     rng = np.random.default_rng(2)
     c = rng.standard_normal(7) + 1j * rng.standard_normal(7)
     probe = ProbeSpec(c / np.linalg.norm(c))
-    red = lossy_signal_state(probe, 0.6, 0.4).reduced_signal()
+    red = modulated_state(chi_decompose(probe, 0.6), 0.4).reduced_signal()
     theta = np.arange(4096) * (TWO_PI / 4096)
     dens = canonical_phase_density(red, theta)
     assert abs(dens.sum() * (TWO_PI / 4096) - 1.0) < 1e-10
@@ -208,7 +211,7 @@ def dense_core(probe, eta, prior, g_phi, g_theta):
     """
     lattice = max(g_phi, g_theta)
     g = canonical_phase_density(
-        lossy_signal_state(probe, eta, 0.0).reduced_signal(),
+        modulated_state(chi_decompose(probe, eta), 0.0).reduced_signal(),
         np.arange(lattice) * (TWO_PI / lattice))
     w = prior.grid_density(g_phi) * (TWO_PI / g_phi)
     w = w / w.sum()

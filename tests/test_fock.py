@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from phasebound.capacity import (binomial_loss_matrix, capacity_upper_bound_lossy,
                                  shannon_entropy, unrestricted_capacity)
@@ -34,18 +37,53 @@ def random_probe(rng, cutoff):
 
 
 def flat_branch_vectors(decomp):
-    """Branch vectors embedded in the union (n, m) basis, one per column."""
+    """Branch vectors embedded in the joint (m, l) basis, one per column."""
     basis = {}
-    for ns, l in zip(decomp.branch_ns, decomp.loss_counts):
-        for n in ns:
-            basis.setdefault((int(n), int(n - l)), len(basis))
-    vecs = np.zeros((len(basis), len(decomp)))
-    for col, (ns, amps, l) in enumerate(zip(decomp.branch_ns,
-                                            decomp.branch_amps,
-                                            decomp.loss_counts)):
-        for n, a in zip(ns, amps):
-            vecs[basis[(int(n), int(n - l))], col] = a
+    for u, l in zip(decomp.vectors, decomp.loss_counts):
+        for m in range(u.size):
+            basis.setdefault((m, l), len(basis))
+    vecs = np.zeros((len(basis), len(decomp)), dtype=complex)
+    for col, (u, l) in enumerate(zip(decomp.vectors, decomp.loss_counts)):
+        for m, a in enumerate(u):
+            vecs[basis[(m, l)], col] = a
     return vecs
+
+
+def dense_average_state(decomp, prior):
+    """Reference for average_state: one dense matrix over the union basis.
+
+    The basis holds the (photon number n, surviving m) pairs that carry
+    amplitude; entry (i, j) is scaled by the prior Fourier coefficient of
+    order n_i - n_j. Returns (matrix, n per basis element).
+    """
+    gen, offsets = [], []
+    for u, l in zip(decomp.vectors, decomp.loss_counts):
+        offsets.append(len(gen))
+        gen.extend(np.flatnonzero(u) + l)
+    gen = np.array(gen)
+    mat = np.zeros((gen.size, gen.size), dtype=complex)
+    for off, u, w in zip(offsets, decomp.vectors, decomp.weights):
+        v = u[np.flatnonzero(u)]
+        sl = slice(off, off + v.size)
+        mat[sl, sl] = w * np.outer(v, v.conj())
+    f = prior.fourier_coefficients(int(gen.max()))
+    table = np.concatenate([f[::-1].conj(), f[1:]])
+    mat = mat * table[gen[:, None] - gen[None, :] + (len(f) - 1)]
+    return mat, gen
+
+
+def dense_entropy(mat):
+    """Reference for von_neumann_entropy: split the matrix into the
+    connected components of its nonzero pattern, then diagonalize each."""
+    n_comp, labels = connected_components(csr_matrix(np.abs(mat) > 0.0),
+                                          directed=False)
+    eigs = []
+    for comp in range(n_comp):
+        idx = np.flatnonzero(labels == comp)
+        eigs.extend(np.linalg.eigvalsh(mat[np.ix_(idx, idx)]))
+    lam = np.array(eigs)
+    lam = lam[lam > 1e-14]
+    return float(-np.sum(lam * np.log(lam)))
 
 
 def test_probe_families():
@@ -120,68 +158,78 @@ def test_chi_branches_orthonormal():
               for eta in [0.3, 0.5, 0.8] for _ in range(3)]
     for decomp in cases:
         vecs = flat_branch_vectors(decomp)
-        gram = vecs.T @ vecs
+        gram = vecs.conj().T @ vecs
         assert np.abs(gram - np.eye(len(decomp))).max() < 1e-12
 
 
 def test_modulated_state_matches_hand_assembly():
     decomp = chi_decompose(ProbeSpec(PROBE_02), 0.5)
     phi = 0.7
-    vecs = flat_branch_vectors(decomp).astype(complex)
+    vecs = flat_branch_vectors(decomp)
     state = modulated_state(decomp, phi)
-    ns = np.array([n for n, _ in state.basis])
+    # element m of branch l carries photon number m + l
+    ns = np.concatenate([np.arange(u.size) + l for u, l
+                         in zip(decomp.vectors, decomp.loss_counts)])
     phase = np.exp(1j * ns * phi)
-    expected = np.zeros((len(state.basis),) * 2, dtype=complex)
+    expected = np.zeros((ns.size, ns.size), dtype=complex)
     for col, w in enumerate(decomp.weights):
         v = phase * vecs[:, col]
         expected += w * np.outer(v, v.conj())
-    assert np.abs(state.matrix - expected).max() < 1e-14
-    assert abs(np.trace(state.matrix).real - 1.0) < 1e-12
+    dense = block_diag(*state.blocks)
+    assert np.abs(dense - expected).max() < 1e-14
+    assert abs(np.trace(dense).real - 1.0) < 1e-12
 
 
 def test_number_probe_is_phase_invariant():
     decomp = chi_decompose(ProbeSpec.number(3), 0.6)
     a = modulated_state(decomp, 0.0)
     b = modulated_state(decomp, 2.1)
-    assert np.abs(a.matrix - b.matrix).max() < 1e-15
+    for x, y in zip(a.blocks, b.blocks):
+        assert np.abs(x - y).max() < 1e-15
 
 
-def test_reduced_signal_of_companion_state_is_diagonal():
-    # distinct companions kill every coherence, leaving the post-loss
-    # photon-number distribution on the diagonal
+def test_reduced_signal_keeps_loss_record_coherence():
+    # the loss record, not the photon number, labels the environment, so
+    # the no-loss branch keeps c_0 c_2^* eta e^{-2i phi}; the diagonal is
+    # the post-loss photon-number distribution
     decomp = chi_decompose(ProbeSpec(PROBE_02), 0.3)
-    rho = modulated_state(decomp, 1.3)
-    red = rho.reduced_signal()
-    expect = np.diag([0.5 + 0.5 * 0.49, 0.5 * 2 * 0.3 * 0.7, 0.5 * 0.09])
-    assert np.abs(red - expect).max() < 1e-14
+    red = modulated_state(decomp, 1.3).reduced_signal()
+    assert abs(red[0, 2] - 0.15 * np.exp(-2.6j)) < 1e-14
+    assert abs(abs(red[0, 2]) - 0.15) < 1e-14
+    expect = [0.5 + 0.5 * 0.49, 0.5 * 2 * 0.3 * 0.7, 0.5 * 0.09]
+    assert np.abs(np.diag(red) - expect).max() < 1e-14
+    assert red[0, 1] == 0.0 and red[1, 2] == 0.0
 
 
 def test_density_matrix_validation():
     with pytest.raises(ValidationError):
-        DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]), [(0, 0), (1, 1)])
+        DensityMatrix([np.array([[0.5, 0.5], [0.0, 0.5]])])
     with pytest.raises(ValidationError):
-        DensityMatrix(np.eye(2), [(0, 0), (1, 1)])      # trace 2
+        DensityMatrix([np.eye(2) / 2.0, np.eye(2) / 2.0])   # trace 2
     with pytest.raises(ValidationError):
-        DensityMatrix(np.eye(2) / 2.0, [(0, 0)])        # basis mismatch
+        DensityMatrix([np.full((1, 2), 0.5)])               # not square
 
 
 def test_average_state_uniform_dephases():
     decomp = chi_decompose(ProbeSpec(PROBE_02), 0.5)
     avg = average_state(decomp, PhasePrior.uniform())
     randomized = phase_randomize(modulated_state(decomp, 0.0))
-    assert np.abs(avg.matrix - randomized.matrix).max() < 1e-14
-    # diagonal holds the joint (photon, loss) masses
-    joint = {(2, 2 - l): 0.5 * w for l, w in zip([0, 1, 2], [0.25, 0.5, 0.25])}
+    for a, b in zip(avg.blocks, randomized.blocks):
+        assert np.abs(a - b).max() < 1e-14
+    # diagonal holds the joint (photon, loss) masses, keyed by (l, m)
+    joint = {(l, 2 - l): 0.5 * w for l, w in zip([0, 1, 2], [0.25, 0.5, 0.25])}
     joint[(0, 0)] = 0.5
-    for i, b in enumerate(avg.basis):
-        assert abs(avg.matrix[i, i].real - joint[b]) < 1e-14
+    assert decomp.loss_counts == [0, 1, 2]
+    for l, block in zip(decomp.loss_counts, avg.blocks):
+        for m in range(block.shape[0]):
+            assert abs(block[m, m].real - joint.get((l, m), 0.0)) < 1e-14
 
 
 def test_average_state_window_coherence():
     # width-pi window keeps |F_1| = 2/pi of each one-step coherence
     decomp = chi_decompose(ProbeSpec(PROBE_01), 1.0)
     avg = average_state(decomp, PhasePrior.uniform(width=math.pi))
-    off = abs(avg.matrix[0, 1])
+    off = abs(avg.blocks[0][0, 1])
     assert abs(off - 1.0 / math.pi) < 1e-15
 
 
@@ -190,7 +238,16 @@ def test_average_state_quadrature_cross_check():
     decomp = chi_decompose(ProbeSpec(PROBE_02), 0.5)
     a = average_state(decomp, prior, method="fourier")
     b = average_state(decomp, prior, grid_size=512, method="quadrature")
-    assert np.abs(a.matrix - b.matrix).max() < 1e-12
+    for x, y in zip(a.blocks, b.blocks):
+        assert np.abs(x - y).max() < 1e-12
+    # complex amplitudes and complex Fourier coefficients fix the sign
+    # convention of the Toeplitz table
+    decomp = chi_decompose(random_probe(np.random.default_rng(4), 8), 0.6)
+    skewed = PhasePrior.wrapped_gaussian(2.0, 0.8)
+    a = average_state(decomp, skewed, method="fourier")
+    b = average_state(decomp, skewed, grid_size=512, method="quadrature")
+    for x, y in zip(a.blocks, b.blocks):
+        assert np.abs(x - y).max() < 1e-12
 
     with pytest.raises(ValidationError):
         average_state(decomp, prior, grid_size=32)
@@ -198,24 +255,24 @@ def test_average_state_quadrature_cross_check():
         average_state(decomp, prior, method="spline")
 
 
-def test_phase_randomize_uses_generator_labels():
-    # estimation-style basis: companion is the loss count, the generator is
-    # companion + m; same-generator coherences must survive
-    v = np.array([0.6, 0.48, 0.64])
-    rho = DensityMatrix(np.outer(v, v), [(0, 0), (0, 1), (1, 0)],
-                        generator=[0, 1, 1])
+def test_phase_randomize_keeps_block_diagonals():
+    # photon numbers within a block are distinct, so every in-block
+    # coherence goes and every diagonal entry stays
+    v = np.array([0.6, 0.48])
+    rho = DensityMatrix([np.outer(v, v), [[0.64 ** 2]]])
     out = phase_randomize(rho)
-    assert out.matrix[0, 1] == 0.0 and out.matrix[0, 2] == 0.0
-    assert abs(out.matrix[1, 2] - v[1] * v[2]) < 1e-15
+    assert out.blocks[0][0, 1] == 0.0 and out.blocks[0][1, 0] == 0.0
+    assert np.array_equal(np.diag(out.blocks[0]), v ** 2)
+    assert out.blocks[1][0, 0] == 0.64 ** 2
 
 
 def test_von_neumann_entropy_basics():
-    pure = DensityMatrix(np.full((2, 2), 0.5), [(0, 0), (0, 1)])
+    pure = DensityMatrix([np.full((2, 2), 0.5)])
     assert abs(von_neumann_entropy(pure)) < 1e-12
-    mixed = DensityMatrix(np.eye(4) / 4.0, [(i, i) for i in range(4)])
+    mixed = DensityMatrix([np.eye(2) / 4.0, np.eye(2) / 4.0])
     assert abs(von_neumann_entropy(mixed) - math.log(4.0)) < 1e-14
 
-    bad = DensityMatrix(np.diag([1.5, -0.5]), [(0, 0), (0, 1)])
+    bad = DensityMatrix([np.diag([1.5, -0.5])])
     with pytest.raises(NumericalError):
         von_neumann_entropy(bad)
 
@@ -229,6 +286,27 @@ def test_randomizing_never_lowers_entropy():
             avg = average_state(decomp, prior)
             assert (von_neumann_entropy(phase_randomize(avg))
                     >= von_neumann_entropy(avg) - 1e-10)
+
+
+@pytest.mark.parametrize("cutoff", [12, 25, 40])
+def test_block_states_match_dense_oracle(cutoff):
+    rng = np.random.default_rng(cutoff)
+    probe = random_probe(rng, cutoff)
+    priors = [PhasePrior.uniform(), PhasePrior.uniform(center=1.0,
+                                                      width=math.pi),
+              PhasePrior.wrapped_gaussian(2.0, 0.5)]
+    for eta in [0.0, 0.3, 0.8, 1.0]:
+        decomp = chi_decompose(probe, eta)
+        h_loss = shannon_entropy(decomp.weights)
+        for prior in priors:
+            mat, gen = dense_average_state(decomp, prior)
+            case = (cutoff, eta, prior.kind)
+            chi = holevo_quantity(decomp, prior)
+            assert abs(chi - (dense_entropy(mat) - h_loss)) < 1e-10, case
+            dephased = np.where(gen[:, None] == gen[None, :], mat, 0.0)
+            s_deph = von_neumann_entropy(
+                phase_randomize(average_state(decomp, prior)))
+            assert abs(s_deph - dense_entropy(dephased)) < 1e-10, case
 
 
 def test_holevo_frozen_values():

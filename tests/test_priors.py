@@ -169,6 +169,12 @@ def test_validation_errors():
     with pytest.raises(ValidationError):
         PhasePrior.wrapped_gaussian(mean=0.0, sigma=0.0)
     with pytest.raises(ValidationError):
+        PhasePrior.wrapped_gaussian(mean=0.0, sigma=float("nan"))
+    with pytest.raises(ValidationError):
+        PhasePrior.wrapped_gaussian(mean=float("inf"), sigma=0.5)
+    with pytest.raises(ValidationError):
+        PhasePrior.uniform(center=float("nan"))
+    with pytest.raises(ValidationError):
         PhasePrior.tabulated([1.0, -0.5, 1.0, 1.0])
     with pytest.raises(ValidationError):
         PhasePrior.tabulated(np.full(64, 2.0 / TWO_PI))  # integrates to 2
