@@ -1,17 +1,18 @@
 # Sweep the rate-distortion curve of a discretized phase prior and
 # compare it with the Shannon lower bound R >= max(0, ln(Q/D)/2).
 #
-# The alternating minimization is slope-parametrized: each slope s picks
-# out the point where the curve has derivative -s. The quantity that
-# decreases monotonically during the iteration is the Lagrangian R + s*D,
-# not the rate itself.
+# The solver is slope-parametrized: each slope s picks out the point where
+# the curve has derivative -s. The quantity that decreases monotonically
+# during the iteration is the Lagrangian R + s*D, not the rate itself, and
+# every point stops on Blahut's certificate: its Lagrangian is within the
+# reported gap (at most 1e-9 nats when converged) of the optimum.
 
 import numpy as np
 
 from phasebound import PhasePrior, rd_curve, shannon_lb_rate
 from phasebound.rate_distortion import (blahut_arimoto_point,
                                         discrete_entropy_power,
-                                        discretize_prior)
+                                        discretize_prior, grid_distortion)
 
 prior = PhasePrior.uniform()
 K = 256
@@ -30,12 +31,11 @@ for (d, r), s, ok in zip(curve.points, curve.slope_values, curve.converged):
           f"{'yes' if ok else 'no':>5}")
 
 # watch the Lagrangian descend for one slope
-idx = np.arange(K)
-dmat = (np.abs(idx[:, None] - idx[None, :]) * (2.0 * np.pi / K)) ** 2
-point = blahut_arimoto_point(masses, dmat, slope=0.5)
+point = blahut_arimoto_point(masses, grid_distortion(K), slope=0.5)
 lag = point.lagrangian_history()
 print()
-print(f"slope 0.5 took {point.iterations} iterations")
+print(f"slope 0.5 took {point.iterations} iterations, "
+      f"certified gap {point.gap:.1e} nats")
 print("Lagrangian head:", np.array2string(lag[:4], precision=8))
 print("Lagrangian tail:", np.array2string(lag[-3:], precision=8))
 print("largest uptick :", f"{np.diff(lag).max():.2e}  (never above 1e-12)")

@@ -116,6 +116,12 @@ def _cmd_rd_curve(cfg, threads):
     rows = [(float(d), float(r), float(s), bool(c))
             for (d, r), s, c in zip(curve.points, curve.slope_values,
                                     curve.converged)]
+    uncertified = [s for s, c in zip(curve.slope_values, curve.converged)
+                   if not c]
+    if uncertified:
+        print(f"warning: rd-curve slopes {uncertified} did not reach the "
+              f"certified gap {rate_distortion.BA_TOL} within "
+              f"{rate_distortion.BA_MAX_ITER} iterations", file=sys.stderr)
     return _csv(("D", "R", "slope", "converged"), rows), 0
 
 

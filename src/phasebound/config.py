@@ -33,14 +33,25 @@ def _build_prior(spec):
     kind = spec["kind"]
     _require(kind in _PRIOR_KINDS, f"unknown prior kind {kind!r}")
     if kind == "uniform":
-        return PhasePrior.uniform(center=spec.get("center", math.pi),
-                                  width=spec.get("width", 2.0 * math.pi))
+        return PhasePrior.uniform(
+            center=_prior_number(spec.get("center", math.pi), "center"),
+            width=_prior_number(spec.get("width", 2.0 * math.pi), "width"))
     if kind == "wrapped_gaussian":
         _require("mean" in spec and "sigma" in spec,
                  "wrapped_gaussian prior needs 'mean' and 'sigma'")
-        return PhasePrior.wrapped_gaussian(spec["mean"], spec["sigma"])
+        return PhasePrior.wrapped_gaussian(_prior_number(spec["mean"], "mean"),
+                                           _prior_number(spec["sigma"], "sigma"))
     _require("values" in spec, "tabulated prior needs 'values'")
-    return PhasePrior.tabulated(spec["values"])
+    values = spec["values"]
+    _require(isinstance(values, list),
+             f"tabulated prior values must be a list, got {values!r}")
+    return PhasePrior.tabulated([_prior_number(v, "value") for v in values])
+
+
+def _prior_number(value, what):
+    _require(isinstance(value, (int, float)),
+             f"prior {what} must be a number, got {value!r}")
+    return value
 
 
 def _amplitudes(raw):

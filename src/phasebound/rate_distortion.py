@@ -1,23 +1,30 @@
 """Rate-distortion tools for the phase source.
 
-Shannon lower bounds on R(D) and D(R) in closed form, plus a Blahut-Arimoto
-solver that evaluates the definitional infimum of the rate-distortion
-function for a discretized prior. The solver works at fixed Lagrange slope;
-a curve is traced by sweeping slopes, never by root finding in D.
+Shannon lower bounds on R(D) and D(R) in closed form, plus a solver that
+evaluates the definitional infimum of the rate-distortion function for a
+discretized prior. The solver works at fixed Lagrange slope s, where
+R + s*D at the best test channel for an output marginal q is the
+Lagrangian L(q) = -sum_k p_k ln (A q)_k with A = exp(-s*d). Minimizing L
+over the simplex is the mixing-weights problem of a nonparametric maximum
+likelihood estimate, solved here by the constrained Newton method (Wang,
+JRSS-B 2007) with vertex-direction steps (Wynn 1970, Fedorov 1972) where its
+quadratic model cannot reach, and stopped on Blahut's (1972) certificate
+L(q) - min L <= max_j ln r_j, r = A^T (p / A q). A curve is traced by
+sweeping slopes, never by root finding in D.
 """
 
 import numpy as np
-from scipy.linalg import matmul_toeplitz
 
 from .errors import ValidationError
 from .priors import TWO_PI
 
 __all__ = ["shannon_lb_rate", "shannon_lb_distortion", "blahut_arimoto_point",
-           "rd_curve", "BAPoint", "RDCurve"]
+           "rd_curve", "grid_distortion", "BAPoint", "RDCurve"]
 
-BA_TOL = 1e-9          # nats between successive rate iterates
-BA_MAX_ITER = 100000
+BA_TOL = 1e-9          # nats of certified gap between the Lagrangian and its minimum
+BA_MAX_ITER = 200
 RD_GRID_CAP = 4096     # largest prior discretization a scenario may request
+_ARMIJO = 1e-4         # fraction of the first-order decrease a step must achieve
 
 
 def shannon_lb_rate(entropy_power, distortion):
@@ -40,10 +47,15 @@ def shannon_lb_distortion(entropy_power, rate):
 
 
 class BAPoint:
-    """One converged (D, R) point at a fixed Lagrange slope."""
+    """One (D, R) point at a fixed Lagrange slope.
+
+    `gap` is Blahut's bound max_j ln r_j on how far the point's Lagrangian
+    R + s*D sits above the minimum, in nats; `converged` means
+    gap <= BA_TOL.
+    """
 
     def __init__(self, distortion, rate, slope, converged, iterations,
-                 rate_history, distortion_history, output_marginal):
+                 rate_history, distortion_history, output_marginal, gap):
         self.distortion = float(distortion)
         self.rate = float(rate)
         self.slope = float(slope)
@@ -52,10 +64,11 @@ class BAPoint:
         self.rate_history = np.asarray(rate_history, dtype=float)
         self.distortion_history = np.asarray(distortion_history, dtype=float)
         self.output_marginal = output_marginal
+        self.gap = float(gap)
 
     def lagrangian_history(self):
-        """R + s*D per iteration. This is the quantity the alternating
-        minimization actually descends; the rate alone is not monotone."""
+        """R + s*D per iteration. This is the quantity the solver descends;
+        the rate alone is not monotone."""
         return self.rate_history + self.slope * self.distortion_history
 
     def __repr__(self):
@@ -83,13 +96,20 @@ def blahut_arimoto_point(source, distortion, slope, init_marginal=None):
     distortion : (K, K') matrix of squared errors, source rows by
         reproduction columns.
     slope : s >= 0 in nats per squared radian. s = 0 returns the zero-rate
-        point directly (the multiplicative update is stationary there).
+        point directly.
     init_marginal : optional starting reproduction marginal; defaults to
         uniform. Warm starts from a neighboring slope cut iteration counts
         when sweeping a curve.
 
-    Returns a BAPoint; alternating minimization stops when successive rates
-    differ by < 1e-9 nats, or flags non-convergence after 1e5 iterations.
+    Each iteration grows the support of the output marginal by the local
+    maxima of r (in column order) that break the certificate, minimizes a
+    quadratic model of the Lagrangian over that support by nonnegative
+    least squares, and backtracks along the step until the Lagrangian
+    falls. Where the model cannot help (some r_j > 2, or no descent) it
+    moves mass to the column of largest r_j instead, by an exact line
+    search. The Lagrangian never rises. Returns a BAPoint, converged once
+    the certified gap is <= BA_TOL, or flagged unconverged with its gap
+    after BA_MAX_ITER evaluations.
     """
     p = _check_source(source)
     d = np.asarray(distortion, dtype=float)
@@ -104,15 +124,17 @@ def blahut_arimoto_point(source, distortion, slope, init_marginal=None):
     if support.size == 1:
         # single atom: zero rate at the best reproduction point for any slope
         dmin = float(d[support[0]].min())
-        return BAPoint(dmin, 0.0, slope, True, 0, [0.0], [dmin], None)
+        return BAPoint(dmin, 0.0, slope, True, 0, [0.0], [dmin], None, 0.0)
     if slope == 0.0:
         dmin = float((p @ d).min())
-        return BAPoint(dmin, 0.0, slope, True, 0, [0.0], [dmin], None)
+        return BAPoint(dmin, 0.0, slope, True, 0, [0.0], [dmin], None, 0.0)
 
+    # source letters without mass add nothing to any sum below
+    p, d = p[support], d[support]
     a = np.exp(-slope * d)
     ad = a * d
-    mv, tmv, dmv = _matvec_ops(a, ad, d)
     if init_marginal is None:
+        # the uniform start is kept exactly, so symmetric optima stop at once
         q = np.full(d.shape[1], 1.0 / d.shape[1])
     else:
         q = np.asarray(init_marginal, dtype=float)
@@ -120,51 +142,159 @@ def blahut_arimoto_point(source, distortion, slope, init_marginal=None):
             raise ValidationError("init_marginal must be a distribution over "
                                   "the reproduction alphabet")
         q = q / q.sum()
+    # the atoms, the columns every model step spans, start as the columns
+    # the start favours over the uniform marginal; mass at or below that
+    # level is background the steps trade away, so a uniform or other wide
+    # start does not make every column a model column
+    atoms = q > 1.0 / q.size
     rates, dists = [], []
-    rate_prev = np.inf
-    converged = False
     for it in range(1, BA_MAX_ITER + 1):
-        # c_k = sum_j q_j e^{-s d_kj} > 0; floor guards the log against
-        # roundoff noise from the FFT product at extreme slopes
-        c = np.maximum(mv(q), 1e-300)
+        # c_k = sum_j q_j e^{-s d_kj}; the floor keeps the log finite where
+        # every used column underflows at extreme slopes
+        c = np.maximum(a @ q, 1e-300)
         ratio = p / c
-        cur_d = ratio @ dmv(q)
-        rate = -(p @ np.log(c)) - slope * cur_d
-        rates.append(rate)
+        cur_d = ratio @ (ad @ q)
+        lagrangian = -(p @ np.log(c))
+        rates.append(lagrangian - slope * cur_d)
         dists.append(cur_d)
-        if abs(rate_prev - rate) < BA_TOL:
-            converged = True
+        r = ratio @ a
+        gap = float(np.log(r.max()))
+        if gap <= BA_TOL or it == BA_MAX_ITER:
             break
-        rate_prev = rate
-        q = q * tmv(ratio)
+        q, atoms = _newton_step(a, p, c, r, q, atoms)
     # rate can round a hair below zero at slopes where the bound is vacuous
-    return BAPoint(cur_d, max(rate, 0.0), slope, converged, it, rates, dists, q)
+    return BAPoint(cur_d, max(rates[-1], 0.0), slope, gap <= BA_TOL, it,
+                   rates, dists, q, gap)
 
 
-def _matvec_ops(a, ad, d):
-    """Matvec closures for a, a.T and a*d; FFT-based when d is Toeplitz.
+def _newton_step(a, p, c, r, q, atoms):
+    """One constrained Newton step; returns the next marginal and atom set.
 
-    Grid sources give d[k, j] = (x_k - x_j)^2, constant along diagonals, so
-    the products reduce to convolutions. Fast path kicks in above 64 points;
-    tiny products are quicker dense.
+    The quadratic model of the Lagrangian about c is
+    sum_k p_k ((A w)_k / c_k - 2)^2 over w >= 0, sum w = 1, restricted to
+    the atoms plus the new peaks of r. It is the second-order expansion of
+    the log about c and aims at (A w)_k = 2 c_k, so while some r_j > 2, and
+    whenever the model's step does not descend, a vertex step toward the
+    largest r_j is taken instead.
     """
-    k, kp = d.shape
-    if min(k, kp) > 64 and np.array_equal(d[1:, 1:], d[:-1, :-1]):
-        acr = (np.ascontiguousarray(a[:, 0]), np.ascontiguousarray(a[0, :]))
-        adcr = (np.ascontiguousarray(ad[:, 0]), np.ascontiguousarray(ad[0, :]))
-        return (lambda x: matmul_toeplitz(acr, x, check_finite=False),
-                lambda x: matmul_toeplitz((acr[1], acr[0]), x, check_finite=False),
-                lambda x: matmul_toeplitz(adcr, x, check_finite=False))
-    return (lambda x: a @ x), (lambda x: a.T @ x), (lambda x: ad @ x)
+    with np.errstate(divide="ignore"):
+        lr = np.log(r)
+    top = int(np.argmax(lr))
+    span = atoms.copy()
+    span[top] = True
+    if lr[top] > np.log(2.0):
+        q = _vertex_step(a, p, c, q, top)
+        return q, span & (q > 0.0)
+    # local maxima of ln r that break the certificate; a rise below 1e-12
+    # is rounding noise, which on a flat stretch of r would mark a peak at
+    # every few columns
+    left = np.insert(lr[:-1], 0, -np.inf)
+    right = np.append(lr[1:], -np.inf)
+    span |= (lr > BA_TOL) & (lr > left + 1e-12) & (lr >= right - 1e-12)
+    cols = np.flatnonzero(span)
+    model = np.sqrt(p)[:, None] * (a[:, cols] / c[:, None] - 2.0)
+    # a row of ones with target 1 turns the sum constraint into plain NNLS:
+    # the model is homogeneous on the simplex, so the NNLS solution rescaled
+    # to unit sum is the constrained minimizer
+    model = np.vstack([model, np.ones(cols.size)])
+    # unit column scale: a peak under source letters that c barely reaches
+    # has entries up to 1/c, which would swamp the NNLS tolerance
+    scale = np.abs(model).max(axis=0)
+    model /= scale
+    x = _nnls(model.T @ model, model[-1], q[cols] * scale) / scale
+    step = -q
+    step[cols] += x / x.sum()
+    # relative change of c along the step, formed without cancellation so
+    # that the line search still resolves descents near the optimum
+    v = (a @ step) / c
+    descent = p @ v
+    alpha = 1.0
+    while descent > 0.0 and alpha > 1e-12:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            gain = p @ np.log1p(alpha * v)
+        if gain >= _ARMIJO * alpha * descent:
+            q = np.maximum(q + alpha * step, 0.0)
+            return q / q.sum(), span & (q > 0.0)
+        alpha *= 0.5
+    q = _vertex_step(a, p, c, q, top)
+    return q, span & (q > 0.0)
+
+
+def _vertex_step(a, p, c, q, j):
+    """q <- (1 - t) q + t e_j at the t that most lowers the Lagrangian.
+
+    The Lagrangian falls by g(t) = sum_k p_k ln(1 + t u_k), u = A e_j / c - 1,
+    which is concave with slope r_j - 1 > 0 at t = 0. Bisecting the slope
+    on a log scale finds steps down to 1e-300, which source letters of
+    negligible mass that the marginal does not reach can need; each term
+    of g stays exact at such steps, so the step still lowers the
+    Lagrangian where a full model step cannot resolve it.
+    """
+    u = a[:, j] / c - 1.0
+    with np.errstate(divide="ignore"):
+        full = p @ (u / (1.0 + u)) >= 0.0
+    lo, hi = -300.0, 0.0  # bracket of log10 t with g rising at 10**lo
+    while not full and hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if p @ (u / (1.0 + 10.0 ** mid * u)) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    t = 1.0 if full else 10.0 ** lo
+    q = (1.0 - t) * q
+    q[j] += t
+    return q / q.sum()
+
+
+def _nnls(gram, rhs, start):
+    """Lawson-Hanson active-set minimization of x'Gx - 2 rhs'x over x >= 0.
+
+    These are the normal equations of min |M x - e| with gram = M'M and
+    rhs = M'e. `start` is a feasible first iterate; its positive entries
+    form the first passive set. A ridge at rounding level keeps a passive
+    set with dependent columns solvable.
+    """
+    n = rhs.size
+    x = start.copy()
+    passive = x > 0.0
+    ridge = n * np.finfo(float).eps * gram.diagonal().max()
+    for _ in range(3 * n):
+        while passive.any():
+            idx = np.flatnonzero(passive)
+            sub = gram[np.ix_(idx, idx)] + ridge * np.eye(idx.size)
+            z = np.zeros(n)
+            z[idx] = np.linalg.solve(sub, rhs[idx])
+            if np.all(z[idx] > 0.0):
+                x = z
+                break
+            # step back to the boundary and release the blocking entry
+            neg = np.flatnonzero(passive & (z <= 0.0))
+            ratio = x[neg] / (x[neg] - z[neg])
+            x = x + ratio.min() * (z - x)
+            x[neg[np.argmin(ratio)]] = 0.0
+            passive &= x > 0.0
+            x[~passive] = 0.0
+        grad = rhs - gram @ x
+        grad[passive] = -np.inf
+        j = int(np.argmax(grad))
+        if grad[j] <= 10.0 * ridge:
+            break
+        passive[j] = True
+    return x
 
 
 class RDCurve:
-    """Swept R(D) points for one discretized source, sorted by distortion."""
+    """Swept R(D) points for one discretized source, sorted by distortion.
 
-    def __init__(self, points, slope_values, converged, source_descriptor):
+    `gaps` holds each point's certified Blahut gap in nats.
+    """
+
+    def __init__(self, points, slope_values, converged, gaps,
+                 source_descriptor):
         self.points = list(points)
         self.slope_values = list(slope_values)
         self.converged = list(converged)
+        self.gaps = list(gaps)
         self.source_descriptor = dict(source_descriptor)
 
     def distortions(self):
@@ -207,6 +337,15 @@ def discretize_prior(prior, grid_size):
     return phi, masses / masses.sum()
 
 
+def grid_distortion(grid_size):
+    """Squared error (|i - j| * 2*pi/K)^2 between points of the open grid.
+
+    Built from index offsets, so equal offsets give bitwise-equal entries.
+    """
+    idx = np.arange(grid_size)
+    return (np.abs(idx[:, None] - idx[None, :]) * (TWO_PI / grid_size)) ** 2
+
+
 def discrete_entropy_power(masses, cell_width):
     """Entropy power of the piecewise-constant density masses/cell_width."""
     pos = masses[masses > 0.0]
@@ -222,9 +361,7 @@ def rd_curve(prior, grid_size, slopes):
     package.
     """
     phi, masses = discretize_prior(prior, grid_size)
-    # build d from index offsets so equal offsets match bitwise (Toeplitz)
-    idx = np.arange(grid_size)
-    d = (np.abs(idx[:, None] - idx[None, :]) * (TWO_PI / grid_size)) ** 2
+    d = grid_distortion(grid_size)
     # sweep slopes in increasing order, warm-starting each point from the
     # previous marginal; neighbors on the curve have nearby optima
     results, q = [], None
@@ -239,4 +376,5 @@ def rd_curve(prior, grid_size, slopes):
     return RDCurve(points=[(r.distortion, r.rate) for r in results],
                    slope_values=[r.slope for r in results],
                    converged=[r.converged for r in results],
+                   gaps=[r.gap for r in results],
                    source_descriptor=descriptor)

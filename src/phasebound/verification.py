@@ -150,11 +150,17 @@ def _check_rate_distortion(prior, grid_size, slopes):
         _track(bad, rate - lb + slack, best,
                f"slope {slope}: rate {rate:.4f} below the Shannon "
                f"bound {lb:.4f}")
-    # the alternating minimization descends R + s*D, not R alone
-    idx = np.arange(grid_size)
-    d = (np.abs(idx[:, None] - idx[None, :]) * (TWO_PI / grid_size)) ** 2
+    # every point must carry a certified Blahut gap
+    tol = rate_distortion.BA_TOL
+    for gap, slope in zip(curve.gaps, curve.slope_values):
+        _track(bad, tol - gap, best,
+               f"slope {slope}: swept point has Blahut gap {gap:.2e}")
+    # the solver descends R + s*D, not R alone
+    d = rate_distortion.grid_distortion(grid_size)
     for slope in (min(slopes), max(slopes)):
         point = rate_distortion.blahut_arimoto_point(masses, d, slope)
+        _track(bad, tol - point.gap, best,
+               f"slope {slope}: cold point has Blahut gap {point.gap:.2e}")
         lag = point.lagrangian_history()
         if len(lag) > 1:
             worst = float(np.diff(lag).max())
@@ -172,13 +178,14 @@ def _check_branch_orthonormality(probes, etas):
             k = len(decomp)
             # branch vectors live on the joint (surviving, lost) basis;
             # the lost-count record is what separates the branches
-            embedded = [{(m, lost): a for m, a in enumerate(u.tolist())}
-                        for u, lost in zip(decomp.vectors, decomp.loss_counts)]
-            gram = np.zeros((k, k), dtype=complex)
-            for i in range(k):
-                for j in range(k):
-                    gram[i, j] = sum(embedded[i].get(key, 0.0).conjugate() * v
-                                     for key, v in embedded[j].items())
+            embedded = np.zeros((max(decomp.loss_counts) + 1,
+                                 max(u.size for u in decomp.vectors), k),
+                                dtype=complex)
+            for col, (u, lost) in enumerate(zip(decomp.vectors,
+                                                decomp.loss_counts)):
+                embedded[lost, :u.size, col] = u
+            flat = embedded.reshape(-1, k)
+            gram = flat.conj().T @ flat
             err = float(np.abs(gram - np.eye(k)).max())
             _track(bad, 1e-10 - err, best,
                    f"{_name(probe)} eta={eta}: Gram error {err:.2e}")

@@ -155,8 +155,7 @@ def test_criterion_7_rate_distortion_curve():
     grid_size = 512
     _, masses = rd.discretize_prior(UNIFORM, grid_size)
     q = rd.discrete_entropy_power(masses, TWO_PI / grid_size)
-    idx = np.arange(grid_size)
-    dmat = (np.abs(idx[:, None] - idx[None, :]) * (TWO_PI / grid_size)) ** 2
+    dmat = rd.grid_distortion(grid_size)
     warm = None
     for target in (0.05, 0.1, 0.5, 1.0):
         s = 1.0 / (2.0 * target)  # slope of the Shannon bound at D

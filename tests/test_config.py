@@ -76,6 +76,9 @@ def test_ladder_families_need_integer_sizes():
     {"probes": [{"alpha": 1.0}]},
     {"probes": [{"family": "coherent"}]},  # no size and no target list
     {"prior": {"kind": "wrapped_gaussian"}},
+    {"prior": {"kind": "wrapped_gaussian", "mean": "abc", "sigma": 0.5}},
+    {"prior": {"kind": "uniform", "width": "wide"}},
+    {"prior": {"kind": "tabulated", "values": ["x", 1]}},
     {"rd": {"slopes": []}},
     {"rd": {"grid_size": 400000}},   # over the cap, rejected before any array
     {"rd": {"grid_size": "abc"}},

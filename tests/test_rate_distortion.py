@@ -5,12 +5,17 @@ import pytest
 
 from phasebound.errors import ValidationError
 from phasebound.priors import PhasePrior
-from phasebound.rate_distortion import (BA_MAX_ITER, blahut_arimoto_point,
+from phasebound.rate_distortion import (BA_MAX_ITER, BA_TOL,
+                                        blahut_arimoto_point,
                                         discrete_entropy_power,
-                                        discretize_prior, rd_curve,
-                                        shannon_lb_distortion, shannon_lb_rate)
+                                        discretize_prior, grid_distortion,
+                                        rd_curve, shannon_lb_distortion,
+                                        shannon_lb_rate)
 
 TWO_PI = 2.0 * math.pi
+
+# budget for the plain iteration; its slow regimes stop here uncertified
+ORACLE_MAX_ITER = 30000
 
 # ln 2 - h_b(0.1), the binary Hamming rate at D = 0.1
 BINARY_RATE_AT_D01 = 0.3680642071684971
@@ -18,6 +23,29 @@ BINARY_RATE_AT_D01 = 0.3680642071684971
 SLB_RATE_Q_UNIFORM_D01 = 1.5702310797016956
 # (2 pi / e) e^{-2}
 SLB_DIST_Q_UNIFORM_R1 = 0.3128213764565083
+
+
+def lagrangian_and_gap(p, d, slope, q):
+    """R + s*D = -sum_k p_k ln (A q)_k and Blahut's gap max_j ln r_j."""
+    a = np.exp(-slope * d)
+    c = a @ q
+    return -(p @ np.log(c)), float(np.log((p / c) @ a).max())
+
+
+def plain_blahut_arimoto(p, d, slope, q):
+    """The multiplicative iteration q <- q*r with the certified stop.
+
+    Returns the Lagrangian and the Blahut gap of the last iterate, which
+    is above BA_TOL when the budget ran out first.
+    """
+    a = np.exp(-slope * d)
+    for _ in range(ORACLE_MAX_ITER):
+        c = a @ q
+        r = (p / c) @ a
+        if np.log(r.max()) <= BA_TOL:
+            break
+        q = q * r
+    return lagrangian_and_gap(p, d, slope, q)
 
 
 def test_shannon_lb_rate_values():
@@ -119,8 +147,7 @@ def test_ba_lagrangian_descends():
     # genuinely rises at some low slopes, so that is not checked
     prior = PhasePrior.uniform()
     phi, masses = discretize_prior(prior, 256)
-    d = (np.abs(np.arange(256)[:, None] - np.arange(256)[None, :])
-         * (TWO_PI / 256)) ** 2
+    d = grid_distortion(256)
     for slope in [0.25, 0.5, 1.0]:
         point = blahut_arimoto_point(masses, d, slope)
         lag = point.lagrangian_history()
@@ -189,3 +216,79 @@ def test_curve_stays_above_shannon_bound():
         for dist, rate in curve.points:
             assert rate >= shannon_lb_rate(q, dist) - slack
         curve.check_invariants()
+
+
+@pytest.mark.parametrize("k", [16, 64])
+@pytest.mark.parametrize("slope", [0.25, 0.5, 0.7, 2.0, 5.0])
+def test_newton_solver_matches_plain_iteration(k, slope):
+    # cold, and warm from a neighbouring slope's marginal mixed with the
+    # uniform one, so that the plain iteration can reach every column
+    _, p = discretize_prior(PhasePrior.uniform(), k)
+    d = grid_distortion(k)
+    neighbour = blahut_arimoto_point(p, d, 0.8 * slope).output_marginal
+    for start in (None, 0.5 * neighbour + 0.5 / k):
+        point = blahut_arimoto_point(p, d, slope, init_marginal=start)
+        lag, gap = lagrangian_and_gap(p, d, slope, point.output_marginal)
+        assert point.converged and gap <= BA_TOL
+        assert abs(lag - point.lagrangian_history()[-1]) < 1e-12
+        q0 = np.full(k, 1.0 / k) if start is None else start
+        oracle_lag, oracle_gap = plain_blahut_arimoto(p, d, slope, q0)
+        # both Lagrangians sit above the optimum, the solver's within
+        # BA_TOL of it; the plain iterate's gap bounds the optimum below
+        assert lag <= oracle_lag + BA_TOL
+        assert oracle_lag - lag <= max(1e-8, oracle_gap)
+
+
+@pytest.mark.parametrize("k, slopes", [(64, [0.25, 0.5]), (512, [1.0])])
+def test_formerly_stalled_points_are_certified(k, slopes):
+    # the successive-rate stop declared these converged far from the
+    # optimum: K=64 warm from 0.25 to 0.5 at gap 2.6e-2 (D 0.9965 against
+    # 0.9254), K=512 cold at slope 1 at gap 1.2e-3
+    _, p = discretize_prior(PhasePrior.uniform(), k)
+    d = grid_distortion(k)
+    q = None
+    for slope in slopes:
+        point = blahut_arimoto_point(p, d, slope, init_marginal=q)
+        q = point.output_marginal
+        _, gap = lagrangian_and_gap(p, d, slope, q)
+        assert point.converged
+        assert gap <= BA_TOL
+        assert abs(point.gap - gap) < 1e-12
+    if k == 64:
+        assert abs(point.distortion - 0.9254) < 1e-4
+
+
+def test_largest_grid_point_is_certified():
+    _, p = discretize_prior(PhasePrior.uniform(), 4096)
+    d = grid_distortion(4096)
+    point = blahut_arimoto_point(p, d, 0.5)
+    assert point.converged
+    assert lagrangian_and_gap(p, d, 0.5, point.output_marginal)[1] <= BA_TOL
+
+
+def test_uniform_warm_start_is_the_cold_start():
+    # mass at the uniform level is background, not model columns, so a
+    # wide start costs no more than the cold one
+    _, p = discretize_prior(PhasePrior.uniform(), 512)
+    d = grid_distortion(512)
+    cold = blahut_arimoto_point(p, d, 1e-3)
+    warm = blahut_arimoto_point(p, d, 1e-3, init_marginal=np.full(512, 1 / 512))
+    assert warm.iterations == cold.iterations
+    assert np.array_equal(warm.output_marginal, cold.output_marginal)
+
+
+def test_concentrated_prior_sweep_is_certified():
+    # the tails of a narrow prior carry masses far below rounding of the
+    # Lagrangian, yet the certificate needs the marginal to reach them
+    prior = PhasePrior.wrapped_gaussian(2.0, 0.3)
+    _, p = discretize_prior(prior, 64)
+    d = grid_distortion(64)
+    q = None
+    for slope in [2.0, 20.0, 50.0, 200.0]:
+        for start in (None, q):
+            point = blahut_arimoto_point(p, d, slope, init_marginal=start)
+            assert point.converged
+            gap = lagrangian_and_gap(p, d, slope, point.output_marginal)[1]
+            assert gap <= BA_TOL
+            assert np.diff(point.lagrangian_history()).max(initial=-1) < 1e-12
+        q = point.output_marginal

@@ -3,6 +3,7 @@ import pytest
 
 import phasebound.bounds
 import phasebound.estimation
+import phasebound.rate_distortion
 from phasebound.errors import ValidationError
 from phasebound.estimation import SimGrid, SimulationResult
 from phasebound.fock import ProbeSpec
@@ -69,6 +70,15 @@ def test_corrupted_simulator_is_caught(monkeypatch):
     assert not report.passed
     names = [r.name for r in report.failures()]
     assert "simulated-mse-between-bounds-and-prior" in names
+
+
+def test_uncertified_rate_point_is_caught(monkeypatch):
+    # a solver stopped before its certificate must fail the rate check
+    monkeypatch.setattr(phasebound.rate_distortion, "BA_MAX_ITER", 1)
+    report = light_battery(rd_slopes=(0.0, 0.7))
+    names = [r.name for r in report.failures()]
+    assert names == ["rate-curve-above-shannon-bound"]
+    assert "Blahut gap" in "\n".join(report.lines())
 
 
 def test_validation_of_inputs():
