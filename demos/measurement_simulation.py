@@ -22,7 +22,7 @@ print(f"{'eta':>5} {'closed form':>12} {'quadrature':>12} {'monte carlo':>18} "
 for eta in (1.0, 0.5):
     exact = math.pi ** 2 / 3.0 - eta / 2.0
     sim = bayesian_mmse(probe, eta, prior, grid)
-    mc = monte_carlo_mse(probe, eta, prior, grid=grid, samples=200000, seed=3)
+    mc = monte_carlo_mse(sim, samples=200000, seed=3)   # draws from sim
     bound = h_limit_bound(q, probe.mean_photons) if eta == 1.0 else \
         lossy_sql_bound(q, probe.mean_photons, eta)
     print(f"{eta:5.2f} {exact:12.6f} {sim.mse:12.6f} "

@@ -8,8 +8,7 @@ from .capacity import (capacity_upper_bound_lossy, entropy_gain,
                        unrestricted_capacity)
 from .config import ScenarioConfig
 from .errors import NumericalError, ValidationError
-from .estimation import (SimGrid, bayesian_mmse,
-                         measurement_mutual_information, monte_carlo_mse)
+from .estimation import SimGrid, bayesian_mmse, monte_carlo_mse
 from .fock import ProbeSpec, chi_decompose, holevo_quantity
 from .priors import PhasePrior
 from .rate_distortion import (blahut_arimoto_point, rd_curve,
@@ -24,8 +23,7 @@ __all__ = [
     "bayesian_mmse", "blahut_arimoto_point", "build_report",
     "capacity_upper_bound_lossy", "chi_decompose", "entropy_gain",
     "escher_bound", "h_limit_bound", "hall_wiseman_bound",
-    "holevo_quantity", "iti_bound", "lossy_sql_bound",
-    "measurement_mutual_information", "monte_carlo_mse", "rd_curve",
-    "run_verification", "shannon_lb_distortion", "shannon_lb_rate",
-    "unrestricted_capacity",
+    "holevo_quantity", "iti_bound", "lossy_sql_bound", "monte_carlo_mse",
+    "rd_curve", "run_verification", "shannon_lb_distortion",
+    "shannon_lb_rate", "unrestricted_capacity",
 ]

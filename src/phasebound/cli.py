@@ -131,8 +131,7 @@ def _cmd_simulate(cfg, threads):
 
     def scenario(index, probe, eta):
         sim = estimation.bayesian_mmse(probe, eta, cfg.prior, cfg.grid)
-        mc = estimation.monte_carlo_mse(probe, eta, cfg.prior, grid=cfg.grid,
-                                        samples=cfg.samples,
+        mc = estimation.monte_carlo_mse(sim, samples=cfg.samples,
                                         seed=cfg.seed + index)
         return {"probe": probe.descriptor(), "eta": float(eta),
                 "mse": float(sim.mse),

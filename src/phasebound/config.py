@@ -55,14 +55,23 @@ def _prior_number(value, what):
 
 
 def _amplitudes(raw):
+    _require(isinstance(raw, list), f"amplitudes must be a list, got {raw!r}")
     out = []
     for entry in raw:
-        if isinstance(entry, (list, tuple)):
-            _require(len(entry) == 2, "amplitude pairs must be [re, im]")
-            out.append(complex(entry[0], entry[1]))
-        else:
-            out.append(complex(entry))
+        pair = entry if isinstance(entry, list) else [entry, 0.0]
+        _require(len(pair) == 2 and all(isinstance(x, (int, float))
+                                        for x in pair),
+                 f"each amplitude must be a number or a [re, im] pair of "
+                 f"numbers, got {entry!r}")
+        out.append(complex(pair[0], pair[1]))
     return out
+
+
+def _size(spec, key):
+    value = spec.get(key)
+    _require(value is None or isinstance(value, (int, float)),
+             f"probe {key} must be a number, got {value!r}")
+    return value
 
 
 def _int_like(x, what):
@@ -79,20 +88,21 @@ def _build_probe(spec, mean_photons=None):
         _require("amplitudes" in spec, "amplitude probes need 'amplitudes'")
         return ProbeSpec.from_amplitudes(_amplitudes(spec["amplitudes"]))
     if family == "coherent":
-        if "alpha" in spec:
-            return ProbeSpec.coherent(spec["alpha"])
+        alpha = _size(spec, "alpha")
+        if alpha is not None:
+            return ProbeSpec.coherent(alpha)
         _require(mean_photons is not None,
                  "coherent probe needs 'alpha' or a mean_photons list")
         return ProbeSpec.coherent(math.sqrt(mean_photons))
     if family == "number":
-        n = spec.get("n")
+        n = _size(spec, "n")
         if n is None:
             _require(mean_photons is not None,
                      "number probe needs 'n' or a mean_photons list")
             n = _int_like(mean_photons, "number probe size")
         return ProbeSpec.number(n)
     # the flat and binomial ladders both average (d - 1) / 2 photons
-    d = spec.get("d")
+    d = _size(spec, "d")
     if d is None:
         _require(mean_photons is not None,
                  f"{family} probe needs 'd' or a mean_photons list")
@@ -157,8 +167,11 @@ class ScenarioConfig:
 
         grid_spec = raw.get("grid", {})
         _require(isinstance(grid_spec, dict), "grid must be an object")
-        grid = SimGrid(phi_points=grid_spec.get("phi_points", 2048),
-                       theta_points=grid_spec.get("theta_points", 2048))
+        points = [grid_spec.get(key, 2048)
+                  for key in ("phi_points", "theta_points")]
+        _require(all(isinstance(n, int) for n in points),
+                 f"grid points must be integers, got {grid_spec!r}")
+        grid = SimGrid(*points)
 
         rd = raw.get("rd", {})
         _require(isinstance(rd, dict), "rd must be an object")

@@ -27,8 +27,7 @@ from .fock import loss_branches
 from .priors import TWO_PI
 
 __all__ = ["SimGrid", "SimulationResult", "MonteCarloResult",
-           "canonical_phase_density", "bayesian_mmse",
-           "measurement_mutual_information", "monte_carlo_mse"]
+           "canonical_phase_density", "bayesian_mmse", "monte_carlo_mse"]
 
 CONVERGED_TOL = 1e-4     # fine-vs-half-grid MSE drift for the converged flag
 LATTICE_CAP = 2 ** 22    # largest grid size; _core peaks near 26 floats/point
@@ -96,7 +95,7 @@ def _window(probe, eta, lattice):
 
 
 def _core(probe, eta, prior, g_phi, g_theta):
-    """One full grid evaluation: returns (mse, info, estimator, g, w, phi).
+    """One full grid evaluation: returns (mse, info, estimator, g, w).
 
     The joint g(theta - phi) w(phi) is never formed. Every sum over phi
     for a fixed theta is a circular convolution on the lattice, taken by
@@ -137,14 +136,18 @@ def _core(probe, eta, prior, g_phi, g_theta):
     # discrete mutual information; the differential corrections cancel
     info = float(s.sum() / z - math.log(z) - xlogy(p / z, p / z).sum()
                  - wlnw.sum())
-    return mse, max(info, 0.0), est, g, w, phi
+    return mse, max(info, 0.0), est, g, w
 
 
 class SimulationResult:
-    """MMSE run output: fine-grid values plus the half-resolution rerun."""
+    """MMSE run output: fine-grid values plus the half-resolution rerun.
+
+    `window` (g on the lattice) and `masses` (the prior on the phase
+    grid) are the fine grid's joint, kept for Monte Carlo draws.
+    """
 
     def __init__(self, mse, mse_coarse, mutual_information, converged,
-                 estimator, theta, grid):
+                 estimator, theta, grid, window, masses):
         self.mse = mse
         self.mse_coarse = mse_coarse
         self.mutual_information = mutual_information
@@ -152,6 +155,8 @@ class SimulationResult:
         self.estimator = estimator
         self.theta = theta
         self.grid = grid
+        self.window = window
+        self.masses = masses
 
     def __repr__(self):
         return (f"SimulationResult(mse={self.mse:.6g}, "
@@ -176,46 +181,41 @@ def bayesian_mmse(probe, eta, prior, grid=None):
     the two MSE values agree within 1e-4. The fine values are primary.
     """
     grid = grid or SimGrid()
-    mse, info, est, g, w, phi = _core(probe, eta, prior,
-                                      grid.phi_points, grid.theta_points)
+    mse, info, est, g, w = _core(probe, eta, prior,
+                                 grid.phi_points, grid.theta_points)
     mse_c = _core(probe, eta, prior,
                   grid.phi_points // 2, grid.theta_points // 2)[0]
     theta = np.arange(grid.theta_points) * (TWO_PI / grid.theta_points)
     return SimulationResult(mse=mse, mse_coarse=mse_c,
                             mutual_information=info,
                             converged=abs(mse - mse_c) <= CONVERGED_TOL,
-                            estimator=est, theta=theta, grid=grid)
+                            estimator=est, theta=theta, grid=grid,
+                            window=g, masses=w)
 
 
-def measurement_mutual_information(probe, eta, prior, grid=None):
-    """I(Phi; Theta) of the canonical measurement in nats (fine grid only)."""
-    grid = grid or SimGrid()
-    return _core(probe, eta, prior, grid.phi_points, grid.theta_points)[1]
+def monte_carlo_mse(sim, samples=100000, seed=0):
+    """Forward-sampled check of the discrete model behind `sim`.
 
-
-def monte_carlo_mse(probe, eta, prior, grid=None, samples=100000, seed=0):
-    """Forward-sampled check of the same discrete model.
-
-    Draws (phi, theta) from the grid joint and scores the analytic
-    estimator table. Exact for square grids; with phi finer than theta
-    the outcome snaps to the nearest theta point.
+    Draws (phi, theta) from the fine-grid joint that `bayesian_mmse`
+    already built and scores its estimator table. Exact for square
+    grids; with phi finer than theta the outcome snaps to the nearest
+    theta point.
     """
     if samples < 10000:
         raise ValidationError(f"need at least 10000 samples, got {samples}")
-    grid = grid or SimGrid()
-    mse, info, est, g, w, phi = _core(probe, eta, prior,
-                                      grid.phi_points, grid.theta_points)
-    lattice = max(grid.phi_points, grid.theta_points)
+    g_phi, g_theta = sim.grid.phi_points, sim.grid.theta_points
+    lattice = max(g_phi, g_theta)
     rng = np.random.default_rng(seed)
+    w = sim.masses
     i = np.searchsorted(np.cumsum(w), rng.random(samples))
     i = np.minimum(i, w.size - 1)   # cumsum tip can round below 1
-    gh = g / g.sum()
+    gh = sim.window / sim.window.sum()
     j = np.searchsorted(np.cumsum(gh), rng.random(samples))
     j = np.minimum(j, gh.size - 1)
-    t_lat = (i * (lattice // grid.phi_points) + j) % lattice
-    step = lattice // grid.theta_points
-    t = ((t_lat + step // 2) // step) % grid.theta_points
-    errs = (phi[i] - est[t]) ** 2
+    t_lat = (i * (lattice // g_phi) + j) % lattice
+    step = lattice // g_theta
+    t = ((t_lat + step // 2) // step) % g_theta
+    errs = (i * (TWO_PI / g_phi) - sim.estimator[t]) ** 2
     return MonteCarloResult(mean=float(errs.mean()),
                             stderr=float(errs.std(ddof=1) / math.sqrt(samples)),
                             samples=samples, seed=seed)

@@ -74,8 +74,9 @@ class ProbeSpec:
     @classmethod
     def number(cls, n):
         """Fock state |n>."""
-        if n < 0 or int(n) != n:
-            raise ValidationError(f"number probe needs integer n >= 0, got {n}")
+        if not 0 <= n <= CUTOFF_CAP or int(n) != n:
+            raise ValidationError(
+                f"number probe needs integer n in [0, {CUTOFF_CAP}], got {n}")
         amps = np.zeros(int(n) + 1)
         amps[-1] = 1.0
         return cls(amps, family="number", params={"n": int(n)})
@@ -83,8 +84,9 @@ class ProbeSpec:
     @classmethod
     def flat_superposition(cls, d):
         """Equal-weight superposition of |0>..|d-1>."""
-        if d < 1 or int(d) != d:
-            raise ValidationError(f"flat superposition needs integer d >= 1, got {d}")
+        if not 1 <= d <= CUTOFF_CAP + 1 or int(d) != d:
+            raise ValidationError(f"flat superposition needs integer d in "
+                                  f"[1, {CUTOFF_CAP + 1}], got {d}")
         return cls(np.full(int(d), 1.0 / np.sqrt(d)),
                    family="flat-superposition", params={"d": int(d)})
 
@@ -96,8 +98,9 @@ class ProbeSpec:
     @classmethod
     def binomial_phase(cls, d):
         """Amplitudes sqrt(C(d-1, n)/2^(d-1)) over n = 0..d-1."""
-        if d < 1 or int(d) != d:
-            raise ValidationError(f"binomial-phase needs integer d >= 1, got {d}")
+        if not 1 <= d <= CUTOFF_CAP + 1 or int(d) != d:
+            raise ValidationError(f"binomial-phase needs integer d in "
+                                  f"[1, {CUTOFF_CAP + 1}], got {d}")
         d = int(d)
         p = np.array([math.comb(d - 1, n) for n in range(d)], dtype=float)
         return cls(np.sqrt(p / p.sum()), family="binomial-phase", params={"d": d})
@@ -203,34 +206,17 @@ def modulated_state(decomp, phi):
     return DensityMatrix(blocks)
 
 
-def average_state(decomp, prior, grid_size=512, method="fourier"):
+def average_state(decomp, prior):
     """Prior-averaged state rho_bar.
 
     Entry (m, m') of a block carries e^{i(m-m')phi}, so averaging
     multiplies the phi = 0 block by the leading submatrix of one Toeplitz
-    table F[m, m'] = f(m - m') of prior Fourier coefficients: exact, and
-    the default. method="quadrature" instead sums rho_phi over a
-    grid_size-point grid with prior weights (renormalized), as an
-    independent cross-check path.
+    table F[m, m'] = f(m - m') of prior Fourier coefficients: exact, with
+    no phase grid.
     """
-    if grid_size < 64:
-        raise ValidationError(f"phase grid must have >= 64 points, got {grid_size}")
-    if method == "fourier":
-        table = toeplitz(prior.fourier_coefficients(decomp.probe.cutoff))
-        return DensityMatrix(b * table[:b.shape[0], :b.shape[0]]
-                             for b in modulated_state(decomp, 0.0).blocks)
-    if method != "quadrature":
-        raise ValidationError(f"unknown averaging method {method!r}")
-    phis = np.arange(grid_size) * (2.0 * np.pi / grid_size)
-    w = prior.grid_density(grid_size)
-    w = w / w.sum()
-    acc = [np.zeros((u.size, u.size), dtype=complex) for u in decomp.vectors]
-    for phi, weight in zip(phis, w):
-        if weight == 0.0:
-            continue
-        for a, b in zip(acc, modulated_state(decomp, phi).blocks):
-            a += weight * b
-    return DensityMatrix(acc)
+    table = toeplitz(prior.fourier_coefficients(decomp.probe.cutoff))
+    return DensityMatrix(b * table[:b.shape[0], :b.shape[0]]
+                         for b in modulated_state(decomp, 0.0).blocks)
 
 
 def phase_randomize(rho):
@@ -254,12 +240,12 @@ def von_neumann_entropy(rho):
     return float(-np.sum(lam * np.log(lam)))
 
 
-def holevo_quantity(decomp, prior, grid_size=512, method="fourier"):
+def holevo_quantity(decomp, prior):
     """chi = S(rho_bar) - S(rho_IS).
 
     Every rho_phi is unitarily equivalent to rho_IS, and the branch
     orthonormality makes the spectrum of rho_IS exactly the loss
     distribution, so the subtracted term is the Shannon entropy of q.
     """
-    avg = average_state(decomp, prior, grid_size=grid_size, method=method)
+    avg = average_state(decomp, prior)
     return von_neumann_entropy(avg) - shannon_entropy(decomp.weights)

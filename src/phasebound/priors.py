@@ -11,8 +11,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["PhasePrior", "TWO_PI", "differential_entropy", "entropy_power",
-           "prior_max_density", "prior_variance"]
+__all__ = ["PhasePrior", "TWO_PI"]
 
 TWO_PI = 2.0 * np.pi
 
@@ -230,20 +229,3 @@ class PhasePrior:
         inner = ", ".join(f"{k}={v:.6g}" for k, v in self.params.items())
         return f"PhasePrior.{self.kind}({inner})"
 
-
-# free-function spellings of the prior functionals
-
-def differential_entropy(prior):
-    return prior.differential_entropy()
-
-
-def entropy_power(prior):
-    return prior.entropy_power()
-
-
-def prior_max_density(prior):
-    return prior.max_density()
-
-
-def prior_variance(prior):
-    return prior.variance()

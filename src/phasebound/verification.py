@@ -4,7 +4,9 @@ Every check is named and reports its worst margin: the smallest slack,
 after tolerance, over all inequalities it tested. A negative margin
 means a genuine violation and `verify` exits nonzero.
 
-Bound and capacity functions are looked up through their modules at
+Each (probe, eta) scenario is evaluated once, one decomposition, Holevo
+quantity and MMSE run, and handed to every check that reads it. Bound,
+capacity and estimation functions are looked up through their modules at
 call time, not imported as bare names, so a monkeypatched or corrupted
 bound is caught rather than silently bypassed.
 """
@@ -169,104 +171,97 @@ def _check_rate_distortion(prior, grid_size, slopes):
     return CheckResult("rate-curve-above-shannon-bound", best[0], bad)
 
 
-def _check_branch_orthonormality(probes, etas):
+def _check_branch_orthonormality(decomps):
+    # the loss record separates branches of different counts, so each
+    # count must carry one branch of unit norm
     best = [np.inf]
     bad = []
-    for probe in probes:
-        for eta in etas:
-            decomp = fock.chi_decompose(probe, eta)
-            k = len(decomp)
-            # branch vectors live on the joint (surviving, lost) basis;
-            # the lost-count record is what separates the branches
-            embedded = np.zeros((max(decomp.loss_counts) + 1,
-                                 max(u.size for u in decomp.vectors), k),
-                                dtype=complex)
-            for col, (u, lost) in enumerate(zip(decomp.vectors,
-                                                decomp.loss_counts)):
-                embedded[lost, :u.size, col] = u
-            flat = embedded.reshape(-1, k)
-            gram = flat.conj().T @ flat
-            err = float(np.abs(gram - np.eye(k)).max())
-            _track(bad, 1e-10 - err, best,
-                   f"{_name(probe)} eta={eta}: Gram error {err:.2e}")
+    for decomp in decomps:
+        tag = f"{_name(decomp.probe)} eta={decomp.eta}"
+        if len(set(decomp.loss_counts)) != len(decomp):
+            _track(bad, -1.0, best, f"{tag}: two branches share a loss count")
+        err = max(abs(np.vdot(u, u).real - 1.0) for u in decomp.vectors)
+        _track(bad, 1e-10 - err, best, f"{tag}: branch norm error {err:.2e}")
     return CheckResult("environment-branch-orthonormality", best[0], bad)
 
 
-def _check_holevo_chain(probes, etas, prior):
-    best = [np.inf]
-    bad = []
+def _scenarios(probes, etas, prior, grid):
+    """(probe, eta, decomposition, Holevo quantity, MMSE run) per pair."""
+    out = []
     for probe in probes:
         for eta in etas:
-            tag = f"{_name(probe)} eta={eta}"
             decomp = fock.chi_decompose(probe, eta)
-            chi = fock.holevo_quantity(decomp, prior)
-            _track(bad, chi + 1e-10, best,
-                   f"{tag}: Holevo quantity negative ({chi:.3e})")
-            avg = fock.average_state(decomp, prior)
-            gap = (fock.von_neumann_entropy(fock.phase_randomize(avg))
-                   - fock.shannon_entropy(decomp.weights))
-            _track(bad, gap - chi + 1e-8, best,
-                   f"{tag}: dephasing chain {gap:.6f} below the Holevo "
-                   f"quantity {chi:.6f}")
-            if eta >= 1.0:
-                cap = capacity.unrestricted_capacity(probe.mean_photons)
-            elif eta <= 0.0:
-                cap = 0.0
-            else:
-                cap = capacity.capacity_upper_bound_lossy(
-                    probe.mean_photons, eta)
-            _track(bad, cap - gap + 1e-8, best,
-                   f"{tag}: chain value {gap:.6f} above the capacity "
-                   f"ceiling {cap:.6f}")
+            out.append((probe, eta, decomp, fock.holevo_quantity(decomp, prior),
+                        estimation.bayesian_mmse(probe, eta, prior, grid)))
+    return out
+
+
+def _check_holevo_chain(scenarios):
+    best = [np.inf]
+    bad = []
+    for probe, eta, decomp, chi, _ in scenarios:
+        tag = f"{_name(probe)} eta={eta}"
+        _track(bad, chi + 1e-10, best,
+               f"{tag}: Holevo quantity negative ({chi:.3e})")
+        # the dephased average keeps the block diagonals q_l |u_l[m]|^2
+        # (f(0) = 1 for every prior), so its entropy is a Shannon entropy
+        pops = np.concatenate([q * np.abs(u) ** 2 for q, u in
+                               zip(decomp.weights, decomp.vectors)])
+        gap = (capacity.shannon_entropy(pops)
+               - capacity.shannon_entropy(decomp.weights))
+        _track(bad, gap - chi + 1e-8, best,
+               f"{tag}: dephasing chain {gap:.6f} below the Holevo "
+               f"quantity {chi:.6f}")
+        if eta >= 1.0:
+            cap = capacity.unrestricted_capacity(probe.mean_photons)
+        elif eta <= 0.0:
+            cap = 0.0
+        else:
+            cap = capacity.capacity_upper_bound_lossy(probe.mean_photons, eta)
+        _track(bad, cap - gap + 1e-8, best,
+               f"{tag}: chain value {gap:.6f} above the capacity "
+               f"ceiling {cap:.6f}")
     return CheckResult("holevo-capacity-chain", best[0], bad)
 
 
-def _check_mse_floor(probes, etas, prior, grid):
+def _check_mse_floor(scenarios, prior):
     best = [np.inf]
     bad = []
-    for probe in probes:
-        for eta in etas:
-            tag = f"{_name(probe)} eta={eta}"
-            sim = estimation.bayesian_mmse(probe, eta, prior, grid)
-            info = sim.mutual_information
-            decomp = fock.chi_decompose(probe, eta)
-            chi = fock.holevo_quantity(decomp, prior)
-            _track(bad, chi - info + 1e-6, best,
-                   f"{tag}: measured information {info:.6f} exceeds the "
-                   f"Holevo quantity {chi:.6f}")
-            floor = prior.entropy_power() * np.exp(-2.0 * info)
-            _track(bad, sim.mse - floor + 1e-6, best,
+    for probe, eta, _, chi, sim in scenarios:
+        tag = f"{_name(probe)} eta={eta}"
+        info = sim.mutual_information
+        _track(bad, chi - info + 1e-6, best,
+               f"{tag}: measured information {info:.6f} exceeds the "
+               f"Holevo quantity {chi:.6f}")
+        floor = prior.entropy_power() * np.exp(-2.0 * info)
+        _track(bad, sim.mse - floor + 1e-6, best,
+               f"{tag}: simulated MSE {sim.mse:.6f} beats the "
+               f"information floor {floor:.6f}")
+        var_n = probe.photon_variance if probe.photon_variance > 0 else None
+        report = bounds.build_report(prior, probe.mean_photons, eta=eta,
+                                     photon_variance=var_n)
+        for name, value in report.bayesian().items():
+            _track(bad, sim.mse - value + 1e-6, best,
                    f"{tag}: simulated MSE {sim.mse:.6f} beats the "
-                   f"information floor {floor:.6f}")
-            var_n = probe.photon_variance if probe.photon_variance > 0 \
-                else None
-            report = bounds.build_report(prior, probe.mean_photons, eta=eta,
-                                         photon_variance=var_n)
-            for name, value in report.bayesian().items():
-                _track(bad, sim.mse - value + 1e-6, best,
-                       f"{tag}: simulated MSE {sim.mse:.6f} beats the "
-                       f"{name} bound {value:.6f}")
-            # guessing the prior mean is always admissible
-            _track(bad, prior.variance() - sim.mse + 1e-6, best,
-                   f"{tag}: simulated MSE {sim.mse:.6f} above the prior "
-                   f"variance {prior.variance():.6f}")
+                   f"{name} bound {value:.6f}")
+        # guessing the prior mean is always admissible
+        _track(bad, prior.variance() - sim.mse + 1e-6, best,
+               f"{tag}: simulated MSE {sim.mse:.6f} above the prior "
+               f"variance {prior.variance():.6f}")
     return CheckResult("simulated-mse-between-bounds-and-prior", best[0], bad)
 
 
-def _check_monte_carlo(probes, etas, prior, grid, seed, samples):
+def _check_monte_carlo(scenario, seed, samples):
     best = [np.inf]
     bad = []
-    probe, eta = probes[0], etas[0]
-    sim = estimation.bayesian_mmse(probe, eta, prior, grid)
-    mc = estimation.monte_carlo_mse(probe, eta, prior, grid=grid,
-                                    samples=samples, seed=seed)
+    probe, eta, _, _, sim = scenario
+    mc = estimation.monte_carlo_mse(sim, samples=samples, seed=seed)
     diff = abs(mc.mean - sim.mse)
     _track(bad, 4.0 * mc.stderr - diff, best,
            f"{_name(probe)} eta={eta}: Monte Carlo mean {mc.mean:.6f} is "
            f"{diff / mc.stderr:.1f} sigma from the quadrature MSE "
            f"{sim.mse:.6f}")
-    rerun = estimation.monte_carlo_mse(probe, eta, prior, grid=grid,
-                                       samples=samples, seed=seed)
+    rerun = estimation.monte_carlo_mse(sim, samples=samples, seed=seed)
     same = rerun.mean == mc.mean and rerun.stderr == mc.stderr
     _track(bad, np.inf if same else -1.0, best,
            "Monte Carlo rerun with the same seed changed its answer")
@@ -292,7 +287,6 @@ def run_verification(probes=None, etas=None, prior=None, sim_grid=None,
         prior = PhasePrior.uniform()
     if sim_grid is None:
         sim_grid = SimGrid(1024, 1024)
-    lossy = [e for e in etas if 0.0 < e < 1.0] or [0.5]
 
     results = [
         _check_prior_properties([prior]),
@@ -300,9 +294,14 @@ def run_verification(probes=None, etas=None, prior=None, sim_grid=None,
         _check_entropy_gain(seed),
         _check_shannon_pair([prior]),
         _check_rate_distortion(prior, rd_grid_size, rd_slopes),
-        _check_branch_orthonormality(probes, lossy),
-        _check_holevo_chain(probes, etas, prior),
-        _check_mse_floor(probes, etas, prior, sim_grid),
-        _check_monte_carlo(probes, etas, prior, sim_grid, seed, mc_samples),
+    ]
+    scenarios = _scenarios(probes, etas, prior, sim_grid)
+    lossy = [s[2] for s in scenarios if 0.0 < s[1] < 1.0] or \
+        [fock.chi_decompose(probe, 0.5) for probe in probes]
+    results += [
+        _check_branch_orthonormality(lossy),
+        _check_holevo_chain(scenarios),
+        _check_mse_floor(scenarios, prior),
+        _check_monte_carlo(scenarios[0], seed, mc_samples),
     ]
     return VerificationReport(results)

@@ -79,6 +79,13 @@ def test_ladder_families_need_integer_sizes():
     {"prior": {"kind": "wrapped_gaussian", "mean": "abc", "sigma": 0.5}},
     {"prior": {"kind": "uniform", "width": "wide"}},
     {"prior": {"kind": "tabulated", "values": ["x", 1]}},
+    {"probes": [{"family": "amplitudes", "amplitudes": "ab"}]},
+    {"probes": [{"family": "amplitudes", "amplitudes": 5}]},
+    {"probes": [{"family": "amplitudes", "amplitudes": [["1", "0"]]}]},
+    {"probes": [{"family": "coherent", "alpha": "x"}]},
+    {"probes": [{"family": "number", "n": "x"}]},
+    {"probes": [{"family": "number", "n": 1e9}]},   # over the cutoff cap
+    {"grid": {"phi_points": "x"}},
     {"rd": {"slopes": []}},
     {"rd": {"grid_size": 400000}},   # over the cap, rejected before any array
     {"rd": {"grid_size": "abc"}},

@@ -7,9 +7,7 @@ from scipy.special import xlogy
 from phasebound import estimation
 from phasebound.errors import NumericalError, ValidationError
 from phasebound.estimation import (SimGrid, bayesian_mmse,
-                                   canonical_phase_density,
-                                   measurement_mutual_information,
-                                   monte_carlo_mse)
+                                   canonical_phase_density, monte_carlo_mse)
 from phasebound.fock import (ProbeSpec, chi_decompose, holevo_quantity,
                              modulated_state)
 from phasebound.priors import PhasePrior
@@ -153,7 +151,7 @@ def test_measurement_information_values():
              (ProbeSpec.coherent(1.0), 1.0, I_COH1_LOSSLESS),
              (PROBE_01, 0.5, I_01_HALF)]
     for probe, eta, expected in cases:
-        info = measurement_mutual_information(probe, eta, UNIFORM)
+        info = bayesian_mmse(probe, eta, UNIFORM).mutual_information
         assert abs(info - expected) < 1e-4, (probe, eta)
 
 
@@ -161,7 +159,7 @@ def test_information_never_beats_holevo():
     for probe in [ProbeSpec.flat_superposition(4), ProbeSpec.coherent(1.0),
                   PROBE_01]:
         for eta in [0.5, 1.0]:
-            info = measurement_mutual_information(probe, eta, UNIFORM)
+            info = bayesian_mmse(probe, eta, UNIFORM).mutual_information
             chi = holevo_quantity(chi_decompose(probe, eta), UNIFORM)
             assert info <= chi + 1e-6, (probe, eta)
 
@@ -179,15 +177,28 @@ def test_mse_respects_information_converse():
 def test_monte_carlo_agrees_and_is_deterministic():
     probe = ProbeSpec.flat_superposition(4)
     res = bayesian_mmse(probe, 0.5, UNIFORM)
-    mc = monte_carlo_mse(probe, 0.5, UNIFORM, samples=200000, seed=11)
+    mc = monte_carlo_mse(res, samples=200000, seed=11)
     assert abs(mc.mean - res.mse) <= 3.0 * mc.stderr
-    again = monte_carlo_mse(probe, 0.5, UNIFORM, samples=200000, seed=11)
+    again = monte_carlo_mse(res, samples=200000, seed=11)
     assert mc.mean == again.mean and mc.stderr == again.stderr
-    other = monte_carlo_mse(probe, 0.5, UNIFORM, samples=200000, seed=12)
+    other = monte_carlo_mse(res, samples=200000, seed=12)
     assert other.mean != mc.mean
 
     with pytest.raises(ValidationError):
-        monte_carlo_mse(probe, 0.5, UNIFORM, samples=100)
+        monte_carlo_mse(res, samples=100)
+
+
+def test_monte_carlo_draws_from_the_result(monkeypatch):
+    # the draw reuses the joint the MMSE run built; no grid is evaluated
+    res = bayesian_mmse(ProbeSpec.flat_superposition(4), 0.5, UNIFORM,
+                        SimGrid(512, 512))
+
+    def no_core(*args):
+        raise AssertionError("monte_carlo_mse evaluated a grid")
+
+    monkeypatch.setattr(estimation, "_core", no_core)
+    mc = monte_carlo_mse(res, samples=20000, seed=5)
+    assert abs(mc.mean - res.mse) <= 4.0 * mc.stderr
 
 
 def test_unequal_grids_consistent():
@@ -198,8 +209,7 @@ def test_unequal_grids_consistent():
     coarse_theta = bayesian_mmse(probe, 0.5, UNIFORM, SimGrid(2048, 256))
     assert abs(coarse_theta.mse - base) < 5e-3
     # smoke the snapped monte carlo path
-    mc = monte_carlo_mse(probe, 0.5, UNIFORM, SimGrid(2048, 256),
-                         samples=20000, seed=3)
+    mc = monte_carlo_mse(coarse_theta, samples=20000, seed=3)
     assert abs(mc.mean - coarse_theta.mse) < 0.05
 
 

@@ -72,6 +72,19 @@ def dense_average_state(decomp, prior):
     return mat, gen
 
 
+def quadrature_average_state(decomp, prior, grid_size=512):
+    """Reference for average_state: rho_phi summed over a grid_size-point
+    phase grid with prior weights (renormalized)."""
+    phis = np.arange(grid_size) * (2.0 * np.pi / grid_size)
+    w = prior.grid_density(grid_size)
+    w = w / w.sum()
+    acc = [np.zeros((u.size, u.size), dtype=complex) for u in decomp.vectors]
+    for phi, weight in zip(phis, w):
+        for a, b in zip(acc, modulated_state(decomp, phi).blocks):
+            a += weight * b
+    return acc
+
+
 def dense_entropy(mat):
     """Reference for von_neumann_entropy: split the matrix into the
     connected components of its nonzero pattern, then diagonalize each."""
@@ -127,6 +140,20 @@ def test_probe_validation():
     amps[0] = 1.0
     with pytest.raises(ValidationError):
         ProbeSpec(amps)
+
+
+def test_probe_sizes_capped_before_allocation():
+    # an uncapped size would ask for ~8e18 bytes before any check
+    with pytest.raises(ValidationError):
+        ProbeSpec.number(10**18)
+    with pytest.raises(ValidationError):
+        ProbeSpec.flat_superposition(10**18)
+    with pytest.raises(ValidationError):
+        ProbeSpec.binomial_phase(2000)
+    with pytest.raises(ValidationError):
+        ProbeSpec.number(float("inf"))
+    assert ProbeSpec.number(128).cutoff == 128
+    assert ProbeSpec.binomial_phase(129).cutoff == 128
 
 
 def test_chi_decompose_weights():
@@ -236,23 +263,18 @@ def test_average_state_window_coherence():
 def test_average_state_quadrature_cross_check():
     prior = PhasePrior.wrapped_gaussian(math.pi, 0.8)
     decomp = chi_decompose(ProbeSpec(PROBE_02), 0.5)
-    a = average_state(decomp, prior, method="fourier")
-    b = average_state(decomp, prior, grid_size=512, method="quadrature")
-    for x, y in zip(a.blocks, b.blocks):
+    a = average_state(decomp, prior)
+    b = quadrature_average_state(decomp, prior)
+    for x, y in zip(a.blocks, b):
         assert np.abs(x - y).max() < 1e-12
     # complex amplitudes and complex Fourier coefficients fix the sign
     # convention of the Toeplitz table
     decomp = chi_decompose(random_probe(np.random.default_rng(4), 8), 0.6)
     skewed = PhasePrior.wrapped_gaussian(2.0, 0.8)
-    a = average_state(decomp, skewed, method="fourier")
-    b = average_state(decomp, skewed, grid_size=512, method="quadrature")
-    for x, y in zip(a.blocks, b.blocks):
+    a = average_state(decomp, skewed)
+    b = quadrature_average_state(decomp, skewed)
+    for x, y in zip(a.blocks, b):
         assert np.abs(x - y).max() < 1e-12
-
-    with pytest.raises(ValidationError):
-        average_state(decomp, prior, grid_size=32)
-    with pytest.raises(ValidationError):
-        average_state(decomp, prior, method="spline")
 
 
 def test_phase_randomize_keeps_block_diagonals():

@@ -3,6 +3,7 @@ import pytest
 
 import phasebound.bounds
 import phasebound.estimation
+import phasebound.fock
 import phasebound.rate_distortion
 from phasebound.errors import ValidationError
 from phasebound.estimation import SimGrid, SimulationResult
@@ -63,13 +64,42 @@ def test_corrupted_simulator_is_caught(monkeypatch):
         return SimulationResult(mse=1e-6, mse_coarse=1e-6,
                                 mutual_information=sim.mutual_information,
                                 converged=True, estimator=sim.estimator,
-                                theta=sim.theta, grid=sim.grid)
+                                theta=sim.theta, grid=sim.grid,
+                                window=sim.window, masses=sim.masses)
 
     monkeypatch.setattr(phasebound.estimation, "bayesian_mmse", too_good)
     report = light_battery()
     assert not report.passed
     names = [r.name for r in report.failures()]
     assert "simulated-mse-between-bounds-and-prior" in names
+
+
+def test_each_scenario_is_evaluated_once(monkeypatch):
+    calls = {}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in [(phasebound.fock, "average_state"),
+                         (phasebound.fock, "chi_decompose"),
+                         (phasebound.estimation, "bayesian_mmse"),
+                         (phasebound.estimation, "_core")]:
+        counted(module, name)
+    probes = [ProbeSpec.from_amplitudes(np.array([1.0, 1.0]) / np.sqrt(2)),
+              ProbeSpec.flat_superposition(3)]
+    report = light_battery(probes=probes, etas=[0.5, 1.0])
+    assert report.passed
+    scenarios = len(probes) * 2
+    # one decomposition, one averaged state and one MMSE run (fine + half
+    # grid) per scenario; the Monte Carlo check evaluates no grid
+    assert calls == {"chi_decompose": scenarios, "average_state": scenarios,
+                     "bayesian_mmse": scenarios, "_core": 2 * scenarios}
 
 
 def test_uncertified_rate_point_is_caught(monkeypatch):
