@@ -9,16 +9,12 @@ in nats, by direct summation.
 import math
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .errors import ValidationError
 
-__all__ = ["unrestricted_capacity", "binomial_loss_kernel", "binomial_loss_matrix",
-           "loss_distribution", "shannon_entropy", "entropy_variance_bound",
-           "entropy_gain", "capacity_upper_bound_lossy"]
-
-# direct C(n,l) in floats is exact up to here; beyond, work in log space
-_DIRECT_N = 60
+__all__ = ["unrestricted_capacity", "binomial_loss_matrix",
+           "loss_distribution", "shannon_entropy", "entropy_gain",
+           "capacity_upper_bound_lossy"]
 
 
 def unrestricted_capacity(mean_photons):
@@ -29,7 +25,7 @@ def unrestricted_capacity(mean_photons):
     n = float(mean_photons)
     if n < 0.0:
         raise ValidationError(f"mean photon number must be >= 0, got {n}")
-    return float(xlogy(n + 1.0, n + 1.0) - xlogy(n, n))
+    return (n + 1.0) * math.log(n + 1.0) - (n * math.log(n) if n > 0.0 else 0.0)
 
 
 def _check_eta(eta):
@@ -39,23 +35,11 @@ def _check_eta(eta):
     return eta
 
 
-def binomial_loss_kernel(n, l, eta):
-    """B_eta(n, l) = C(n, l) eta^(n-l) (1-eta)^l for 0 <= l <= n."""
-    eta = _check_eta(eta)
-    if not 0 <= l <= n:
-        raise ValidationError(f"need 0 <= l <= n, got n={n}, l={l}")
-    if eta == 1.0:
-        return 1.0 if l == 0 else 0.0
-    if eta == 0.0:
-        return 1.0 if l == n else 0.0
-    if n <= _DIRECT_N:
-        return math.comb(n, l) * eta ** (n - l) * (1.0 - eta) ** l
-    logc = gammaln(n + 1) - gammaln(l + 1) - gammaln(n - l + 1)
-    return float(np.exp(logc + (n - l) * np.log(eta) + l * np.log1p(-eta)))
-
-
 def binomial_loss_matrix(n_max, eta):
-    """Kernel table K[n, l] = B_eta(n, l), lower triangular, n, l <= n_max."""
+    """Kernel table K[n, l] = B_eta(n, l), lower triangular, n, l <= n_max.
+
+    B_eta(n, l) = C(n, l) eta^(n-l) (1-eta)^l, taken in log space.
+    """
     eta = _check_eta(eta)
     size = n_max + 1
     out = np.zeros((size, size))
@@ -65,11 +49,11 @@ def binomial_loss_matrix(n_max, eta):
     if eta == 0.0:
         np.fill_diagonal(out, 1.0)
         return out
-    nn, ll = np.meshgrid(np.arange(size, dtype=float),
-                         np.arange(size, dtype=float), indexing="ij")
+    logfact = np.array([math.lgamma(k + 1) for k in range(size)])
+    nn, ll = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
     valid = ll <= nn
-    kk = np.where(valid, nn - ll, 0.0)
-    logk = (gammaln(nn + 1.0) - gammaln(ll + 1.0) - gammaln(kk + 1.0)
+    kk = np.where(valid, nn - ll, 0)
+    logk = (logfact[nn] - logfact[ll] - logfact[kk]
             + kk * np.log(eta) + ll * np.log1p(-eta))
     out[valid] = np.exp(logk[valid])
     return out
@@ -88,18 +72,15 @@ def loss_distribution(photon_dist, eta):
     return p @ kern
 
 
+def _xlogy(x, y):
+    """x ln y elementwise for a float array x, 0 wherever x == 0."""
+    return x * np.log(y, out=np.zeros_like(x), where=x != 0.0)
+
+
 def shannon_entropy(dist):
     """-sum p ln p in nats, with 0*ln(0) = 0."""
     p = np.asarray(dist, dtype=float)
-    return float(-np.sum(xlogy(p, p)))
-
-
-def entropy_variance_bound(variance):
-    """0.5*ln[2*pi*e*(Var + 1/12)]: max entropy of an integer variable."""
-    v = float(variance)
-    if v < 0.0:
-        raise ValidationError(f"variance must be >= 0, got {v}")
-    return 0.5 * np.log(2.0 * np.pi * np.e * (v + 1.0 / 12.0))
+    return float(-np.sum(_xlogy(p, p)))
 
 
 def entropy_gain(photon_dist, eta):

@@ -86,7 +86,7 @@ def _cmd_bounds(cfg, threads):
         b = report.as_dict()
         return (float(ns), float(eta), report.entropy_power, b["h_limit"],
                 b["hall_wiseman"], b["lossy_sql"], b["escher"], b["iti_C"],
-                None, None, None)
+                None, None, None), None
 
     def probe_row(probe, eta):
         var_n = probe.photon_variance if probe.photon_variance > 0 else None
@@ -95,9 +95,14 @@ def _cmd_bounds(cfg, threads):
         b = report.as_dict()
         chi = fock.holevo_quantity(fock.chi_decompose(probe, eta), prior)
         sim = estimation.bayesian_mmse(probe, eta, prior, cfg.grid)
+        warning = None if sim.converged else (
+            f"warning: bounds mse_sim for {probe!r} at eta {eta!r} is not "
+            f"converged: the half grid moves it by "
+            f"{abs(sim.mse - sim.mse_coarse)!r}, beyond "
+            f"{estimation.CONVERGED_TOL}")
         return (probe.mean_photons, float(eta), report.entropy_power,
                 b["h_limit"], b["hall_wiseman"], b["lossy_sql"], b["escher"],
-                b["iti_C"], chi, sim.mutual_information, sim.mse)
+                b["iti_C"], chi, sim.mutual_information, sim.mse), warning
 
     if cfg.probes:
         tasks = [lambda p=p, eta=eta: probe_row(p, eta)
@@ -105,8 +110,11 @@ def _cmd_bounds(cfg, threads):
     else:
         tasks = [lambda ns=ns, eta=eta: analytic_row(ns, eta)
                  for ns in cfg.mean_photons for eta in cfg.etas]
-    rows = _parallel(tasks, threads)
-    return _csv(_BOUNDS_HEADER, rows), 0
+    results = _parallel(tasks, threads)
+    for _, warning in results:
+        if warning:
+            print(warning, file=sys.stderr)
+    return _csv(_BOUNDS_HEADER, [row for row, _ in results]), 0
 
 
 def _cmd_rd_curve(cfg, threads):

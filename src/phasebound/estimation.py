@@ -20,14 +20,14 @@ the residual.
 import math
 
 import numpy as np
-from scipy.special import xlogy
 
+from .capacity import _xlogy
 from .errors import NumericalError, ValidationError
 from .fock import loss_branches
 from .priors import TWO_PI
 
 __all__ = ["SimGrid", "SimulationResult", "MonteCarloResult",
-           "canonical_phase_density", "bayesian_mmse", "monte_carlo_mse"]
+           "bayesian_mmse", "monte_carlo_mse"]
 
 CONVERGED_TOL = 1e-4     # fine-vs-half-grid MSE drift for the converged flag
 LATTICE_CAP = 2 ** 22    # largest grid size; _core peaks near 26 floats/point
@@ -51,47 +51,30 @@ class SimGrid:
         return f"SimGrid(phi={self.phi_points}, theta={self.theta_points})"
 
 
-def _fourier_series(diags, theta):
-    """(1/2pi)(C_0 + 2 Re sum_d C_d e^{-i d theta}), C_d = sum_m rho[m+d, m].
-
-    Negative dips beyond 1e-10 mean the coefficients were not those of a
-    state and raise; smaller ones are clipped.
-    """
-    theta = np.asarray(theta, dtype=float)
-    vals = np.full(theta.shape, diags[0].real)
-    for d in range(1, diags.size):
-        if diags[d] != 0.0:
-            vals += 2.0 * (diags[d] * np.exp(-1j * d * theta)).real
-    vals /= TWO_PI
-    if vals.min() < -1e-10:
-        raise NumericalError(
-            f"outcome density dips to {vals.min()}; not a valid state")
-    return np.clip(vals, 0.0, None)
-
-
-def canonical_phase_density(signal_matrix, theta):
-    """Canonical-POVM outcome density (1/2pi) sum rho[m,m'] e^{-i(m-m')theta}.
-
-    Accepts a scalar or array theta; negative dips beyond 1e-10 mean the
-    input was not a state and raise, smaller ones are clipped.
-    """
-    rho = np.asarray(signal_matrix, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValidationError("signal matrix must be square")
-    diags = np.array([np.trace(rho, offset=-d) for d in range(rho.shape[0])])
-    return _fourier_series(diags, theta)
-
-
 def _window(probe, eta, lattice):
-    """g on the len-`lattice` difference grid.
+    """g on the len-`lattice` difference grid u_t = 2 pi t / lattice.
 
-    Its coefficients C_d = sum_m rho_S(0)[m+d, m] are the summed
-    autocorrelations of the loss-branch vectors.
+    g(u) = (1/2pi) sum_{|d| <= cutoff} C_d e^{-i d u}, C_{-d} = conj(C_d),
+    whose coefficients C_d = sum_m rho_S(0)[m+d, m] are the summed
+    autocorrelations of the loss-branch vectors. Folding C_d into bin
+    d mod lattice makes the sum one FFT of that length, exact even when
+    the lattice is shorter than 2 * cutoff + 1. Negative dips beyond
+    1e-10 mean the coefficients were not those of a state and raise;
+    smaller ones are clipped.
     """
     diags = np.zeros(probe.cutoff + 1, dtype=complex)
     for _, v in loss_branches(probe, eta):
         diags[:v.size] += np.correlate(v, v, "full")[v.size - 1:]
-    return _fourier_series(diags, np.arange(lattice) * (TWO_PI / lattice))
+    two_sided = np.concatenate([diags[:0:-1].conj(), [diags[0].real],
+                                diags[1:]])
+    bins = np.zeros(lattice, dtype=complex)
+    np.add.at(bins, np.arange(-probe.cutoff, probe.cutoff + 1) % lattice,
+              two_sided)
+    vals = np.fft.hfft(bins[:lattice // 2 + 1], lattice) / TWO_PI
+    if vals.min() < -1e-10:
+        raise NumericalError(
+            f"outcome density dips to {vals.min()}; not a valid state")
+    return np.clip(vals, 0.0, None)
 
 
 def _core(probe, eta, prior, g_phi, g_theta):
@@ -114,12 +97,12 @@ def _core(probe, eta, prior, g_phi, g_theta):
     # moments about the prior mean keep m2 - m1 * shift from cancelling
     # digits when the prior is narrow
     dphi = phi - mean
-    wlnw = xlogy(w, w)
+    wlnw = _xlogy(w, w)
     # phi_i sits on lattice point i * lattice // g_phi
     spread = np.zeros((4, lattice))
     spread[:, ::lattice // g_phi] = [w, w * dphi, w * dphi ** 2, wlnw]
     fw = np.fft.rfft(spread)
-    fg, fglng = np.fft.rfft([g, xlogy(g, g)])
+    fg, fglng = np.fft.rfft([g, _xlogy(g, g)])
     fw[3] *= fg
     fw[3] += fglng * fw[0]
     fw[:3] *= fg
@@ -134,7 +117,7 @@ def _core(probe, eta, prior, g_phi, g_theta):
     est = mean + shift
     mse = max(float(np.sum(m2 - m1 * shift) / z), 0.0)
     # discrete mutual information; the differential corrections cancel
-    info = float(s.sum() / z - math.log(z) - xlogy(p / z, p / z).sum()
+    info = float(s.sum() / z - math.log(z) - _xlogy(p / z, p / z).sum()
                  - wlnw.sum())
     return mse, max(info, 0.0), est, g, w
 

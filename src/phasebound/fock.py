@@ -13,7 +13,6 @@ Entropies are in nats.
 import math
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .capacity import binomial_loss_matrix, shannon_entropy
 from .errors import NumericalError, ValidationError
@@ -184,15 +183,6 @@ class DensityMatrix:
             raise ValidationError(f"trace is {tr!r}, not 1")
         self.blocks = blocks
 
-    def reduced_signal(self):
-        """Trace out the loss record: the blocks summed into the top-left
-        corner of a plain (m_max+1)^2 array."""
-        dim = max(b.shape[0] for b in self.blocks)
-        out = np.zeros((dim, dim), dtype=complex)
-        for b in self.blocks:
-            out[:b.shape[0], :b.shape[0]] += b
-        return out
-
     def __repr__(self):
         return f"DensityMatrix(blocks={[b.shape[0] for b in self.blocks]})"
 
@@ -212,9 +202,13 @@ def average_state(decomp, prior):
     Entry (m, m') of a block carries e^{i(m-m')phi}, so averaging
     multiplies the phi = 0 block by the leading submatrix of one Toeplitz
     table F[m, m'] = f(m - m') of prior Fourier coefficients: exact, with
-    no phase grid.
+    no phase grid. f(-k) = conj(f(k)), so F is Hermitian.
     """
-    table = toeplitz(prior.fourier_coefficients(decomp.probe.cutoff))
+    f = prior.fourier_coefficients(decomp.probe.cutoff)
+    m = np.arange(f.size)
+    lag = m[:, None] - m[None, :]
+    table = f[np.abs(lag)]
+    table[lag < 0] = table[lag < 0].conj()
     return DensityMatrix(b * table[:b.shape[0], :b.shape[0]]
                          for b in modulated_state(decomp, 0.0).blocks)
 

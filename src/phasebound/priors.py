@@ -199,23 +199,6 @@ class PhasePrior:
             return sum(b - a for a, b in self._window_pieces()) / self.params["width"]
         return float(self._numeric(lambda phi, dens: dens))
 
-    # ---- sampling -------------------------------------------------------
-
-    def sample(self, rng, size):
-        """Draw phases from the prior; deterministic given the rng state."""
-        if self.kind == "uniform":
-            c, w = self.params["center"], self.params["width"]
-            return (c - w / 2.0 + w * rng.random(size)) % TWO_PI
-        if self.kind == "wrapped_gaussian":
-            mu, sig = self.params["mean"], self.params["sigma"]
-            return (mu + sig * rng.standard_normal(size)) % TWO_PI
-        # inverse CDF through the piecewise-constant grid density
-        n = self._values.size
-        edges = np.arange(n + 1) * (TWO_PI / n)
-        cdf = np.concatenate([[0.0], np.cumsum(self._values) * (TWO_PI / n)])
-        cdf /= cdf[-1]
-        return np.interp(rng.random(size), cdf, edges)
-
     # ---- misc -----------------------------------------------------------
 
     def descriptor(self):

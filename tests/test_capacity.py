@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, xlogy
 
-from phasebound.capacity import (binomial_loss_kernel, binomial_loss_matrix,
+from phasebound.capacity import (_xlogy, binomial_loss_matrix,
                                  capacity_upper_bound_lossy, entropy_gain,
-                                 entropy_variance_bound, loss_distribution,
-                                 shannon_entropy, unrestricted_capacity)
+                                 loss_distribution, shannon_entropy,
+                                 unrestricted_capacity)
 from phasebound.errors import ValidationError
 
 # frozen reference values (closed forms / exact summation)
@@ -19,6 +20,35 @@ EVB_AT_2_5 = 1.8934788105532456
 CPH_0_HALF = 0.8696323888706178      # 0.5 ln(2 pi e (1/12) / 0.25)
 CPH_4_HALF = 2.1521070676013863
 H_BINOM_10_HALF = 1.8759536052468004  # exact summation
+
+
+# direct C(n,l) in floats is exact up to here; beyond, work in log space
+_DIRECT_N = 60
+
+
+def binomial_loss_kernel(n, l, eta):
+    """Scalar oracle for binomial_loss_matrix:
+    B_eta(n, l) = C(n, l) eta^(n-l) (1-eta)^l for 0 <= l <= n."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValidationError(f"transmittance must lie in [0, 1], got {eta}")
+    if not 0 <= l <= n:
+        raise ValidationError(f"need 0 <= l <= n, got n={n}, l={l}")
+    if eta == 1.0:
+        return 1.0 if l == 0 else 0.0
+    if eta == 0.0:
+        return 1.0 if l == n else 0.0
+    if n <= _DIRECT_N:
+        return math.comb(n, l) * eta ** (n - l) * (1.0 - eta) ** l
+    logc = gammaln(n + 1) - gammaln(l + 1) - gammaln(n - l + 1)
+    return float(np.exp(logc + (n - l) * np.log(eta) + l * np.log1p(-eta)))
+
+
+def entropy_variance_bound(variance):
+    """0.5*ln[2*pi*e*(Var + 1/12)]: max entropy of an integer variable."""
+    v = float(variance)
+    if v < 0.0:
+        raise ValidationError(f"variance must be >= 0, got {v}")
+    return 0.5 * np.log(2.0 * np.pi * np.e * (v + 1.0 / 12.0))
 
 
 def poisson(mean, cutoff):
@@ -71,6 +101,35 @@ def test_kernel_validation():
         binomial_loss_kernel(3, -1, 0.5)
     with pytest.raises(ValidationError):
         binomial_loss_kernel(3, 1, 1.2)
+
+
+@pytest.mark.parametrize("eta", [1e-12, 0.3, 0.5, 1.0 - 1e-12])
+def test_loss_matrix_matches_gammaln_oracle(eta):
+    n_max = 128
+    mat = binomial_loss_matrix(n_max, eta)
+    ref = np.array([[binomial_loss_kernel(n, l, eta) if l <= n else 0.0
+                     for l in range(n_max + 1)] for n in range(n_max + 1)])
+    # exp(x) carries the absolute error of x as relative error, and x sums
+    # log-factorials and n ln(eta)-sized terms, each rounded on both sides
+    biggest = max(math.lgamma(n_max + 1.0), n_max * -math.log(eta),
+                  n_max * -math.log1p(-eta))
+    # below ~1e-290 the oracle's direct branch forms eta^(n-l) under the
+    # normal range and keeps fewer digits than the table
+    np.testing.assert_allclose(mat, ref, rtol=8 * np.spacing(biggest),
+                               atol=1e-290)
+
+
+def test_xlogy_matches_scipy():
+    rng = np.random.default_rng(3)
+    # 0 ln 0, 0 ln y, x ln 1, subnormals, then random magnitudes
+    x = np.concatenate([[0.0, 0.0, 3.0, 5e-324, 1e-300],
+                        rng.random(1000), rng.random(1000) * 1e-200])
+    y = np.concatenate([[0.0, 2.5, 1.0, 5e-324, 1e-300],
+                        rng.random(1000), rng.random(1000) * 1e3])
+    for a, b in ((x, y), (x, x)):
+        got, want = _xlogy(a, b), xlogy(a, b)
+        assert np.all((got == 0.0) == (want == 0.0))
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
 
 
 def test_loss_matrix_rows_normalized():

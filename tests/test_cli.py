@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import phasebound
 import phasebound.bounds
 import phasebound.estimation
 from phasebound.cli import main
@@ -62,6 +66,44 @@ def test_bounds_probe_rows(tmp_path, capsys):
     assert float(cells[8]) == pytest.approx(0.6931471805599453, abs=1e-9)
     assert float(cells[10]) == pytest.approx(2.789868133696453, abs=1e-2)
     assert float(cells[10]) >= float(cells[3])
+
+
+def test_bounds_flags_unconverged_mse_sim(tmp_path, capsys):
+    # on 256^2 halving the grid moves the two-level MSE by ~2e-4, past the
+    # 1e-4 convergence tolerance; on 2048^2 it converges
+    coarse = write_config(tmp_path, dict(SMALL, eta=[1.0, 0.5]))
+    for threads in ("1", "2"):
+        assert main(["bounds", "--config", coarse, "--threads", threads]) == 0
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 3
+        lines = err.splitlines()
+        assert len(lines) == 2
+        for line, eta in zip(lines, ("1.0", "0.5")):
+            assert line.startswith("warning: bounds mse_sim for ProbeSpec(")
+            assert f"at eta {eta} is not converged" in line
+    fine = write_config(tmp_path, dict(SMALL, grid={"phi_points": 2048,
+                                                    "theta_points": 2048}),
+                        name="fine.json")
+    assert main(["bounds", "--config", fine]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["bounds", "capacity", "rd-curve",
+                                     "simulate", "verify"])
+def test_commands_never_import_scipy(tmp_path, command):
+    cfg = write_config(tmp_path, dict(SMALL))
+    script = ("import json, sys\n"
+              "from phasebound.cli import main\n"
+              f"code = main([{command!r}, '--config', {cfg!r}, "
+              f"'--out', {str(tmp_path / 'out.txt')!r}])\n"
+              "print(json.dumps([code, sorted(m for m in sys.modules "
+              "if m.split('.')[0] == 'scipy')]))\n")
+    src = os.path.dirname(os.path.dirname(phasebound.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, []]
 
 
 def test_rd_curve_sorted(tmp_path, capsys):

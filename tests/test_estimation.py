@@ -6,8 +6,7 @@ from scipy.special import xlogy
 
 from phasebound import estimation
 from phasebound.errors import NumericalError, ValidationError
-from phasebound.estimation import (SimGrid, bayesian_mmse,
-                                   canonical_phase_density, monte_carlo_mse)
+from phasebound.estimation import SimGrid, bayesian_mmse, monte_carlo_mse
 from phasebound.fock import (ProbeSpec, chi_decompose, holevo_quantity,
                              modulated_state)
 from phasebound.priors import PhasePrior
@@ -35,6 +34,40 @@ PROBE_01 = ProbeSpec([2.0**-0.5, 2.0**-0.5])
 UNIFORM = PhasePrior.uniform()
 
 
+def reduced_signal(state):
+    """Trace out the loss record: the blocks summed into the top-left
+    corner of a plain (m_max+1)^2 array."""
+    dim = max(b.shape[0] for b in state.blocks)
+    out = np.zeros((dim, dim), dtype=complex)
+    for b in state.blocks:
+        out[:b.shape[0], :b.shape[0]] += b
+    return out
+
+
+def canonical_phase_density(signal_matrix, theta):
+    """Direct-sum reference for estimation._window: the canonical-POVM
+    outcome density (1/2pi)(C_0 + 2 Re sum_d C_d e^{-i d theta}),
+    C_d = sum_m rho[m+d, m], one complex exponential per coefficient.
+
+    Accepts a scalar or array theta; negative dips beyond 1e-10 mean the
+    input was not a state and raise, smaller ones are clipped.
+    """
+    rho = np.asarray(signal_matrix, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValidationError("signal matrix must be square")
+    diags = np.array([np.trace(rho, offset=-d) for d in range(rho.shape[0])])
+    theta = np.asarray(theta, dtype=float)
+    vals = np.full(theta.shape, diags[0].real)
+    for d in range(1, diags.size):
+        if diags[d] != 0.0:
+            vals += 2.0 * (diags[d] * np.exp(-1j * d * theta)).real
+    vals /= TWO_PI
+    if vals.min() < -1e-10:
+        raise NumericalError(
+            f"outcome density dips to {vals.min()}; not a valid state")
+    return np.clip(vals, 0.0, None)
+
+
 def test_sim_grid_validation():
     grid = SimGrid()
     assert grid.phi_points == 2048 and grid.theta_points == 2048
@@ -52,14 +85,14 @@ def test_sim_grid_validation():
 def test_modulated_state_signal_blocks():
     state = modulated_state(chi_decompose(PROBE_01, 1.0), math.pi)
     assert [b.shape for b in state.blocks] == [(2, 2)]
-    red = state.reduced_signal()
+    red = reduced_signal(state)
     assert abs(red[1, 0] - (-0.5)) < 1e-14
 
     half = chi_decompose(PROBE_01, 0.5)
     assert half.loss_counts == [0, 1]
     state = modulated_state(half, 0.0)
     assert [b.shape for b in state.blocks] == [(2, 2), (1, 1)]
-    red = state.reduced_signal()
+    red = reduced_signal(state)
     # surviving coherence scales by sqrt(eta)
     assert abs(red[0, 1] - 0.5 * math.sqrt(0.5)) < 1e-14
     assert abs(np.trace(red).real - 1.0) < 1e-12
@@ -69,15 +102,15 @@ def test_modulated_state_signal_blocks():
 
 
 def test_canonical_density_two_level():
-    red = modulated_state(chi_decompose(PROBE_01, 1.0), 0.0).reduced_signal()
+    red = reduced_signal(modulated_state(chi_decompose(PROBE_01, 1.0), 0.0))
     theta = np.linspace(0.0, TWO_PI, 97, endpoint=False)
     dens = canonical_phase_density(red, theta)
     assert np.abs(dens - (1.0 + np.cos(theta)) / TWO_PI).max() < 1e-12
 
 
 def test_canonical_density_number_state_is_flat():
-    red = modulated_state(chi_decompose(ProbeSpec.number(3), 0.7),
-                          1.1).reduced_signal()
+    red = reduced_signal(modulated_state(chi_decompose(ProbeSpec.number(3),
+                                                       0.7), 1.1))
     theta = np.linspace(0.0, TWO_PI, 64, endpoint=False)
     dens = canonical_phase_density(red, theta)
     assert np.abs(dens - 1.0 / TWO_PI).max() < 1e-13
@@ -87,7 +120,7 @@ def test_canonical_density_normalizes():
     rng = np.random.default_rng(2)
     c = rng.standard_normal(7) + 1j * rng.standard_normal(7)
     probe = ProbeSpec(c / np.linalg.norm(c))
-    red = modulated_state(chi_decompose(probe, 0.6), 0.4).reduced_signal()
+    red = reduced_signal(modulated_state(chi_decompose(probe, 0.6), 0.4))
     theta = np.arange(4096) * (TWO_PI / 4096)
     dens = canonical_phase_density(red, theta)
     assert abs(dens.sum() * (TWO_PI / 4096) - 1.0) < 1e-10
@@ -97,6 +130,27 @@ def test_canonical_density_normalizes():
         canonical_phase_density(np.array([[0.5, 0.6], [0.6, 0.5]]), theta)
     with pytest.raises(ValidationError):
         canonical_phase_density(np.ones((2, 3)), theta)
+
+
+@pytest.mark.parametrize("lattice", [128, 256, 2 ** 15])
+def test_window_matches_direct_sum(lattice):
+    # cutoffs 14, 60 and 128; a 128 lattice folds every coefficient past
+    # 64 onto a lower frequency, and 256 holds cutoff 128 at Nyquist. The
+    # lossless (|0> + |128>)/sqrt2 puts half its window in C_128.
+    edge = np.zeros(129)
+    edge[[0, 128]] = 2.0 ** -0.5
+    for probe, eta in [(ProbeSpec.coherent(1.0), 0.6),
+                       (ProbeSpec.binomial_phase(61), 0.6),
+                       (ProbeSpec.coherent(8.0), 0.6),
+                       (ProbeSpec(edge), 1.0)]:
+        g = estimation._window(probe, eta, lattice)
+        ref = canonical_phase_density(
+            reduced_signal(modulated_state(chi_decompose(probe, eta), 0.0)),
+            np.arange(lattice) * (TWO_PI / lattice))
+        # the direct sum rounds each phase d * theta, up to 2 pi cutoff,
+        # to within its ulp
+        tol = TWO_PI * (probe.cutoff + 1) * np.finfo(float).eps * ref.max()
+        assert np.abs(g - ref).max() <= tol, (probe, lattice)
 
 
 def test_mmse_two_level_closed_form():
@@ -221,7 +275,7 @@ def dense_core(probe, eta, prior, g_phi, g_theta):
     """
     lattice = max(g_phi, g_theta)
     g = canonical_phase_density(
-        modulated_state(chi_decompose(probe, eta), 0.0).reduced_signal(),
+        reduced_signal(modulated_state(chi_decompose(probe, eta), 0.0)),
         np.arange(lattice) * (TWO_PI / lattice))
     w = prior.grid_density(g_phi) * (TWO_PI / g_phi)
     w = w / w.sum()
