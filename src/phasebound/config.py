@@ -27,6 +27,11 @@ def _require(cond, msg):
         raise ValidationError(msg)
 
 
+def _is_number(value, kinds=(int, float)):
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _build_prior(spec):
     _require(isinstance(spec, dict) and "kind" in spec,
              "prior must be an object with a 'kind'")
@@ -49,7 +54,7 @@ def _build_prior(spec):
 
 
 def _prior_number(value, what):
-    _require(isinstance(value, (int, float)),
+    _require(_is_number(value),
              f"prior {what} must be a number, got {value!r}")
     return value
 
@@ -59,8 +64,7 @@ def _amplitudes(raw):
     out = []
     for entry in raw:
         pair = entry if isinstance(entry, list) else [entry, 0.0]
-        _require(len(pair) == 2 and all(isinstance(x, (int, float))
-                                        for x in pair),
+        _require(len(pair) == 2 and all(_is_number(x) for x in pair),
                  f"each amplitude must be a number or a [re, im] pair of "
                  f"numbers, got {entry!r}")
         out.append(complex(pair[0], pair[1]))
@@ -69,7 +73,7 @@ def _amplitudes(raw):
 
 def _size(spec, key):
     value = spec.get(key)
-    _require(value is None or isinstance(value, (int, float)),
+    _require(value is None or _is_number(value),
              f"probe {key} must be a number, got {value!r}")
     return value
 
@@ -142,7 +146,7 @@ class ScenarioConfig:
             etas = [etas]
         _require(len(etas) > 0, "eta list must be non-empty")
         for eta in etas:
-            _require(isinstance(eta, (int, float)) and 0.0 <= eta <= 1.0,
+            _require(_is_number(eta) and 0.0 <= eta <= 1.0,
                      f"eta must lie in [0, 1], got {eta}")
 
         ns_list = raw.get("mean_photons")
@@ -151,8 +155,9 @@ class ScenarioConfig:
                 ns_list = [ns_list]
             _require(len(ns_list) > 0, "mean_photons list must be non-empty")
             for n in ns_list:
-                _require(isinstance(n, (int, float)) and n >= 0.0,
-                         f"mean_photons entries must be >= 0, got {n}")
+                _require(_is_number(n) and 0.0 <= n < math.inf,
+                         f"mean_photons entries must be finite and >= 0, "
+                         f"got {n}")
 
         probes = []
         for spec in raw.get("probes", []):
@@ -169,14 +174,14 @@ class ScenarioConfig:
         _require(isinstance(grid_spec, dict), "grid must be an object")
         points = [grid_spec.get(key, 2048)
                   for key in ("phi_points", "theta_points")]
-        _require(all(isinstance(n, int) for n in points),
+        _require(all(_is_number(n, int) for n in points),
                  f"grid points must be integers, got {grid_spec!r}")
         grid = SimGrid(*points)
 
         rd = raw.get("rd", {})
         _require(isinstance(rd, dict), "rd must be an object")
         rd_grid_size = rd.get("grid_size", 128)
-        _require(isinstance(rd_grid_size, int)
+        _require(_is_number(rd_grid_size, int)
                  and 16 <= rd_grid_size <= RD_GRID_CAP,
                  f"rd grid_size must be an integer in [16, {RD_GRID_CAP}], "
                  f"got {rd_grid_size!r}")
@@ -184,15 +189,15 @@ class ScenarioConfig:
         _require(isinstance(rd_slopes, list) and len(rd_slopes) > 0,
                  "rd slopes must be a non-empty list")
         for s in rd_slopes:
-            _require(isinstance(s, (int, float)) and math.isfinite(s)
+            _require(_is_number(s) and math.isfinite(s)
                      and s >= 0.0,
                      f"rd slopes must be finite and >= 0, got {s!r}")
 
         seed = raw.get("seed", 0)
-        _require(isinstance(seed, int) and seed >= 0,
+        _require(_is_number(seed, int) and seed >= 0,
                  f"seed must be a nonnegative integer, got {seed}")
         samples = raw.get("samples", 100000)
-        _require(isinstance(samples, int) and 10000 <= samples <= SAMPLES_CAP,
+        _require(_is_number(samples, int) and 10000 <= samples <= SAMPLES_CAP,
                  f"samples must be an integer in [10000, {SAMPLES_CAP}], "
                  f"got {samples}")
 

@@ -7,6 +7,11 @@ loss distribution itself. Every state built here (rho_phi, its prior
 average and the dephased average) is therefore block-diagonal in l, and
 is kept as that list of blocks, each over the surviving count m.
 
+The Holevo quantity builds no state: the spectrum of each averaged block
+follows from the branch weights, the branch magnitudes |u_l| and the
+prior's Fourier coefficients (see holevo_quantity). The states remain
+for callers that want rho_phi, rho_bar or its dephased form.
+
 Entropies are in nats.
 """
 
@@ -19,7 +24,8 @@ from .errors import NumericalError, ValidationError
 
 __all__ = ["ProbeSpec", "ChiDecomposition", "DensityMatrix", "loss_branches",
            "chi_decompose", "modulated_state", "average_state",
-           "phase_randomize", "von_neumann_entropy", "holevo_quantity"]
+           "phase_randomize", "populations", "von_neumann_entropy",
+           "holevo_quantity"]
 
 CUTOFF_CAP = 128
 TAIL_MASS = 1e-12
@@ -196,6 +202,15 @@ def modulated_state(decomp, phi):
     return DensityMatrix(blocks)
 
 
+def _toeplitz_table(f):
+    # Hermitian Toeplitz table F[m, m'] = f(m - m'), with f(-k) = conj(f(k))
+    m = np.arange(f.size)
+    lag = m[:, None] - m[None, :]
+    table = f[np.abs(lag)]
+    table[lag < 0] = table[lag < 0].conj()
+    return table
+
+
 def average_state(decomp, prior):
     """Prior-averaged state rho_bar.
 
@@ -204,11 +219,7 @@ def average_state(decomp, prior):
     table F[m, m'] = f(m - m') of prior Fourier coefficients: exact, with
     no phase grid. f(-k) = conj(f(k)), so F is Hermitian.
     """
-    f = prior.fourier_coefficients(decomp.probe.cutoff)
-    m = np.arange(f.size)
-    lag = m[:, None] - m[None, :]
-    table = f[np.abs(lag)]
-    table[lag < 0] = table[lag < 0].conj()
+    table = _toeplitz_table(prior.fourier_coefficients(decomp.probe.cutoff))
     return DensityMatrix(b * table[:b.shape[0], :b.shape[0]]
                          for b in modulated_state(decomp, 0.0).blocks)
 
@@ -222,24 +233,61 @@ def phase_randomize(rho):
     return DensityMatrix(np.diag(np.diag(b)) for b in rho.blocks)
 
 
-def von_neumann_entropy(rho):
-    """-sum lambda ln lambda over eigenvalues above 1e-14, block by block.
+def populations(decomp):
+    """Block diagonals q_l |u_l[m]|^2, concatenated over the loss count l.
 
-    An eigenvalue below -1e-8 means the state itself is broken.
+    They are the spectrum of the dephased average for every prior
+    (f(0) = 1), and of rho_bar itself when f(k) = 0 for every k >= 1.
     """
-    eigs = np.concatenate([np.linalg.eigvalsh(b) for b in rho.blocks])
+    return np.concatenate([q * np.abs(u) ** 2
+                           for q, u in zip(decomp.weights, decomp.vectors)])
+
+
+def _spectral_entropy(eigs):
+    # -sum lambda ln lambda over the values above 1e-14; one below -1e-8
+    # means the state itself is broken
     if eigs.min(initial=0.0) < -1e-8:
         raise NumericalError(f"state has eigenvalue {eigs.min()}, below -1e-8")
     lam = eigs[eigs > 1e-14]
     return float(-np.sum(lam * np.log(lam)))
 
 
+def von_neumann_entropy(rho):
+    """-sum lambda ln lambda over eigenvalues above 1e-14, block by block.
+
+    An eigenvalue below -1e-8 means the state itself is broken.
+    """
+    return _spectral_entropy(
+        np.concatenate([np.linalg.eigvalsh(b) for b in rho.blocks]))
+
+
 def holevo_quantity(decomp, prior):
-    """chi = S(rho_bar) - S(rho_IS).
+    """chi = S(rho_bar) - S(rho_IS), from the loss branches alone.
 
     Every rho_phi is unitarily equivalent to rho_IS, and the branch
     orthonormality makes the spectrum of rho_IS exactly the loss
     distribution, so the subtracted term is the Shannon entropy of q.
+
+    Block l of rho_bar is q_l diag(u_l) F diag(u_l)^dagger. Diagonal phase
+    matrices commute with diagonal scalings, so it has the spectrum of
+    q_l diag|u_l| F diag|u_l|, and no state is built:
+    - when every harmonic f(1..cutoff) is zero, F = I and the spectrum is
+      the populations q_l |u_l[m]|^2, with no eigendecomposition;
+    - a prior symmetric about a centre c has f(k) = e^{ikc} g(k) with g
+      real, and stripping e^{ikc} leaves a real symmetric table;
+    - any other prior keeps the complex Hermitian table.
     """
-    avg = average_state(decomp, prior)
-    return von_neumann_entropy(avg) - shannon_entropy(decomp.weights)
+    f = prior.fourier_coefficients(decomp.probe.cutoff)
+    h_loss = shannon_entropy(decomp.weights)
+    if not f[1:].any():
+        return _spectral_entropy(populations(decomp)) - h_loss
+    centre = prior._centre()
+    if centre is not None:
+        f = (f * np.exp(-1j * np.arange(f.size) * centre)).real
+    table = _toeplitz_table(f)
+    eigs = []
+    for q, u in zip(decomp.weights, decomp.vectors):
+        a = np.abs(u)
+        eigs.append(np.linalg.eigvalsh(
+            q * a[:, None] * table[:a.size, :a.size] * a[None, :]))
+    return _spectral_entropy(np.concatenate(eigs)) - h_loss

@@ -171,16 +171,18 @@ class PhasePrior:
     def fourier_coefficients(self, kmax):
         """E[e^{i k phi}] for k = 0..kmax (complex array of length kmax+1).
 
-        Exact for the analytic kinds; spectrally accurate periodic trapezoid
-        for tabulated densities.
+        Exact for the analytic kinds, and exactly zero for k >= 1 on the
+        full-circle window (sin(k*pi) would leave ~1e-16); spectrally
+        accurate periodic trapezoid for tabulated densities.
         """
         k = np.arange(kmax + 1)
         if self.kind == "uniform":
             c, w = self.params["center"], self.params["width"]
-            halfarg = k * w / 2.0
-            mag = np.ones(kmax + 1)
-            nz = k > 0
-            mag[nz] = np.sin(halfarg[nz]) / halfarg[nz]
+            mag = np.zeros(kmax + 1)
+            mag[0] = 1.0
+            if w < TWO_PI:
+                halfarg = k[1:] * w / 2.0
+                mag[1:] = np.sin(halfarg) / halfarg
             return np.exp(1j * k * c) * mag
         if self.kind == "wrapped_gaussian":
             mu, sig = self.params["mean"], self.params["sigma"]
@@ -188,6 +190,15 @@ class PhasePrior:
         n = self._values.size
         phi = np.arange(n) * (TWO_PI / n)
         return (TWO_PI / n) * (np.exp(1j * np.outer(k, phi)) @ self._values)
+
+    def _centre(self):
+        # centre c of a density symmetric about it, so that e^{-ikc} f(k)
+        # is real; None when no such centre is known
+        if self.kind == "uniform":
+            return self.params["center"]
+        if self.kind == "wrapped_gaussian":
+            return self.params["mean"]
+        return None
 
     def normalization(self):
         """Integral of the density over [0, 2*pi) (should be 1).

@@ -205,9 +205,7 @@ def _check_holevo_chain(scenarios):
                f"{tag}: Holevo quantity negative ({chi:.3e})")
         # the dephased average keeps the block diagonals q_l |u_l[m]|^2
         # (f(0) = 1 for every prior), so its entropy is a Shannon entropy
-        pops = np.concatenate([q * np.abs(u) ** 2 for q, u in
-                               zip(decomp.weights, decomp.vectors)])
-        gap = (capacity.shannon_entropy(pops)
+        gap = (capacity.shannon_entropy(fock.populations(decomp))
                - capacity.shannon_entropy(decomp.weights))
         _track(bad, gap - chi + 1e-8, best,
                f"{tag}: dephasing chain {gap:.6f} below the Holevo "

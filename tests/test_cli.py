@@ -194,6 +194,12 @@ def test_exit_codes(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     assert main(["bounds", "--config", missing]) == 2
 
+    # Python's json module reads Infinity, which is no photon number
+    infinite = tmp_path / "infinite.json"
+    infinite.write_text('{"mean_photons": [Infinity], "eta": [0.5]}')
+    assert main(["capacity", "--config", str(infinite)]) == 2
+    assert "finite" in capsys.readouterr().err
+
     assert main(["simulate"]) == 2  # no probes configured
     assert main(["capacity", "--threads", "0"]) == 2
     assert main(["capacity", "--seed", "-1"]) == 2

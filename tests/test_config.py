@@ -72,6 +72,18 @@ def test_ladder_families_need_integer_sizes():
     {"eta": [1.2]},
     {"eta": [-0.1]},
     {"mean_photons": [-1.0]},
+    {"mean_photons": [float("inf")]},
+    {"mean_photons": float("inf")},
+    # JSON true/false load as bool, a subclass of int: not a number here
+    {"eta": True},
+    {"eta": [False]},
+    {"mean_photons": [True]},
+    {"probes": [{"family": "coherent", "alpha": True}]},
+    {"probes": [{"family": "amplitudes", "amplitudes": [True]}]},
+    {"prior": {"kind": "uniform", "width": True}},
+    {"grid": {"phi_points": True}},
+    {"rd": {"slopes": [False]}},
+    {"seed": True},
     {"probes": [{"family": "squeezed"}]},
     {"probes": [{"alpha": 1.0}]},
     {"probes": [{"family": "coherent"}]},  # no size and no target list

@@ -11,7 +11,7 @@ from phasebound.capacity import (binomial_loss_matrix, capacity_upper_bound_loss
 from phasebound.errors import NumericalError, ValidationError
 from phasebound.fock import (ChiDecomposition, DensityMatrix, ProbeSpec,
                              average_state, chi_decompose, holevo_quantity,
-                             modulated_state, phase_randomize,
+                             modulated_state, phase_randomize, populations,
                              von_neumann_entropy)
 from phasebound.priors import PhasePrior
 
@@ -342,6 +342,49 @@ def test_block_states_match_dense_oracle(cutoff):
             s_deph = von_neumann_entropy(
                 phase_randomize(average_state(decomp, prior)))
             assert abs(s_deph - dense_entropy(dephased)) < 1e-10, case
+
+
+def vonmises_prior(mu, kappa, n=2048):
+    phi = np.arange(n) * (2.0 * np.pi / n)
+    vals = np.exp(kappa * np.cos(phi - mu))
+    return PhasePrior.tabulated(vals / (vals.sum() * (2.0 * np.pi / n)))
+
+
+@pytest.mark.parametrize("cutoff", [12, 40, 128])
+def test_holevo_matches_averaged_state_route(cutoff):
+    # chi from |u|-scaled blocks (or the populations alone) against the
+    # entropy of the built prior-averaged state
+    rng = np.random.default_rng(100 + cutoff)
+    probe = random_probe(rng, cutoff)
+    priors = [PhasePrior.uniform(),
+              PhasePrior.uniform(center=1.0, width=math.pi),
+              PhasePrior.wrapped_gaussian(2.0, 0.5),
+              vonmises_prior(2.5, 3.0)]
+    for eta in [0.0, 0.3, 0.8, 1.0]:
+        decomp = chi_decompose(probe, eta)
+        h_loss = shannon_entropy(decomp.weights)
+        for prior in priors:
+            old = von_neumann_entropy(average_state(decomp, prior)) - h_loss
+            chi = holevo_quantity(decomp, prior)
+            assert abs(chi - old) < 1e-12, (cutoff, eta, prior)
+
+
+def test_holevo_full_circle_needs_no_eigendecomposition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    uniform = PhasePrior.uniform()
+    d02 = chi_decompose(ProbeSpec(PROBE_02), 0.5)
+    assert abs(holevo_quantity(d02, uniform) - CHI_02_UNIFORM) < 1e-12
+    # chi skips populations at or below 1e-14, which the plain Shannon
+    # entropy keeps: ~1e-11 nats at cutoff 128
+    decomp = chi_decompose(random_probe(np.random.default_rng(5), 128), 0.7)
+    chi = holevo_quantity(decomp, PhasePrior.uniform(center=0.4))
+    assert abs(chi - (shannon_entropy(populations(decomp))
+                      - shannon_entropy(decomp.weights))) < 1e-10
+    with pytest.raises(AssertionError, match="eigvalsh"):
+        holevo_quantity(d02, PhasePrior.uniform(width=6.0))
 
 
 def test_holevo_frozen_values():

@@ -139,9 +139,11 @@ def test_fourier_coefficients_uniform():
     for k in range(1, 7):
         want = np.exp(1j * k * 1.2) * np.sin(k * np.pi / 2) / (k * np.pi / 2)
         assert abs(c[k] - want) < 1e-14
-    # full circle: all nonzero modes vanish
-    c = PhasePrior.uniform().fourier_coefficients(4)
-    assert np.all(np.abs(c[1:]) < 1e-14)
+    # full circle: all nonzero modes vanish exactly, whatever the centre
+    for center in (np.pi, 0.3):
+        c = PhasePrior.uniform(center=center).fourier_coefficients(129)
+        assert c[0] == 1.0
+        assert np.all(c[1:] == 0)
 
 
 def test_fourier_coefficients_wrapped_gaussian_vs_quadrature():

@@ -86,7 +86,7 @@ def test_each_scenario_is_evaluated_once(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in [(phasebound.fock, "average_state"),
+    for module, name in [(phasebound.fock, "holevo_quantity"),
                          (phasebound.fock, "chi_decompose"),
                          (phasebound.estimation, "bayesian_mmse"),
                          (phasebound.estimation, "_core")]:
@@ -96,9 +96,9 @@ def test_each_scenario_is_evaluated_once(monkeypatch):
     report = light_battery(probes=probes, etas=[0.5, 1.0])
     assert report.passed
     scenarios = len(probes) * 2
-    # one decomposition, one averaged state and one MMSE run (fine + half
-    # grid) per scenario; the Monte Carlo check evaluates no grid
-    assert calls == {"chi_decompose": scenarios, "average_state": scenarios,
+    # one decomposition, one Holevo evaluation and one MMSE run (fine +
+    # half grid) per scenario; the Monte Carlo check evaluates no grid
+    assert calls == {"chi_decompose": scenarios, "holevo_quantity": scenarios,
                      "bayesian_mmse": scenarios, "_core": 2 * scenarios}
 
 
