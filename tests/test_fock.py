@@ -387,6 +387,27 @@ def test_holevo_full_circle_needs_no_eigendecomposition(monkeypatch):
         holevo_quantity(d02, PhasePrior.uniform(width=6.0))
 
 
+def test_holevo_centred_priors_use_real_blocks(monkeypatch):
+    # priors with a centre strip e^{ikc} and hand eigvalsh real blocks;
+    # a tabulated prior keeps the complex Hermitian table
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def record(a, *args, **kwargs):
+        seen.append(np.iscomplexobj(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", record)
+    decomp = chi_decompose(random_probe(np.random.default_rng(6), 20), 0.6)
+    for prior, complex_blocks in [
+            (PhasePrior.uniform(center=1.0, width=math.pi), False),
+            (PhasePrior.wrapped_gaussian(2.0, 0.5), False),
+            (vonmises_prior(2.5, 3.0), True)]:
+        seen.clear()
+        holevo_quantity(decomp, prior)
+        assert seen and set(seen) == {complex_blocks}, prior
+
+
 def test_holevo_frozen_values():
     uniform = PhasePrior.uniform()
     d02 = chi_decompose(ProbeSpec(PROBE_02), 0.5)
