@@ -176,28 +176,54 @@ def bayesian_mmse(probe, eta, prior, grid=None):
                             window=g, masses=w)
 
 
+def _inverse_cdf(p, u):
+    """np.searchsorted(np.cumsum(p), u) for u in [0, 1), by guide table.
+
+    With a power-of-two bucket count b >= p.size, u * b and k / b are
+    exact. first[k] counts the cdf values below k / b, so a draw in
+    bucket k has its answer in [first[k], first[k + 1]]: one comparison
+    settles a bucket at most one wide, and the draws in wider buckets
+    (tails, point masses) fall back to a search on that subset (Chen &
+    Asau 1974; Devroye 1986, III.2.4).
+    """
+    cdf = np.cumsum(p)
+    b = 1 << (p.size - 1).bit_length()
+    keys = np.minimum(cdf * b, b).astype(np.intp)
+    first = np.cumsum(np.bincount(keys + 1, minlength=b + 2))[:b + 1]
+    k = (u * b).astype(np.intp)
+    out = first[k]
+    k += 1
+    wide = first[k] - out > 1
+    out += np.append(cdf, np.inf)[out] < u
+    out[wide] = np.searchsorted(cdf, u[wide])
+    return out
+
+
 def monte_carlo_mse(sim, samples=100000, seed=0):
     """Forward-sampled check of the discrete model behind `sim`.
 
     Draws (phi, theta) from the fine-grid joint that `bayesian_mmse`
-    already built and scores its estimator table. Exact for square
-    grids; with phi finer than theta the outcome snaps to the nearest
-    theta point.
+    already built and scores its estimator table. Each coordinate is an
+    exact inverse-CDF draw, the index np.searchsorted(np.cumsum(p), u)
+    found through a guide table. Exact for square grids; with phi finer
+    than theta the outcome snaps to the nearest theta point.
+    `samples` must be an integer in [10000, SAMPLES_CAP].
     """
-    if samples < 10000:
-        raise ValidationError(f"need at least 10000 samples, got {samples}")
+    if (not isinstance(samples, (int, np.integer))  # bools fall below 10000
+            or not 10000 <= samples <= SAMPLES_CAP):
+        raise ValidationError(f"samples must be an integer in [10000, "
+                              f"{SAMPLES_CAP}], got {samples!r}")
     g_phi, g_theta = sim.grid.phi_points, sim.grid.theta_points
     lattice = max(g_phi, g_theta)
     rng = np.random.default_rng(seed)
-    w = sim.masses
-    i = np.searchsorted(np.cumsum(w), rng.random(samples))
-    i = np.minimum(i, w.size - 1)   # cumsum tip can round below 1
+    # a cdf tip that rounds below 1 can return the past-the-end index
+    i = np.minimum(_inverse_cdf(sim.masses, rng.random(samples)), g_phi - 1)
     gh = sim.window / sim.window.sum()
-    j = np.searchsorted(np.cumsum(gh), rng.random(samples))
-    j = np.minimum(j, gh.size - 1)
-    t_lat = (i * (lattice // g_phi) + j) % lattice
+    j = np.minimum(_inverse_cdf(gh, rng.random(samples)), lattice - 1)
+    # all sizes are powers of two: shifts and masks do the lattice maths
+    t_lat = ((i << (lattice // g_phi).bit_length() - 1) + j) & (lattice - 1)
     step = lattice // g_theta
-    t = ((t_lat + step // 2) // step) % g_theta
+    t = ((t_lat + step // 2) >> step.bit_length() - 1) & (g_theta - 1)
     errs = (i * (TWO_PI / g_phi) - sim.estimator[t]) ** 2
     return MonteCarloResult(mean=float(errs.mean()),
                             stderr=float(errs.std(ddof=1) / math.sqrt(samples)),

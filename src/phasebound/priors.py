@@ -173,7 +173,8 @@ class PhasePrior:
 
         Exact for the analytic kinds, and exactly zero for k >= 1 on the
         full-circle window (sin(k*pi) would leave ~1e-16); spectrally
-        accurate periodic trapezoid for tabulated densities.
+        accurate periodic trapezoid, one FFT of the table, for tabulated
+        densities.
         """
         k = np.arange(kmax + 1)
         if self.kind == "uniform":
@@ -187,9 +188,9 @@ class PhasePrior:
         if self.kind == "wrapped_gaussian":
             mu, sig = self.params["mean"], self.params["sigma"]
             return np.exp(1j * k * mu - 0.5 * (k * sig) ** 2)
+        # harmonics past n alias: bin k % n carries harmonic k
         n = self._values.size
-        phi = np.arange(n) * (TWO_PI / n)
-        return (TWO_PI / n) * (np.exp(1j * np.outer(k, phi)) @ self._values)
+        return (TWO_PI / n) * np.fft.fft(self._values).conj()[k % n]
 
     def _centre(self):
         # centre c of a density symmetric about it, so that e^{-ikc} f(k)

@@ -163,6 +163,21 @@ def test_outputs_byte_identical(tmp_path):
     assert blob == open(c, "rb").read()  # worker count cannot leak in
 
 
+def test_simulate_bytes_independent_of_threads(tmp_path):
+    # phase grid finer than the outcome grid: the snapped Monte Carlo path
+    cfg = write_config(tmp_path, dict(
+        SMALL, probes=[{"family": "coherent", "alpha": 1.0},
+                       {"family": "flat-superposition", "d": 4}],
+        eta=[1.0, 0.5], grid={"phi_points": 4096, "theta_points": 256}))
+    outs = [str(tmp_path / f"sim{threads}.json") for threads in ("1", "2")]
+    for threads, out in zip(("1", "2"), outs):
+        assert main(["simulate", "--config", cfg, "--out", out,
+                     "--threads", threads]) == 0
+    blob = open(outs[0], "rb").read()
+    assert len(json.loads(blob)["results"]) == 4
+    assert blob == open(outs[1], "rb").read()
+
+
 def test_verify_default_battery(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(SMALL))
     assert main(["verify", "--config", cfg]) == 0

@@ -242,6 +242,81 @@ def test_monte_carlo_agrees_and_is_deterministic():
         monte_carlo_mse(res, samples=100)
 
 
+def searchsorted_draw(p, u):
+    """Reference for estimation._inverse_cdf: a binary search per draw."""
+    return np.searchsorted(np.cumsum(p), u)
+
+
+def oracle_monte_carlo(sim, samples, seed):
+    """Reference for monte_carlo_mse: searchsorted draws, % and // maths."""
+    g_phi, g_theta = sim.grid.phi_points, sim.grid.theta_points
+    lattice = max(g_phi, g_theta)
+    rng = np.random.default_rng(seed)
+    w = sim.masses
+    i = np.minimum(searchsorted_draw(w, rng.random(samples)), w.size - 1)
+    gh = sim.window / sim.window.sum()
+    j = np.minimum(searchsorted_draw(gh, rng.random(samples)), gh.size - 1)
+    t_lat = (i * (lattice // g_phi) + j) % lattice
+    step = lattice // g_theta
+    t = ((t_lat + step // 2) // step) % g_theta
+    errs = (i * (TWO_PI / g_phi) - sim.estimator[t]) ** 2
+    return errs.mean(), errs.std(ddof=1) / math.sqrt(samples)
+
+
+def test_inverse_cdf_matches_searchsorted():
+    rng = np.random.default_rng(1)
+    tips = 0
+    for n in (2, 128, 1000, 2048, 2 ** 15):
+        b = 1 << (n - 1).bit_length()
+        x = np.arange(n)
+        point = np.zeros(n)
+        point[n // 3] = 1.0
+        for p in (rng.random(n), rng.random(n) ** 40,
+                  np.exp(-0.5 * ((x - n / 3) / (0.002 * n + 0.3)) ** 2),
+                  point, np.ones(n)):
+            p = p / p.sum()
+            cdf = np.cumsum(p)
+            # bucket edges, exact cdf values and the floats just below
+            # them, the float just below 1, and plain draws
+            u = np.concatenate([np.arange(b) / b, cdf, np.nextafter(cdf, 0.0),
+                                [np.nextafter(1.0, 0.0)], rng.random(5000)])
+            u = u[(u >= 0.0) & (u < 1.0)]
+            got = estimation._inverse_cdf(p, u)
+            ref = searchsorted_draw(p, u)
+            assert np.array_equal(got, ref), (n, p[:4])
+            tips += int((got == n).any())   # the tip rounded below 1
+    assert tips > 0
+
+
+@pytest.mark.parametrize("grid,prior", [
+    (SimGrid(2048, 2048), UNIFORM),
+    (SimGrid(2 ** 15, 256), UNIFORM),
+    (SimGrid(128, 2048), UNIFORM),
+    (SimGrid(512, 512), PhasePrior.wrapped_gaussian(1.0, 0.05))])
+def test_monte_carlo_matches_searchsorted_oracle(grid, prior):
+    res = bayesian_mmse(ProbeSpec.flat_superposition(4), 0.5, prior, grid)
+    if prior.kind == "wrapped_gaussian":
+        # the narrow prior's tails pack many cells into one bucket, so
+        # the draws there take the wide-bucket fallback
+        cdf = np.cumsum(res.masses)
+        first = np.searchsorted(cdf, np.arange(513) / 512)
+        assert np.diff(first).max() > 1
+    mc = monte_carlo_mse(res, samples=100000, seed=4)
+    assert (mc.mean, mc.stderr) == oracle_monte_carlo(res, 100000, 4)
+
+
+def test_monte_carlo_rejects_bad_sample_counts(monkeypatch):
+    res = bayesian_mmse(PROBE_01, 1.0, UNIFORM, SimGrid(256, 256))
+
+    def no_draw(*args):
+        raise AssertionError("monte_carlo_mse drew before validating")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    for samples in (estimation.SAMPLES_CAP + 1, 1e5, True):
+        with pytest.raises(ValidationError):
+            monte_carlo_mse(res, samples=samples)
+
+
 def test_monte_carlo_draws_from_the_result(monkeypatch):
     # the draw reuses the joint the MMSE run built; no grid is evaluated
     res = bayesian_mmse(ProbeSpec.flat_superposition(4), 0.5, UNIFORM,

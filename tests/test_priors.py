@@ -167,6 +167,29 @@ def test_fourier_coefficients_tabulated_matches_analytic():
         assert abs(c[k] - want) < 1e-10
 
 
+def dense_fourier_coefficients(prior, kmax):
+    """Reference for the tabulated branch: one complex exponential per
+    (harmonic, grid point) pair, summed as a (kmax+1) x n product."""
+    n = prior._values.size
+    phi = np.arange(n) * (TWO_PI / n)
+    k = np.arange(kmax + 1)
+    return (TWO_PI / n) * (np.exp(1j * np.outer(k, phi)) @ prior._values)
+
+
+def test_fourier_coefficients_tabulated_matches_dense_sum():
+    rng = np.random.default_rng(3)
+    cases = [(PhasePrior.tabulated(vonmises_values(2.0, 2.0, 4096)), 128)]
+    # harmonics past the table size alias onto k mod n
+    for n, kmax in ((64, 150), (1000, 1010)):
+        values = rng.random(n)
+        cases.append((PhasePrior.tabulated(values / (values.mean() * TWO_PI)),
+                      kmax))
+    for p, kmax in cases:
+        c = p.fourier_coefficients(kmax)
+        assert c.shape == (kmax + 1,)
+        assert np.abs(c - dense_fourier_coefficients(p, kmax)).max() < 1e-13
+
+
 def test_sampling_moments():
     rng = np.random.default_rng(2024)
     n = 200000
