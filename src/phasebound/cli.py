@@ -93,8 +93,9 @@ def _cmd_bounds(cfg, threads):
         report = bounds_mod.build_report(prior, probe.mean_photons, eta=eta,
                                          photon_variance=var_n)
         b = report.as_dict()
-        chi = fock.holevo_quantity(fock.chi_decompose(probe, eta), prior)
-        sim = estimation.bayesian_mmse(probe, eta, prior, cfg.grid)
+        decomp = fock.chi_decompose(probe, eta)
+        chi = fock.holevo_quantity(decomp, prior)
+        sim = estimation.bayesian_mmse(decomp, prior, cfg.grid)
         warning = None if sim.converged else (
             f"warning: bounds mse_sim for {probe!r} at eta {eta!r} is not "
             f"converged: the half grid moves it by "
@@ -138,7 +139,8 @@ def _cmd_simulate(cfg, threads):
         raise ValidationError("simulate needs at least one probe")
 
     def scenario(index, probe, eta):
-        sim = estimation.bayesian_mmse(probe, eta, cfg.prior, cfg.grid)
+        sim = estimation.bayesian_mmse(fock.chi_decompose(probe, eta),
+                                       cfg.prior, cfg.grid)
         mc = estimation.monte_carlo_mse(sim, samples=cfg.samples,
                                         seed=cfg.seed + index)
         return {"probe": probe.descriptor(), "eta": float(eta),

@@ -11,6 +11,9 @@ convolution: the outcome marginal, the posterior moments and the joint
 entropy each come from one FFT convolution on the lattice, read off at
 the theta points. Memory is O(L), not O(g_phi * g_theta).
 
+The input is the loss decomposition the Holevo quantity reads too
+(fock.chi_decompose); one window serves the fine and half-grid runs.
+
 The estimator is the posterior mean, optimal for the non-periodic squared
 error used throughout. All grid sums are plain Riemann sums on open
 periodic grids, renormalized once; the half-resolution rerun quantifies
@@ -23,8 +26,8 @@ import numpy as np
 
 from .capacity import _xlogy
 from .errors import NumericalError, ValidationError
-from .fock import loss_branches
 from .priors import TWO_PI
+from .rate_distortion import discretize_prior
 
 __all__ = ["SimGrid", "SimulationResult", "MonteCarloResult",
            "bayesian_mmse", "monte_carlo_mse"]
@@ -51,25 +54,25 @@ class SimGrid:
         return f"SimGrid(phi={self.phi_points}, theta={self.theta_points})"
 
 
-def _window(probe, eta, lattice):
+def _window(decomp, lattice):
     """g on the len-`lattice` difference grid u_t = 2 pi t / lattice.
 
     g(u) = (1/2pi) sum_{|d| <= cutoff} C_d e^{-i d u}, C_{-d} = conj(C_d),
-    whose coefficients C_d = sum_m rho_S(0)[m+d, m] are the summed
-    autocorrelations of the loss-branch vectors. Folding C_d into bin
-    d mod lattice makes the sum one FFT of that length, exact even when
-    the lattice is shorter than 2 * cutoff + 1. Negative dips beyond
-    1e-10 mean the coefficients were not those of a state and raise;
-    smaller ones are clipped.
+    whose coefficients C_d = sum_m rho_S(0)[m+d, m] are the loss-branch
+    autocorrelations q_l sum_m u_l[m+d] conj(u_l[m]), summed over l.
+    Folding C_d into bin d mod lattice makes the sum one FFT of that
+    length, exact even when the lattice is shorter than 2 * cutoff + 1.
+    Negative dips beyond 1e-10 mean the coefficients were not those of a
+    state and raise; smaller ones are clipped.
     """
-    diags = np.zeros(probe.cutoff + 1, dtype=complex)
-    for _, v in loss_branches(probe, eta):
-        diags[:v.size] += np.correlate(v, v, "full")[v.size - 1:]
+    cutoff = decomp.probe.cutoff
+    diags = np.zeros(cutoff + 1, dtype=complex)
+    for q, u in zip(decomp.weights, decomp.vectors):
+        diags[:u.size] += q * np.correlate(u, u, "full")[u.size - 1:]
     two_sided = np.concatenate([diags[:0:-1].conj(), [diags[0].real],
                                 diags[1:]])
     bins = np.zeros(lattice, dtype=complex)
-    np.add.at(bins, np.arange(-probe.cutoff, probe.cutoff + 1) % lattice,
-              two_sided)
+    np.add.at(bins, np.arange(-cutoff, cutoff + 1) % lattice, two_sided)
     vals = np.fft.hfft(bins[:lattice // 2 + 1], lattice) / TWO_PI
     if vals.min() < -1e-10:
         raise NumericalError(
@@ -77,22 +80,17 @@ def _window(probe, eta, lattice):
     return np.clip(vals, 0.0, None)
 
 
-def _core(probe, eta, prior, g_phi, g_theta):
-    """One full grid evaluation: returns (mse, info, estimator, g, w).
+def _core(g, prior, g_phi, g_theta):
+    """One grid evaluation on the window g: returns (mse, info, estimator, w).
 
-    The joint g(theta - phi) w(phi) is never formed. Every sum over phi
-    for a fixed theta is a circular convolution on the lattice, taken by
-    FFT and read off at the theta points; the sum of J ln J over the joint
-    splits into (g ln g) * w + g * (w ln w).
+    The lattice is g.size = max(g_phi, g_theta). The joint
+    g(theta - phi) w(phi) is never formed. Every sum over phi for a fixed
+    theta is a circular convolution on the lattice, taken by FFT and read
+    off at the theta points; the sum of J ln J over the joint splits into
+    (g ln g) * w + g * (w ln w).
     """
-    lattice = max(g_phi, g_theta)
-    g = _window(probe, eta, lattice)
-    w = prior.grid_density(g_phi) * (TWO_PI / g_phi)
-    if not w.sum() > 0.0:
-        raise ValidationError(
-            f"prior puts no mass on the {g_phi}-point phase grid")
-    w = w / w.sum()
-    phi = np.arange(g_phi) * (TWO_PI / g_phi)
+    lattice = g.size
+    phi, w = discretize_prior(prior, g_phi)
     mean = w @ phi
     # moments about the prior mean keep m2 - m1 * shift from cancelling
     # digits when the prior is narrow
@@ -119,7 +117,7 @@ def _core(probe, eta, prior, g_phi, g_theta):
     # discrete mutual information; the differential corrections cancel
     info = float(s.sum() / z - math.log(z) - _xlogy(p / z, p / z).sum()
                  - wlnw.sum())
-    return mse, max(info, 0.0), est, g, w
+    return mse, max(info, 0.0), est, w
 
 
 class SimulationResult:
@@ -157,16 +155,19 @@ class MonteCarloResult:
         return f"MonteCarloResult(mean={self.mean:.6g}, stderr={self.stderr:.3g})"
 
 
-def bayesian_mmse(probe, eta, prior, grid=None):
-    """Posterior-mean MSE of the canonical measurement.
+def bayesian_mmse(decomp, prior, grid=None):
+    """Posterior-mean MSE of the canonical measurement on a decomposition.
 
-    Runs the requested grid and a half-resolution rerun; converged means
-    the two MSE values agree within 1e-4. The fine values are primary.
+    `decomp` is the probe's ChiDecomposition at the channel's eta. Runs
+    the requested grid and a half-resolution rerun; converged means the
+    two MSE values agree within 1e-4. The fine values are primary. The
+    half lattice is always half the fine one, so its window is the fine
+    window's even points.
     """
     grid = grid or SimGrid()
-    mse, info, est, g, w = _core(probe, eta, prior,
-                                 grid.phi_points, grid.theta_points)
-    mse_c = _core(probe, eta, prior,
+    g = _window(decomp, max(grid.phi_points, grid.theta_points))
+    mse, info, est, w = _core(g, prior, grid.phi_points, grid.theta_points)
+    mse_c = _core(g[::2], prior,
                   grid.phi_points // 2, grid.theta_points // 2)[0]
     theta = np.arange(grid.theta_points) * (TWO_PI / grid.theta_points)
     return SimulationResult(mse=mse, mse_coarse=mse_c,

@@ -7,6 +7,11 @@ loss distribution itself. Every state built here (rho_phi, its prior
 average and the dephased average) is therefore block-diagonal in l, and
 is kept as that list of blocks, each over the surviving count m.
 
+chi_decompose computes the branches once per (probe, eta), and its
+ChiDecomposition is the only input of both readers: holevo_quantity
+here and estimation.bayesian_mmse, whose outcome window sums the
+weighted branch autocorrelations.
+
 The Holevo quantity builds no state: the spectrum of each averaged block
 follows from the branch weights, the branch magnitudes |u_l| and the
 prior's Fourier coefficients (see holevo_quantity). The states remain
@@ -22,10 +27,9 @@ import numpy as np
 from .capacity import binomial_loss_matrix, shannon_entropy
 from .errors import NumericalError, ValidationError
 
-__all__ = ["ProbeSpec", "ChiDecomposition", "DensityMatrix", "loss_branches",
-           "chi_decompose", "modulated_state", "average_state",
-           "phase_randomize", "populations", "von_neumann_entropy",
-           "holevo_quantity"]
+__all__ = ["ProbeSpec", "ChiDecomposition", "DensityMatrix", "chi_decompose",
+           "modulated_state", "average_state", "phase_randomize",
+           "populations", "von_neumann_entropy", "holevo_quantity"]
 
 CUTOFF_CAP = 128
 TAIL_MASS = 1e-12
@@ -141,31 +145,21 @@ class ChiDecomposition:
         return len(self.loss_counts)
 
 
-def loss_branches(probe, eta):
-    """Post-loss amplitude vector over surviving count m, per loss count l.
+def chi_decompose(probe, eta):
+    """Split the probe by loss count; see ChiDecomposition.
 
-    Returns (l, v_l) pairs with v_l[m] = c_{m+l} sqrt(B_eta(m+l, l)); the
-    complex probe phases stay, because they shape the signal coherences.
-    Branches whose weight |v_l|^2 is below 1e-14 are dropped. An eta
-    outside [0, 1] raises ValidationError from the loss matrix.
+    Every branch comes from one binomial loss matrix, which raises
+    ValidationError for an eta outside [0, 1].
     """
     kern = binomial_loss_matrix(probe.cutoff, eta)   # kern[n, l]
-    out = []
+    counts, weights, vectors = [], [], []
     for l in range(probe.cutoff + 1):
         v = probe.amplitudes[l:] * np.sqrt(kern[l:, l])
-        if (np.abs(v) ** 2).sum() >= 1e-14:
-            out.append((l, v))
-    return out
-
-
-def chi_decompose(probe, eta):
-    """Split the probe by loss count; see ChiDecomposition."""
-    counts, weights, vectors = [], [], []
-    for l, v in loss_branches(probe, eta):
         q = (np.abs(v) ** 2).sum()
-        counts.append(l)
-        weights.append(q)
-        vectors.append(v / np.sqrt(q))
+        if q >= 1e-14:
+            counts.append(l)
+            weights.append(q)
+            vectors.append(v / np.sqrt(q))
     return ChiDecomposition(probe, eta, counts, weights, vectors)
 
 

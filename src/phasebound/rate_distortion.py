@@ -328,13 +328,18 @@ def discretize_prior(prior, grid_size):
     """Point masses of the prior on the open grid phi_j = 2*pi*j/K.
 
     Masses are density * cell width, renormalized; window edges falling
-    between grid points make the raw sum differ from one at O(1/K).
+    between grid points make the raw sum differ from one at O(1/K). A
+    prior with no mass on the grid raises ValidationError.
     """
     if grid_size < 16:
         raise ValidationError(f"grid_size must be >= 16, got {grid_size}")
     phi = np.arange(grid_size) * (TWO_PI / grid_size)
     masses = prior.grid_density(grid_size) * (TWO_PI / grid_size)
-    return phi, masses / masses.sum()
+    total = masses.sum()
+    if not total > 0.0:
+        raise ValidationError(
+            f"prior puts no mass on the {grid_size}-point phase grid")
+    return phi, masses / total
 
 
 def grid_distortion(grid_size):

@@ -123,7 +123,7 @@ def test_criterion_6_simulation_dominates_bounds():
     worst = np.inf
     for probe in probes:
         for eta in (1.0, 0.5):
-            sim = bayesian_mmse(probe, eta, UNIFORM, grid)
+            sim = bayesian_mmse(chi_decompose(probe, eta), UNIFORM, grid)
             drift = abs(sim.mse - sim.mse_coarse)
             assert drift < 1e-5  # quadrature converged under grid doubling
             if eta == 1.0:
@@ -177,8 +177,10 @@ def test_criterion_7_rate_distortion_curve():
 def test_criterion_8_degenerate_scenarios():
     grid = SimGrid(2 ** 15, 256)
     prior_var = UNIFORM.variance()
-    vacuum = bayesian_mmse(ProbeSpec.number(0), 1.0, UNIFORM, grid)
-    dark = bayesian_mmse(ProbeSpec.flat_superposition(4), 0.0, UNIFORM, grid)
+    vacuum = bayesian_mmse(chi_decompose(ProbeSpec.number(0), 1.0), UNIFORM,
+                           grid)
+    dark = bayesian_mmse(chi_decompose(ProbeSpec.flat_superposition(4), 0.0),
+                         UNIFORM, grid)
     err_v = abs(vacuum.mse - prior_var)
     err_d = abs(dark.mse - prior_var)
     assert err_v <= 1e-8

@@ -3,11 +3,14 @@ import os
 import subprocess
 import sys
 
+import warnings
+
 import pytest
 
 import phasebound
 import phasebound.bounds
 import phasebound.estimation
+import phasebound.fock
 from phasebound.cli import main
 from phasebound.errors import NumericalError
 
@@ -66,6 +69,30 @@ def test_bounds_probe_rows(tmp_path, capsys):
     assert float(cells[8]) == pytest.approx(0.6931471805599453, abs=1e-9)
     assert float(cells[10]) == pytest.approx(2.789868133696453, abs=1e-2)
     assert float(cells[10]) >= float(cells[3])
+
+
+def test_bounds_evaluates_each_scenario_once(tmp_path, capsys,
+                                             monkeypatch):
+    calls = {}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(phasebound.fock, "chi_decompose")
+    counted(phasebound.estimation, "_window")
+    probes = SMALL["probes"] + [{"family": "coherent", "alpha": 1.0}]
+    cfg = write_config(tmp_path, dict(SMALL, probes=probes,
+                                      eta=[1.0, 0.5, 0.0]))
+    assert main(["bounds", "--config", cfg]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 3
+    # one decomposition shared by chi and the MMSE run, one window each
+    assert calls == {"chi_decompose": 6, "_window": 6}
 
 
 def test_bounds_flags_unconverged_mse_sim(tmp_path, capsys):
@@ -225,16 +252,23 @@ def test_exit_codes(tmp_path, capsys):
 
 
 def test_prior_missing_every_grid_point_exits_2(tmp_path, capsys):
-    raw = dict(SMALL)
+    raw = dict(SMALL, rd={"grid_size": 64, "slopes": [0.0, 0.25]})
     raw["prior"] = {"kind": "uniform", "center": 1.0, "width": 1e-6}
     cfg = write_config(tmp_path, raw)
-    for command in ("simulate", "bounds"):
-        assert main([command, "--config", cfg]) == 2
-        assert "256-point phase grid" in capsys.readouterr().err
+    # the simulator's phase grid has 256 points, the rate-distortion one 64
+    for command, size in (("simulate", 256), ("bounds", 256),
+                          ("rd-curve", 64), ("verify", 64)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"prior puts no mass on the {size}-point phase grid" in err
+        assert "RuntimeWarning" not in err
+        assert [w for w in caught if w.category is RuntimeWarning] == []
 
 
 def test_numerical_errors_map_to_exit_3(tmp_path, capsys, monkeypatch):
-    def explode(probe, eta, prior, grid=None):
+    def explode(decomp, prior, grid=None):
         raise NumericalError("negative eigenvalue -1e-3")
 
     monkeypatch.setattr(phasebound.estimation, "bayesian_mmse", explode)

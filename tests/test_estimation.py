@@ -143,9 +143,10 @@ def test_window_matches_direct_sum(lattice):
                        (ProbeSpec.binomial_phase(61), 0.6),
                        (ProbeSpec.coherent(8.0), 0.6),
                        (ProbeSpec(edge), 1.0)]:
-        g = estimation._window(probe, eta, lattice)
+        decomp = chi_decompose(probe, eta)
+        g = estimation._window(decomp, lattice)
         ref = canonical_phase_density(
-            reduced_signal(modulated_state(chi_decompose(probe, eta), 0.0)),
+            reduced_signal(modulated_state(decomp, 0.0)),
             np.arange(lattice) * (TWO_PI / lattice))
         # the direct sum rounds each phase d * theta, up to 2 pi cutoff,
         # to within its ulp
@@ -154,10 +155,10 @@ def test_window_matches_direct_sum(lattice):
 
 
 def test_mmse_two_level_closed_form():
-    res = bayesian_mmse(PROBE_01, 1.0, UNIFORM)
+    res = bayesian_mmse(chi_decompose(PROBE_01, 1.0), UNIFORM)
     assert abs(res.mse - MSE_01_LOSSLESS) < 1e-5
     assert res.converged
-    res = bayesian_mmse(PROBE_01, 0.5, UNIFORM)
+    res = bayesian_mmse(chi_decompose(PROBE_01, 0.5), UNIFORM)
     assert abs(res.mse - MSE_01_HALF) < 1e-5
 
 
@@ -167,23 +168,24 @@ def test_mmse_matches_oracle_values():
              (ProbeSpec.coherent(1.0), 1.0, MSE_COH1_LOSSLESS),
              (ProbeSpec.coherent(1.0), 0.5, MSE_COH1_HALF)]
     for probe, eta, expected in cases:
-        res = bayesian_mmse(probe, eta, UNIFORM)
+        res = bayesian_mmse(chi_decompose(probe, eta), UNIFORM)
         assert abs(res.mse - expected) < 1e-5, (probe, eta)
         assert abs(res.mse - res.mse_coarse) < 1e-4
 
 
 def test_mmse_vacuum_recovers_prior_variance():
     grid = SimGrid(2**15, 256)
-    res = bayesian_mmse(ProbeSpec([1.0]), 1.0, UNIFORM, grid)
+    res = bayesian_mmse(chi_decompose(ProbeSpec([1.0]), 1.0), UNIFORM, grid)
     assert abs(res.mse - PI2_3) < 1e-8
     # a dark channel erases any probe the same way
-    res = bayesian_mmse(ProbeSpec.flat_superposition(4), 0.0, UNIFORM, grid)
+    res = bayesian_mmse(chi_decompose(ProbeSpec.flat_superposition(4), 0.0),
+                        UNIFORM, grid)
     assert abs(res.mse - PI2_3) < 1e-8
 
 
 def test_mmse_monotone_in_transmittance():
     probe = ProbeSpec.flat_superposition(4)
-    vals = [bayesian_mmse(probe, eta, UNIFORM).mse
+    vals = [bayesian_mmse(chi_decompose(probe, eta), UNIFORM).mse
             for eta in [0.0, 0.25, 0.5, 0.75, 1.0]]
     assert np.all(np.diff(vals) < 1e-9)
     assert max(vals) <= PI2_3 + 1e-9
@@ -192,8 +194,8 @@ def test_mmse_monotone_in_transmittance():
 def test_mmse_narrow_prior_helps():
     probe = ProbeSpec.flat_superposition(4)
     narrow = PhasePrior.wrapped_gaussian(math.pi, 0.4)
-    res_n = bayesian_mmse(probe, 0.5, narrow)
-    res_u = bayesian_mmse(probe, 0.5, UNIFORM)
+    res_n = bayesian_mmse(chi_decompose(probe, 0.5), narrow)
+    res_u = bayesian_mmse(chi_decompose(probe, 0.5), UNIFORM)
     assert res_n.mse < res_u.mse
     assert res_n.mse <= narrow.variance() + 1e-6
 
@@ -205,7 +207,8 @@ def test_measurement_information_values():
              (ProbeSpec.coherent(1.0), 1.0, I_COH1_LOSSLESS),
              (PROBE_01, 0.5, I_01_HALF)]
     for probe, eta, expected in cases:
-        info = bayesian_mmse(probe, eta, UNIFORM).mutual_information
+        info = bayesian_mmse(chi_decompose(probe, eta),
+                             UNIFORM).mutual_information
         assert abs(info - expected) < 1e-4, (probe, eta)
 
 
@@ -213,8 +216,9 @@ def test_information_never_beats_holevo():
     for probe in [ProbeSpec.flat_superposition(4), ProbeSpec.coherent(1.0),
                   PROBE_01]:
         for eta in [0.5, 1.0]:
-            info = bayesian_mmse(probe, eta, UNIFORM).mutual_information
-            chi = holevo_quantity(chi_decompose(probe, eta), UNIFORM)
+            decomp = chi_decompose(probe, eta)
+            info = bayesian_mmse(decomp, UNIFORM).mutual_information
+            chi = holevo_quantity(decomp, UNIFORM)
             assert info <= chi + 1e-6, (probe, eta)
 
 
@@ -223,14 +227,14 @@ def test_mse_respects_information_converse():
     for probe in [ProbeSpec.flat_superposition(4), ProbeSpec.coherent(1.0),
                   PROBE_01]:
         for eta in [0.5, 1.0]:
-            res = bayesian_mmse(probe, eta, UNIFORM)
+            res = bayesian_mmse(chi_decompose(probe, eta), UNIFORM)
             floor = q * math.exp(-2.0 * res.mutual_information)
             assert res.mse >= floor - 1e-6, (probe, eta)
 
 
 def test_monte_carlo_agrees_and_is_deterministic():
     probe = ProbeSpec.flat_superposition(4)
-    res = bayesian_mmse(probe, 0.5, UNIFORM)
+    res = bayesian_mmse(chi_decompose(probe, 0.5), UNIFORM)
     mc = monte_carlo_mse(res, samples=200000, seed=11)
     assert abs(mc.mean - res.mse) <= 3.0 * mc.stderr
     again = monte_carlo_mse(res, samples=200000, seed=11)
@@ -294,7 +298,8 @@ def test_inverse_cdf_matches_searchsorted():
     (SimGrid(128, 2048), UNIFORM),
     (SimGrid(512, 512), PhasePrior.wrapped_gaussian(1.0, 0.05))])
 def test_monte_carlo_matches_searchsorted_oracle(grid, prior):
-    res = bayesian_mmse(ProbeSpec.flat_superposition(4), 0.5, prior, grid)
+    res = bayesian_mmse(chi_decompose(ProbeSpec.flat_superposition(4), 0.5),
+                        prior, grid)
     if prior.kind == "wrapped_gaussian":
         # the narrow prior's tails pack many cells into one bucket, so
         # the draws there take the wide-bucket fallback
@@ -306,7 +311,8 @@ def test_monte_carlo_matches_searchsorted_oracle(grid, prior):
 
 
 def test_monte_carlo_rejects_bad_sample_counts(monkeypatch):
-    res = bayesian_mmse(PROBE_01, 1.0, UNIFORM, SimGrid(256, 256))
+    res = bayesian_mmse(chi_decompose(PROBE_01, 1.0), UNIFORM,
+                        SimGrid(256, 256))
 
     def no_draw(*args):
         raise AssertionError("monte_carlo_mse drew before validating")
@@ -319,23 +325,25 @@ def test_monte_carlo_rejects_bad_sample_counts(monkeypatch):
 
 def test_monte_carlo_draws_from_the_result(monkeypatch):
     # the draw reuses the joint the MMSE run built; no grid is evaluated
-    res = bayesian_mmse(ProbeSpec.flat_superposition(4), 0.5, UNIFORM,
-                        SimGrid(512, 512))
+    res = bayesian_mmse(chi_decompose(ProbeSpec.flat_superposition(4), 0.5),
+                        UNIFORM, SimGrid(512, 512))
 
     def no_core(*args):
         raise AssertionError("monte_carlo_mse evaluated a grid")
 
     monkeypatch.setattr(estimation, "_core", no_core)
+    monkeypatch.setattr(estimation, "_window", no_core)
     mc = monte_carlo_mse(res, samples=20000, seed=5)
     assert abs(mc.mean - res.mse) <= 4.0 * mc.stderr
 
 
 def test_unequal_grids_consistent():
     probe = ProbeSpec.flat_superposition(4)
-    base = bayesian_mmse(probe, 0.5, UNIFORM).mse
-    coarse_phi = bayesian_mmse(probe, 0.5, UNIFORM, SimGrid(128, 2048))
+    decomp = chi_decompose(probe, 0.5)
+    base = bayesian_mmse(decomp, UNIFORM).mse
+    coarse_phi = bayesian_mmse(decomp, UNIFORM, SimGrid(128, 2048))
     assert abs(coarse_phi.mse - base) < 1e-3
-    coarse_theta = bayesian_mmse(probe, 0.5, UNIFORM, SimGrid(2048, 256))
+    coarse_theta = bayesian_mmse(decomp, UNIFORM, SimGrid(2048, 256))
     assert abs(coarse_theta.mse - base) < 5e-3
     # smoke the snapped monte carlo path
     mc = monte_carlo_mse(coarse_theta, samples=20000, seed=3)
@@ -384,8 +392,10 @@ def test_convolution_core_matches_dense_oracle(g_phi, g_theta):
     for prior in priors:
         for probe in probes:
             for eta in [1.0, 0.5, 0.0]:
-                mse, info, est = estimation._core(probe, eta, prior,
-                                                  g_phi, g_theta)[:3]
+                g = estimation._window(chi_decompose(probe, eta),
+                                       max(g_phi, g_theta))
+                mse, info, est = estimation._core(g, prior, g_phi,
+                                                  g_theta)[:3]
                 ref_mse, ref_info, ref_est, p_theta = dense_core(
                     probe, eta, prior, g_phi, g_theta)
                 case = (prior.kind, probe, eta)
@@ -393,3 +403,27 @@ def test_convolution_core_matches_dense_oracle(g_phi, g_theta):
                 assert abs(info - ref_info) <= 1e-11, case
                 seen = p_theta > 0.0
                 assert np.abs(est - ref_est)[seen].max() <= 1e-11, case
+
+
+@pytest.mark.parametrize("grid", [SimGrid(256, 256), SimGrid(2048, 256),
+                                  SimGrid(128, 1024)])
+def test_half_grid_reads_the_even_window_points(grid):
+    # the half lattice is L/2, so the rerun on g[::2] must match a rerun
+    # on a window built afresh at L/2. Only a window the half lattice
+    # under-resolves (coherent alpha=8, cutoff 128, on 128 points) tells
+    # the even points from the odd ones at this tolerance.
+    half = max(grid.phi_points, grid.theta_points) // 2
+    rng = np.random.default_rng(8)
+    c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    probes = [ProbeSpec.coherent(8.0), ProbeSpec(c / np.linalg.norm(c)),
+              ProbeSpec.binomial_phase(61)]
+    for prior in [UNIFORM, PhasePrior.wrapped_gaussian(1.0, 0.5)]:
+        for probe in probes:
+            for eta in [1.0, 0.6]:
+                decomp = chi_decompose(probe, eta)
+                res = bayesian_mmse(decomp, prior, grid)
+                ref = estimation._core(estimation._window(decomp, half), prior,
+                                       grid.phi_points // 2,
+                                       grid.theta_points // 2)[0]
+                assert abs(res.mse_coarse - ref) <= 1e-12 * ref, \
+                    (prior.kind, probe, eta)

@@ -59,8 +59,8 @@ def test_corrupted_bound_is_caught(monkeypatch):
 def test_corrupted_simulator_is_caught(monkeypatch):
     real = phasebound.estimation.bayesian_mmse
 
-    def too_good(probe, eta, prior, grid=None):
-        sim = real(probe, eta, prior, grid)
+    def too_good(decomp, prior, grid=None):
+        sim = real(decomp, prior, grid)
         return SimulationResult(mse=1e-6, mse_coarse=1e-6,
                                 mutual_information=sim.mutual_information,
                                 converged=True, estimator=sim.estimator,
@@ -88,7 +88,9 @@ def test_each_scenario_is_evaluated_once(monkeypatch):
 
     for module, name in [(phasebound.fock, "holevo_quantity"),
                          (phasebound.fock, "chi_decompose"),
+                         (phasebound.fock, "binomial_loss_matrix"),
                          (phasebound.estimation, "bayesian_mmse"),
+                         (phasebound.estimation, "_window"),
                          (phasebound.estimation, "_core")]:
         counted(module, name)
     probes = [ProbeSpec.from_amplitudes(np.array([1.0, 1.0]) / np.sqrt(2)),
@@ -96,10 +98,13 @@ def test_each_scenario_is_evaluated_once(monkeypatch):
     report = light_battery(probes=probes, etas=[0.5, 1.0])
     assert report.passed
     scenarios = len(probes) * 2
-    # one decomposition, one Holevo evaluation and one MMSE run (fine +
-    # half grid) per scenario; the Monte Carlo check evaluates no grid
+    # one decomposition (one loss matrix), one Holevo evaluation and one
+    # MMSE run (one window, fine + half grid) per scenario; the Monte
+    # Carlo check evaluates no grid
     assert calls == {"chi_decompose": scenarios, "holevo_quantity": scenarios,
-                     "bayesian_mmse": scenarios, "_core": 2 * scenarios}
+                     "binomial_loss_matrix": scenarios,
+                     "bayesian_mmse": scenarios, "_window": scenarios,
+                     "_core": 2 * scenarios}
 
 
 def test_uncertified_rate_point_is_caught(monkeypatch):
