@@ -26,13 +26,14 @@ curve = rd_curve(prior, K, slopes=[0.0, 0.25, 0.5, 1.0, 4.0])
 curve.check_invariants()
 
 print(f"{'slope':>6} {'D':>10} {'R':>10} {'Shannon LB':>11} {'conv':>5}")
-for (d, r), s, ok in zip(curve.points, curve.slope_values, curve.converged):
-    print(f"{s:6.2f} {d:10.6f} {r:10.6f} {shannon_lb_rate(q, d):11.6f} "
-          f"{'yes' if ok else 'no':>5}")
+for pt in curve.points:
+    print(f"{pt.slope:6.2f} {pt.distortion:10.6f} {pt.rate:10.6f} "
+          f"{shannon_lb_rate(q, pt.distortion):11.6f} "
+          f"{'yes' if pt.converged else 'no':>5}")
 
 # watch the Lagrangian descend for one slope
 point = blahut_arimoto_point(masses, grid_distortion(K), slope=0.5)
-lag = point.lagrangian_history()
+lag = point.lagrangian_history
 print()
 print(f"slope 0.5 took {point.iterations} iterations, "
       f"certified gap {point.gap:.1e} nats")

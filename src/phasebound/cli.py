@@ -13,7 +13,7 @@ the same scenario are byte-identical.
 
 import argparse
 import json
-import os
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -24,7 +24,7 @@ from . import fock
 from . import rate_distortion
 from .config import ScenarioConfig
 from .errors import NumericalError, ValidationError
-from .verification import run_verification
+from .verification import DEFAULT_BATTERY, run_verification
 
 __all__ = ["main"]
 
@@ -96,11 +96,12 @@ def _cmd_bounds(cfg, threads):
         decomp = fock.chi_decompose(probe, eta)
         chi = fock.holevo_quantity(decomp, prior)
         sim = estimation.bayesian_mmse(decomp, prior, cfg.grid)
+        drift = abs(sim.mse - sim.mse_coarse)
+        why = "holds none of the prior's mass" if math.isnan(drift) else \
+            f"moves it by {drift!r}, beyond {estimation.CONVERGED_TOL}"
         warning = None if sim.converged else (
             f"warning: bounds mse_sim for {probe!r} at eta {eta!r} is not "
-            f"converged: the half grid moves it by "
-            f"{abs(sim.mse - sim.mse_coarse)!r}, beyond "
-            f"{estimation.CONVERGED_TOL}")
+            f"converged: the half grid {why}")
         return (probe.mean_photons, float(eta), report.entropy_power,
                 b["h_limit"], b["hall_wiseman"], b["lossy_sql"], b["escher"],
                 b["iti_C"], chi, sim.mutual_information, sim.mse), warning
@@ -122,11 +123,9 @@ def _cmd_rd_curve(cfg, threads):
     del threads  # the sweep is sequential by design: it warm-starts
     curve = rate_distortion.rd_curve(cfg.prior, cfg.rd_grid_size,
                                      cfg.rd_slopes)
-    rows = [(float(d), float(r), float(s), bool(c))
-            for (d, r), s, c in zip(curve.points, curve.slope_values,
-                                    curve.converged)]
-    uncertified = [s for s, c in zip(curve.slope_values, curve.converged)
-                   if not c]
+    rows = [(pt.distortion, pt.rate, pt.slope, pt.converged)
+            for pt in curve.points]
+    uncertified = [pt.slope for pt in curve.points if not pt.converged]
     if uncertified:
         print(f"warning: rd-curve slopes {uncertified} did not reach the "
               f"certified gap {rate_distortion.BA_TOL} within "
@@ -163,18 +162,7 @@ def _cmd_simulate(cfg, threads):
 
 def _cmd_verify(cfg, threads):
     del threads
-    kwargs = {}
-    if cfg is not None:
-        if cfg.probes:
-            kwargs["probes"] = cfg.probes
-        kwargs["etas"] = cfg.etas
-        kwargs["prior"] = cfg.prior
-        kwargs["sim_grid"] = cfg.grid
-        kwargs["rd_grid_size"] = cfg.rd_grid_size
-        kwargs["rd_slopes"] = cfg.rd_slopes
-        kwargs["seed"] = cfg.seed
-        kwargs["mc_samples"] = min(cfg.samples, 50000)
-    report = run_verification(**kwargs)
+    report = run_verification(cfg)
     return "\n".join(report.lines()) + "\n", 0 if report.passed else 1
 
 
@@ -203,44 +191,27 @@ def _build_parser():
         p.add_argument("--config", help="scenario JSON file")
         p.add_argument("--out", help="write output here instead of stdout")
         p.add_argument("--seed", type=int, help="override the scenario seed")
-        p.add_argument("--threads", type=int,
-                       help="worker threads (default: PHASEBOUND_THREADS "
-                            "or 1)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker threads (default: 1)")
     return parser
-
-
-def _resolve_threads(args):
-    if args.threads is not None:
-        threads = args.threads
-    else:
-        raw = os.environ.get("PHASEBOUND_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ValidationError(
-                f"PHASEBOUND_THREADS must be an integer, got {raw!r}")
-    if threads < 1:
-        raise ValidationError(f"threads must be >= 1, got {threads}")
-    return threads
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        threads = _resolve_threads(args)
+        if args.threads < 1:
+            raise ValidationError(f"threads must be >= 1, got {args.threads}")
         if args.config is not None:
             cfg = ScenarioConfig.from_file(args.config)
-        elif args.command == "verify":
-            cfg = None
         else:
-            cfg = ScenarioConfig.from_dict({})
+            cfg = ScenarioConfig.from_dict(
+                DEFAULT_BATTERY if args.command == "verify" else {})
         if args.seed is not None:
             if args.seed < 0:
                 raise ValidationError(
                     f"seed must be nonnegative, got {args.seed}")
-            if cfg is not None:
-                cfg.seed = args.seed
-        text, code = _COMMANDS[args.command](cfg, threads)
+            cfg.seed = args.seed
+        text, code = _COMMANDS[args.command](cfg, args.threads)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

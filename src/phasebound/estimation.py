@@ -162,13 +162,19 @@ def bayesian_mmse(decomp, prior, grid=None):
     the requested grid and a half-resolution rerun; converged means the
     two MSE values agree within 1e-4. The fine values are primary. The
     half lattice is always half the fine one, so its window is the fine
-    window's even points.
+    window's even points. A prior that the half grid misses gets
+    mse_coarse = nan and converged = False.
     """
     grid = grid or SimGrid()
     g = _window(decomp, max(grid.phi_points, grid.theta_points))
     mse, info, est, w = _core(g, prior, grid.phi_points, grid.theta_points)
-    mse_c = _core(g[::2], prior,
-                  grid.phi_points // 2, grid.theta_points // 2)[0]
+    try:
+        mse_c = _core(g[::2], prior,
+                      grid.phi_points // 2, grid.theta_points // 2)[0]
+    except ValidationError:
+        # the prior's mass sits on odd phase points only: the fine value
+        # stands, unconfirmed
+        mse_c = math.nan
     theta = np.arange(grid.theta_points) * (TWO_PI / grid.theta_points)
     return SimulationResult(mse=mse, mse_coarse=mse_c,
                             mutual_information=info,

@@ -16,18 +16,19 @@ __all__ = ["PhasePrior", "TWO_PI"]
 TWO_PI = 2.0 * np.pi
 
 # grid used for numeric functionals of the analytic kinds
-_DEFAULT_GRID = 4096
+_GRID = 4096
 
 
 class PhasePrior:
     """Prior density P(phi) for a phase on [0, 2*pi)."""
 
-    def __init__(self, kind, params, values=None, grid_size=_DEFAULT_GRID):
+    def __init__(self, kind, params, values=None):
         self.kind = kind
         self.params = dict(params)
-        self.grid_size = int(grid_size)
         if values is not None:
             values = np.asarray(values, dtype=float)
+        # tabulated densities integrate on their own table
+        self.grid_size = _GRID if values is None else values.size
         self._values = values
 
     # ---- constructors -------------------------------------------------
@@ -43,7 +44,7 @@ class PhasePrior:
         return cls("uniform", {"center": center % TWO_PI, "width": width})
 
     @classmethod
-    def wrapped_gaussian(cls, mean, sigma, grid_size=_DEFAULT_GRID):
+    def wrapped_gaussian(cls, mean, sigma):
         """Gaussian of width `sigma` wrapped onto the circle (+/-5 images)."""
         mean, sigma = float(mean), float(sigma)
         if not np.isfinite(mean):
@@ -51,8 +52,7 @@ class PhasePrior:
         if not 0.0 < sigma < np.inf:
             raise ValidationError(
                 f"wrapped_gaussian needs finite sigma > 0, got {sigma}")
-        return cls("wrapped_gaussian", {"mean": mean % TWO_PI, "sigma": sigma},
-                   grid_size=grid_size)
+        return cls("wrapped_gaussian", {"mean": mean % TWO_PI, "sigma": sigma})
 
     @classmethod
     def tabulated(cls, values):
@@ -70,8 +70,7 @@ class PhasePrior:
         if abs(integral - 1.0) > 1e-8:
             raise ValidationError(f"tabulated prior integrates to {integral!r}, not 1")
         values = values / integral
-        return cls("tabulated", {"grid_size": values.size}, values=values,
-                   grid_size=values.size)
+        return cls("tabulated", {"grid_size": values.size}, values=values)
 
     # ---- density ------------------------------------------------------
 

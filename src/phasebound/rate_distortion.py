@@ -25,6 +25,7 @@ BA_TOL = 1e-9          # nats of certified gap between the Lagrangian and its mi
 BA_MAX_ITER = 200
 RD_GRID_CAP = 4096     # largest prior discretization a scenario may request
 _ARMIJO = 1e-4         # fraction of the first-order decrease a step must achieve
+_CURVE_TOL = 1e-7      # rounding slack of RDCurve.check_invariants
 
 
 def shannon_lb_rate(entropy_power, distortion):
@@ -49,27 +50,22 @@ def shannon_lb_distortion(entropy_power, rate):
 class BAPoint:
     """One (D, R) point at a fixed Lagrange slope.
 
-    `gap` is Blahut's bound max_j ln r_j on how far the point's Lagrangian
-    R + s*D sits above the minimum, in nats; `converged` means
-    gap <= BA_TOL.
+    `lagrangian_history` holds R + s*D, the quantity the solver descends,
+    once per iteration; the rate alone is not monotone. `gap` is Blahut's
+    bound max_j ln r_j on how far the point's Lagrangian sits above the
+    minimum, in nats; `converged` means gap <= BA_TOL.
     """
 
     def __init__(self, distortion, rate, slope, converged, iterations,
-                 rate_history, distortion_history, output_marginal, gap):
+                 lagrangian_history, output_marginal, gap):
         self.distortion = float(distortion)
         self.rate = float(rate)
         self.slope = float(slope)
         self.converged = bool(converged)
         self.iterations = int(iterations)
-        self.rate_history = np.asarray(rate_history, dtype=float)
-        self.distortion_history = np.asarray(distortion_history, dtype=float)
+        self.lagrangian_history = np.asarray(lagrangian_history, dtype=float)
         self.output_marginal = output_marginal
         self.gap = float(gap)
-
-    def lagrangian_history(self):
-        """R + s*D per iteration. This is the quantity the solver descends;
-        the rate alone is not monotone."""
-        return self.rate_history + self.slope * self.distortion_history
 
     def __repr__(self):
         return (f"BAPoint(D={self.distortion:.6g}, R={self.rate:.6g}, "
@@ -124,15 +120,17 @@ def blahut_arimoto_point(source, distortion, slope, init_marginal=None):
     if support.size == 1:
         # single atom: zero rate at the best reproduction point for any slope
         dmin = float(d[support[0]].min())
-        return BAPoint(dmin, 0.0, slope, True, 0, [0.0], [dmin], None, 0.0)
+        return BAPoint(dmin, 0.0, slope, True, 0, [slope * dmin], None, 0.0)
     if slope == 0.0:
         dmin = float((p @ d).min())
-        return BAPoint(dmin, 0.0, slope, True, 0, [0.0], [dmin], None, 0.0)
+        return BAPoint(dmin, 0.0, slope, True, 0, [0.0], None, 0.0)
 
-    # source letters without mass add nothing to any sum below
-    p, d = p[support], d[support]
-    a = np.exp(-slope * d)
-    ad = a * d
+    # source letters without mass add nothing to any sum below; a full
+    # support keeps the caller's matrix uncopied
+    if support.size < p.size:
+        p, d = p[support], d[support]
+    a = np.multiply(d, -slope)
+    np.exp(a, out=a)
     if init_marginal is None:
         # the uniform start is kept exactly, so symmetric optima stop at once
         q = np.full(d.shape[1], 1.0 / d.shape[1])
@@ -147,24 +145,22 @@ def blahut_arimoto_point(source, distortion, slope, init_marginal=None):
     # level is background the steps trade away, so a uniform or other wide
     # start does not make every column a model column
     atoms = q > 1.0 / q.size
-    rates, dists = [], []
+    history = []
     for it in range(1, BA_MAX_ITER + 1):
         # c_k = sum_j q_j e^{-s d_kj}; the floor keeps the log finite where
         # every used column underflows at extreme slopes
         c = np.maximum(a @ q, 1e-300)
-        ratio = p / c
-        cur_d = ratio @ (ad @ q)
-        lagrangian = -(p @ np.log(c))
-        rates.append(lagrangian - slope * cur_d)
-        dists.append(cur_d)
-        r = ratio @ a
+        history.append(-(p @ np.log(c)))
+        r = (p / c) @ a
         gap = float(np.log(r.max()))
         if gap <= BA_TOL or it == BA_MAX_ITER:
             break
         q, atoms = _newton_step(a, p, c, r, q, atoms)
+    # the iterations are done with A, so A * d can take its memory
+    dist = (p / c) @ (np.multiply(a, d, out=a) @ q)
     # rate can round a hair below zero at slopes where the bound is vacuous
-    return BAPoint(cur_d, max(rates[-1], 0.0), slope, gap <= BA_TOL, it,
-                   rates, dists, q, gap)
+    return BAPoint(dist, max(history[-1] - slope * dist, 0.0), slope,
+                   gap <= BA_TOL, it, history, q, gap)
 
 
 def _newton_step(a, p, c, r, q, atoms):
@@ -284,40 +280,33 @@ def _nnls(gram, rhs, start):
 
 
 class RDCurve:
-    """Swept R(D) points for one discretized source, sorted by distortion.
+    """Swept BAPoints for one discretized source, sorted by distortion."""
 
-    `gaps` holds each point's certified Blahut gap in nats.
-    """
-
-    def __init__(self, points, slope_values, converged, gaps,
-                 source_descriptor):
+    def __init__(self, points, source_descriptor):
         self.points = list(points)
-        self.slope_values = list(slope_values)
-        self.converged = list(converged)
-        self.gaps = list(gaps)
         self.source_descriptor = dict(source_descriptor)
 
     def distortions(self):
-        return np.array([d for d, _ in self.points])
+        return np.array([pt.distortion for pt in self.points])
 
     def rates(self):
-        return np.array([r for _, r in self.points])
+        return np.array([pt.rate for pt in self.points])
 
-    def check_invariants(self, tol=1e-7):
+    def check_invariants(self):
         """Raise ValidationError unless the curve is a valid R(D) sample.
 
         Checks R >= 0, D > 0, R non-increasing in D, and convexity via
-        non-decreasing chord slopes.
+        non-decreasing chord slopes, each to within _CURVE_TOL.
         """
         dd, rr = self.distortions(), self.rates()
         if np.any(rr < 0.0):
             raise ValidationError("rd curve has a negative rate")
         if np.any(dd <= 0.0):
             raise ValidationError("rd curve has a nonpositive distortion")
-        if np.any(np.diff(rr) > tol):
+        if np.any(np.diff(rr) > _CURVE_TOL):
             raise ValidationError("rd curve rate increases with distortion")
         chords = np.diff(rr) / np.diff(dd)
-        if np.any(np.diff(chords) < -tol):
+        if np.any(np.diff(chords) < -_CURVE_TOL):
             raise ValidationError("rd curve is not convex")
 
     def __len__(self):
@@ -375,11 +364,6 @@ def rd_curve(prior, grid_size, slopes):
         results.append(point)
         if point.output_marginal is not None:
             q = point.output_marginal
-    order = np.argsort([r.distortion for r in results], kind="stable")
-    results = [results[i] for i in order]
     descriptor = dict(prior.descriptor(), grid_size=int(grid_size))
-    return RDCurve(points=[(r.distortion, r.rate) for r in results],
-                   slope_values=[r.slope for r in results],
-                   converged=[r.converged for r in results],
-                   gaps=[r.gap for r in results],
-                   source_descriptor=descriptor)
+    # sorted() is stable, so equal distortions keep their slope order
+    return RDCurve(sorted(results, key=lambda pt: pt.distortion), descriptor)

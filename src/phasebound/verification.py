@@ -18,12 +18,26 @@ from . import capacity
 from . import estimation
 from . import fock
 from . import rate_distortion
+from .config import ScenarioConfig
 from .errors import ValidationError
-from .estimation import SimGrid
-from .fock import ProbeSpec
-from .priors import TWO_PI, PhasePrior
+from .priors import TWO_PI
 
-__all__ = ["CheckResult", "VerificationReport", "run_verification"]
+__all__ = ["CheckResult", "VerificationReport", "run_verification",
+           "DEFAULT_BATTERY"]
+
+# the scenario `verify` checks when given none
+DEFAULT_BATTERY = {
+    "prior": {"kind": "uniform"},
+    "probes": [{"family": "flat-superposition", "d": 4},
+               {"family": "coherent", "alpha": 1.0},
+               {"family": "amplitudes",
+                "amplitudes": [0.7071067811865475] * 2}],
+    "eta": [0.5, 1.0],
+    "grid": {"phi_points": 1024, "theta_points": 1024},
+    "seed": 7,
+    "samples": 20000,
+}
+MC_SAMPLES_CAP = 50000   # Monte Carlo draws of the quadrature cross-check
 
 
 class CheckResult:
@@ -138,17 +152,17 @@ def _check_rate_distortion(prior, grid_size, slopes):
     _, masses = rate_distortion.discretize_prior(prior, grid_size)
     q = rate_distortion.discrete_entropy_power(masses, TWO_PI / grid_size)
     slack = 0.2 * 128.0 / grid_size  # discretization gap shrinks like 1/K
-    for dist, rate, slope in zip(curve.distortions(), curve.rates(),
-                                 curve.slope_values):
-        lb = rate_distortion.shannon_lb_rate(q, dist)
-        check.track(rate - lb + slack,
-                    f"slope {slope}: rate {rate:.4f} below the Shannon "
+    for pt in curve.points:
+        lb = rate_distortion.shannon_lb_rate(q, pt.distortion)
+        check.track(pt.rate - lb + slack,
+                    f"slope {pt.slope}: rate {pt.rate:.4f} below the Shannon "
                     f"bound {lb:.4f}")
     # every point must carry a certified Blahut gap
     tol = rate_distortion.BA_TOL
-    for gap, slope in zip(curve.gaps, curve.slope_values):
-        check.track(tol - gap,
-                    f"slope {slope}: swept point has Blahut gap {gap:.2e}")
+    for pt in curve.points:
+        check.track(tol - pt.gap,
+                    f"slope {pt.slope}: swept point has Blahut gap "
+                    f"{pt.gap:.2e}")
     # the solver descends R + s*D, not R alone
     d = rate_distortion.grid_distortion(grid_size)
     for slope in (min(slopes), max(slopes)):
@@ -156,7 +170,7 @@ def _check_rate_distortion(prior, grid_size, slopes):
         check.track(tol - point.gap,
                     f"slope {slope}: cold point has Blahut gap "
                     f"{point.gap:.2e}")
-        lag = point.lagrangian_history()
+        lag = point.lagrangian_history
         if len(lag) > 1:
             worst = float(np.diff(lag).max())
             check.track(1e-12 - worst,
@@ -255,40 +269,31 @@ def _check_monte_carlo(scenario, seed, samples):
     return check
 
 
-def run_verification(probes=None, etas=None, prior=None, sim_grid=None,
-                     rd_grid_size=128, rd_slopes=(0.0, 0.25, 0.5),
-                     seed=7, mc_samples=20000):
-    """Run every named cross-check and return a VerificationReport."""
-    if probes is None:
-        probes = [ProbeSpec.flat_superposition(4),
-                  ProbeSpec.coherent(1.0),
-                  ProbeSpec.from_amplitudes(
-                      np.array([1.0, 1.0]) / np.sqrt(2.0))]
-    if not probes:
-        raise ValidationError("verification needs at least one probe")
-    if etas is None:
-        etas = [0.5, 1.0]
-    if not etas:
-        raise ValidationError("verification needs at least one eta")
-    if prior is None:
-        prior = PhasePrior.uniform()
-    if sim_grid is None:
-        sim_grid = SimGrid(1024, 1024)
+def run_verification(cfg=None):
+    """Run every named cross-check on a ScenarioConfig.
 
+    None means DEFAULT_BATTERY; a scenario without probes borrows the
+    battery's. Returns a VerificationReport.
+    """
+    if cfg is None:
+        cfg = ScenarioConfig.from_dict(DEFAULT_BATTERY)
+    probes = cfg.probes or ScenarioConfig.from_dict(DEFAULT_BATTERY).probes
+    prior = cfg.prior
     results = [
         _check_prior_properties(prior),
         _check_capacity_shape(),
-        _check_entropy_gain(seed),
+        _check_entropy_gain(cfg.seed),
         _check_shannon_pair(prior),
-        _check_rate_distortion(prior, rd_grid_size, rd_slopes),
+        _check_rate_distortion(prior, cfg.rd_grid_size, cfg.rd_slopes),
     ]
-    scenarios = _scenarios(probes, etas, prior, sim_grid)
+    scenarios = _scenarios(probes, cfg.etas, prior, cfg.grid)
     lossy = [s[2] for s in scenarios if 0.0 < s[1] < 1.0] or \
         [fock.chi_decompose(probe, 0.5) for probe in probes]
     results += [
         _check_branch_orthonormality(lossy),
         _check_holevo_chain(scenarios),
         _check_mse_floor(scenarios, prior),
-        _check_monte_carlo(scenarios[0], seed, mc_samples),
+        _check_monte_carlo(scenarios[0], cfg.seed,
+                           min(cfg.samples, MC_SAMPLES_CAP)),
     ]
     return VerificationReport(results)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import phasebound.estimation
 import phasebound.fock
 from phasebound.cli import main
 from phasebound.errors import NumericalError
+from phasebound.verification import DEFAULT_BATTERY
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -213,6 +215,34 @@ def test_verify_default_battery(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+def test_verify_seed_applies_to_the_default_battery(tmp_path, capsys):
+    def verify(*args):
+        assert main(["verify", *args]) == 0
+        return capsys.readouterr().out
+
+    battery = write_config(tmp_path, dict(DEFAULT_BATTERY, seed=3))
+    seeded = verify("--seed", "3")
+    assert seeded == verify("--config", battery)
+    assert seeded != verify()
+
+
+def test_prior_on_odd_grid_points_is_unconverged(tmp_path, capsys):
+    # all the prior's mass sits on phase point 3 of 256, so the half grid
+    # holds none of it: the fine values stand, unconfirmed
+    raw = dict(SMALL, prior={"kind": "uniform",
+                             "center": 2.0 * math.pi * 3 / 256,
+                             "width": 1e-4})
+    cfg = write_config(tmp_path, raw)
+    assert main(["simulate", "--config", cfg]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["converged"] is False
+    assert err == ""
+    assert main(["bounds", "--config", cfg]) == 0
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.endswith("is not converged: the half grid holds none of "
+                         "the prior's mass")
+
+
 def test_verify_flags_corrupted_bound(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(phasebound.bounds, "h_limit_bound",
                         lambda q, n: 1000.0)
@@ -275,12 +305,3 @@ def test_numerical_errors_map_to_exit_3(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, dict(SMALL))
     assert main(["simulate", "--config", cfg]) == 3
     assert "negative eigenvalue" in capsys.readouterr().err
-
-
-def test_env_var_thread_fallback(tmp_path, capsys, monkeypatch):
-    cfg = write_config(tmp_path, {"mean_photons": [1.0]})
-    monkeypatch.setenv("PHASEBOUND_THREADS", "2")
-    assert main(["capacity", "--config", cfg]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("PHASEBOUND_THREADS", "zero")
-    assert main(["capacity", "--config", cfg]) == 2

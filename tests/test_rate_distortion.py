@@ -1,8 +1,10 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
+import phasebound.rate_distortion as rd
 from phasebound.errors import ValidationError
 from phasebound.priors import PhasePrior
 from phasebound.rate_distortion import (BA_MAX_ITER, BA_TOL,
@@ -150,7 +152,7 @@ def test_ba_lagrangian_descends():
     d = grid_distortion(256)
     for slope in [0.25, 0.5, 1.0]:
         point = blahut_arimoto_point(masses, d, slope)
-        lag = point.lagrangian_history()
+        lag = point.lagrangian_history
         assert lag.size == point.iterations
         assert np.diff(lag).max(initial=-1.0) < 1e-12
 
@@ -196,7 +198,8 @@ def test_curve_ordering_and_invariants():
     assert len(curve) == 4
     dd = curve.distortions()
     assert np.all(np.diff(dd) > 0.0)
-    assert list(curve.slope_values) == sorted(curve.slope_values, reverse=True)
+    slopes = [pt.slope for pt in curve.points]
+    assert slopes == sorted(slopes, reverse=True)
     curve.check_invariants()
     assert curve.source_descriptor["grid_size"] == 128
 
@@ -213,8 +216,8 @@ def test_curve_stays_above_shannon_bound():
         curve = rd_curve(prior, k, slopes)
         q = discrete_entropy_power(discretize_prior(prior, k)[1], TWO_PI / k)
         slack = 0.05 * 512.0 / k
-        for dist, rate in curve.points:
-            assert rate >= shannon_lb_rate(q, dist) - slack
+        for pt in curve.points:
+            assert pt.rate >= shannon_lb_rate(q, pt.distortion) - slack
         curve.check_invariants()
 
 
@@ -230,7 +233,8 @@ def test_newton_solver_matches_plain_iteration(k, slope):
         point = blahut_arimoto_point(p, d, slope, init_marginal=start)
         lag, gap = lagrangian_and_gap(p, d, slope, point.output_marginal)
         assert point.converged and gap <= BA_TOL
-        assert abs(lag - point.lagrangian_history()[-1]) < 1e-12
+        assert point.lagrangian_history.size == point.iterations
+        assert point.lagrangian_history[-1] == lag
         q0 = np.full(k, 1.0 / k) if start is None else start
         oracle_lag, oracle_gap = plain_blahut_arimoto(p, d, slope, q0)
         # both Lagrangians sit above the optimum, the solver's within
@@ -290,5 +294,36 @@ def test_concentrated_prior_sweep_is_certified():
             assert point.converged
             gap = lagrangian_and_gap(p, d, slope, point.output_marginal)[1]
             assert gap <= BA_TOL
-            assert np.diff(point.lagrangian_history()).max(initial=-1) < 1e-12
+            assert np.diff(point.lagrangian_history).max(initial=-1) < 1e-12
         q = point.output_marginal
+
+
+@pytest.mark.parametrize("prior", [PhasePrior.uniform(),
+                                   PhasePrior.uniform(center=2.0, width=1.0)],
+                         ids=["full-support", "zero-mass-window"])
+def test_solver_leaves_inputs_untouched(prior, monkeypatch):
+    # the solver builds A and A * d in its own memory and copies rows only
+    # when some source letter has no mass; the caller's arrays keep their bits
+    _, p = discretize_prior(prior, 64)
+    d = grid_distortion(64)
+    p0, d0 = p.tobytes(), d.tobytes()
+    for slope in (0.0, 0.5, 5.0):
+        blahut_arimoto_point(p, d, slope)
+        assert p.tobytes() == p0 and d.tobytes() == d0
+
+    # rd_curve hands one source and one matrix to every point of its sweep
+    made = []
+
+    def kept(real):
+        def wrapper(*args):
+            out = real(*args)
+            made.append((out, copy.deepcopy(out)))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(rd, "discretize_prior", kept(rd.discretize_prior))
+    monkeypatch.setattr(rd, "grid_distortion", kept(rd.grid_distortion))
+    rd_curve(prior, 64, [0.0, 0.25, 0.5, 5.0])
+    ((_, masses), (_, masses0)), (dist, dist0) = made
+    assert masses.tobytes() == masses0.tobytes()
+    assert dist.tobytes() == dist0.tobytes()

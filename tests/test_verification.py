@@ -1,27 +1,27 @@
-import numpy as np
 import pytest
 
 import phasebound.bounds
 import phasebound.estimation
 import phasebound.fock
 import phasebound.rate_distortion
+from phasebound.config import ScenarioConfig
 from phasebound.errors import ValidationError
-from phasebound.estimation import SimGrid, SimulationResult
-from phasebound.fock import ProbeSpec
-from phasebound.verification import run_verification
+from phasebound.estimation import SimulationResult
+from phasebound.verification import DEFAULT_BATTERY, run_verification
+
+HALF = [0.7071067811865475] * 2
+LIGHT = {
+    "probes": [{"family": "amplitudes", "amplitudes": HALF}],
+    "eta": [1.0],
+    "grid": {"phi_points": 256, "theta_points": 256},
+    "rd": {"grid_size": 16, "slopes": [0.0, 0.25]},
+    "seed": 7,
+    "samples": 10000,
+}
 
 
 def light_battery(**overrides):
-    kwargs = dict(
-        probes=[ProbeSpec.from_amplitudes(np.array([1.0, 1.0]) / np.sqrt(2))],
-        etas=[1.0],
-        sim_grid=SimGrid(256, 256),
-        rd_grid_size=16,
-        rd_slopes=(0.0, 0.25),
-        mc_samples=10000,
-    )
-    kwargs.update(overrides)
-    return run_verification(**kwargs)
+    return run_verification(ScenarioConfig.from_dict(dict(LIGHT, **overrides)))
 
 
 def test_default_battery_passes():
@@ -93,9 +93,9 @@ def test_each_scenario_is_evaluated_once(monkeypatch):
                          (phasebound.estimation, "_window"),
                          (phasebound.estimation, "_core")]:
         counted(module, name)
-    probes = [ProbeSpec.from_amplitudes(np.array([1.0, 1.0]) / np.sqrt(2)),
-              ProbeSpec.flat_superposition(3)]
-    report = light_battery(probes=probes, etas=[0.5, 1.0])
+    probes = [{"family": "amplitudes", "amplitudes": HALF},
+              {"family": "flat-superposition", "d": 3}]
+    report = light_battery(probes=probes, eta=[0.5, 1.0])
     assert report.passed
     scenarios = len(probes) * 2
     # one decomposition (one loss matrix), one Holevo evaluation and one
@@ -110,14 +110,28 @@ def test_each_scenario_is_evaluated_once(monkeypatch):
 def test_uncertified_rate_point_is_caught(monkeypatch):
     # a solver stopped before its certificate must fail the rate check
     monkeypatch.setattr(phasebound.rate_distortion, "BA_MAX_ITER", 1)
-    report = light_battery(rd_slopes=(0.0, 0.7))
+    report = light_battery(rd={"grid_size": 16, "slopes": [0.0, 0.7]})
     names = [r.name for r in report.failures()]
     assert names == ["rate-curve-above-shannon-bound"]
     assert "Blahut gap" in "\n".join(report.lines())
 
 
 def test_validation_of_inputs():
+    # a scenario reaches the battery only through ScenarioConfig, which
+    # rejects an empty transmittance list while parsing
     with pytest.raises(ValidationError):
-        run_verification(probes=[])
-    with pytest.raises(ValidationError):
-        run_verification(etas=[])
+        ScenarioConfig.from_dict(dict(LIGHT, eta=[]))
+
+
+def test_scenario_without_probes_borrows_the_battery(monkeypatch):
+    seen = []
+    real = phasebound.fock.chi_decompose
+
+    def recorded(probe, eta):
+        seen.append(probe.descriptor())
+        return real(probe, eta)
+
+    monkeypatch.setattr(phasebound.fock, "chi_decompose", recorded)
+    assert light_battery(probes=[], eta=[0.5]).passed
+    battery = ScenarioConfig.from_dict(DEFAULT_BATTERY).probes
+    assert seen == [probe.descriptor() for probe in battery]
