@@ -20,12 +20,18 @@ __all__ = ["unrestricted_capacity", "binomial_loss_matrix",
 def unrestricted_capacity(mean_photons):
     """(N+1)ln(N+1) - N ln N: energy-constrained capacity in nats.
 
+    Taken as ln(1+N) + N ln(1+1/N), which subtracts nothing: the plain
+    difference of two terms of size N ln N loses every digit by N ~ 1e16.
     0*ln(0) = 0, so the vacuum constraint gives zero capacity.
     """
     n = float(mean_photons)
     if n < 0.0:
         raise ValidationError(f"mean photon number must be >= 0, got {n}")
-    return (n + 1.0) * math.log(n + 1.0) - (n * math.log(n) if n > 0.0 else 0.0)
+    if n == 0.0:
+        return 0.0
+    # ln(1 + 1/n), as ln(1 + n) - ln n where 1/n overflows (subnormal n)
+    inv = math.log1p(1.0 / n) if n > 1e-300 else math.log1p(n) - math.log(n)
+    return math.log1p(n) + n * inv
 
 
 def _check_eta(eta):

@@ -81,18 +81,16 @@ def _cmd_bounds(cfg, threads):
         raise ValidationError(
             "bounds table needs probes or a mean_photons list")
 
-    def analytic_row(ns, eta):
-        report = bounds_mod.build_report(prior, ns, eta=eta)
+    def row(ns, eta, probe=None):
+        spread = probe is not None and probe.photon_variance > 0
+        report = bounds_mod.build_report(
+            prior, ns, eta=eta,
+            photon_variance=probe.photon_variance if spread else None)
         b = report.as_dict()
-        return (float(ns), float(eta), report.entropy_power, b["h_limit"],
-                b["hall_wiseman"], b["lossy_sql"], b["escher"], b["iti_C"],
-                None, None, None), None
-
-    def probe_row(probe, eta):
-        var_n = probe.photon_variance if probe.photon_variance > 0 else None
-        report = bounds_mod.build_report(prior, probe.mean_photons, eta=eta,
-                                         photon_variance=var_n)
-        b = report.as_dict()
+        cells = (float(ns), float(eta), report.entropy_power, b["h_limit"],
+                 b["hall_wiseman"], b["lossy_sql"], b["escher"], b["iti_C"])
+        if probe is None:
+            return cells + (None, None, None), None
         decomp = fock.chi_decompose(probe, eta)
         chi = fock.holevo_quantity(decomp, prior)
         sim = estimation.bayesian_mmse(decomp, prior, cfg.grid)
@@ -102,15 +100,13 @@ def _cmd_bounds(cfg, threads):
         warning = None if sim.converged else (
             f"warning: bounds mse_sim for {probe!r} at eta {eta!r} is not "
             f"converged: the half grid {why}")
-        return (probe.mean_photons, float(eta), report.entropy_power,
-                b["h_limit"], b["hall_wiseman"], b["lossy_sql"], b["escher"],
-                b["iti_C"], chi, sim.mutual_information, sim.mse), warning
+        return cells + (chi, sim.mutual_information, sim.mse), warning
 
     if cfg.probes:
-        tasks = [lambda p=p, eta=eta: probe_row(p, eta)
+        tasks = [lambda p=p, eta=eta: row(p.mean_photons, eta, p)
                  for p in cfg.probes for eta in cfg.etas]
     else:
-        tasks = [lambda ns=ns, eta=eta: analytic_row(ns, eta)
+        tasks = [lambda ns=ns, eta=eta: row(ns, eta)
                  for ns in cfg.mean_photons for eta in cfg.etas]
     results = _parallel(tasks, threads)
     for _, warning in results:
@@ -215,7 +211,7 @@ def main(argv=None):
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, OverflowError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -3,9 +3,9 @@
 A probe is a photon-number amplitude list. Loss splits it into the chi_l
 branches indexed by the loss count l; the environment keeps the loss
 record, so the branches are orthonormal and the output spectrum is the
-loss distribution itself. Every state built here (rho_phi, its prior
-average and the dephased average) is therefore block-diagonal in l, and
-is kept as that list of blocks, each over the surviving count m.
+loss distribution itself. Every state of the ensemble (rho_phi, its
+prior average and the dephased average) is therefore block-diagonal in
+l, with one block over the surviving count m per loss count.
 
 chi_decompose computes the branches once per (probe, eta), and its
 ChiDecomposition is the only input of both readers: holevo_quantity
@@ -14,8 +14,8 @@ weighted branch autocorrelations.
 
 The Holevo quantity builds no state: the spectrum of each averaged block
 follows from the branch weights, the branch magnitudes |u_l| and the
-prior's Fourier coefficients (see holevo_quantity). The states remain
-for callers that want rho_phi, rho_bar or its dephased form.
+prior's Fourier coefficients (see holevo_quantity). The states
+themselves are built only by the test oracle, tests/fock_states.py.
 
 Entropies are in nats.
 """
@@ -27,9 +27,8 @@ import numpy as np
 from .capacity import binomial_loss_matrix, shannon_entropy
 from .errors import NumericalError, ValidationError
 
-__all__ = ["ProbeSpec", "ChiDecomposition", "DensityMatrix", "chi_decompose",
-           "modulated_state", "average_state", "phase_randomize",
-           "populations", "von_neumann_entropy", "holevo_quantity"]
+__all__ = ["ProbeSpec", "ChiDecomposition", "chi_decompose", "populations",
+           "holevo_quantity"]
 
 CUTOFF_CAP = 128
 TAIL_MASS = 1e-12
@@ -64,6 +63,10 @@ class ProbeSpec:
     def coherent(cls, alpha):
         """Coherent state |alpha>, truncated where the Poisson tail < 1e-12."""
         alpha = complex(alpha)
+        if abs(alpha) > CUTOFF_CAP:
+            # far past the cap; checked before |alpha|^2 can overflow
+            raise ValidationError(
+                f"coherent alpha={abs(alpha):g} needs cutoff beyond {CUTOFF_CAP}")
         ns = abs(alpha) ** 2
         if ns == 0.0:
             return cls([1.0], family="coherent", params={"alpha": 0.0})
@@ -163,39 +166,6 @@ def chi_decompose(probe, eta):
     return ChiDecomposition(probe, eta, counts, weights, vectors)
 
 
-class DensityMatrix:
-    """Hermitian unit-trace state, block-diagonal in the loss count.
-
-    Each block covers one loss count l over the surviving count
-    m = 0..cutoff-l; its element m has photon number m + l, which sets its
-    phase. The blocks are never mixed, so the state needs no labels.
-    """
-
-    def __init__(self, blocks):
-        blocks = [np.asarray(b, dtype=complex) for b in blocks]
-        for b in blocks:
-            if b.ndim != 2 or b.shape[0] != b.shape[1]:
-                raise ValidationError("every block must be a square matrix")
-            if np.abs(b - b.conj().T).max(initial=0.0) > 1e-12:
-                raise ValidationError("block is not Hermitian within 1e-12")
-        tr = sum(np.trace(b).real for b in blocks)
-        if abs(tr - 1.0) > 1e-10:
-            raise ValidationError(f"trace is {tr!r}, not 1")
-        self.blocks = blocks
-
-    def __repr__(self):
-        return f"DensityMatrix(blocks={[b.shape[0] for b in self.blocks]})"
-
-
-def modulated_state(decomp, phi):
-    """rho_phi: q_l (v v^dagger) per block, v[m] = u_l[m] e^{i(m+l)phi}."""
-    blocks = []
-    for l, q, u in zip(decomp.loss_counts, decomp.weights, decomp.vectors):
-        v = u * np.exp(1j * (np.arange(u.size) + l) * float(phi))
-        blocks.append(q * np.outer(v, v.conj()))
-    return DensityMatrix(blocks)
-
-
 def _toeplitz_table(f):
     # Hermitian Toeplitz table F[m, m'] = f(m - m'), with f(-k) = conj(f(k))
     m = np.arange(f.size)
@@ -203,28 +173,6 @@ def _toeplitz_table(f):
     table = f[np.abs(lag)]
     table[lag < 0] = table[lag < 0].conj()
     return table
-
-
-def average_state(decomp, prior):
-    """Prior-averaged state rho_bar.
-
-    Entry (m, m') of a block carries e^{i(m-m')phi}, so averaging
-    multiplies the phi = 0 block by the leading submatrix of one Toeplitz
-    table F[m, m'] = f(m - m') of prior Fourier coefficients: exact, with
-    no phase grid. f(-k) = conj(f(k)), so F is Hermitian.
-    """
-    table = _toeplitz_table(prior.fourier_coefficients(decomp.probe.cutoff))
-    return DensityMatrix(b * table[:b.shape[0], :b.shape[0]]
-                         for b in modulated_state(decomp, 0.0).blocks)
-
-
-def phase_randomize(rho):
-    """Zero every coherence between different photon numbers.
-
-    Photon numbers within a block are distinct, so each block keeps only
-    its diagonal.
-    """
-    return DensityMatrix(np.diag(np.diag(b)) for b in rho.blocks)
 
 
 def populations(decomp):
@@ -242,17 +190,7 @@ def _spectral_entropy(eigs):
     # means the state itself is broken
     if eigs.min(initial=0.0) < -1e-8:
         raise NumericalError(f"state has eigenvalue {eigs.min()}, below -1e-8")
-    lam = eigs[eigs > 1e-14]
-    return float(-np.sum(lam * np.log(lam)))
-
-
-def von_neumann_entropy(rho):
-    """-sum lambda ln lambda over eigenvalues above 1e-14, block by block.
-
-    An eigenvalue below -1e-8 means the state itself is broken.
-    """
-    return _spectral_entropy(
-        np.concatenate([np.linalg.eigvalsh(b) for b in rho.blocks]))
+    return shannon_entropy(eigs[eigs > 1e-14])
 
 
 def holevo_quantity(decomp, prior):

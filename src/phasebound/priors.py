@@ -9,6 +9,7 @@ phase as a real variable on [0, 2*pi).
 
 import numpy as np
 
+from .capacity import _xlogy
 from .errors import ValidationError
 
 __all__ = ["PhasePrior", "TWO_PI"]
@@ -120,10 +121,7 @@ class PhasePrior:
         """h = -int P ln P dphi in nats, with 0*ln(0) = 0."""
         if self.kind == "uniform":
             return float(np.log(self.params["width"]))
-        def f(phi, dens):
-            safe = np.where(dens > 0.0, dens, 1.0)
-            return -dens * np.log(safe)
-        return float(self._numeric(f))
+        return float(-self._numeric(lambda phi, dens: _xlogy(dens, dens)))
 
     def entropy_power(self):
         """Q = e^{2h}/(2*pi*e): variance of a Gaussian with the same entropy."""

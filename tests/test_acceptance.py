@@ -17,11 +17,11 @@ from phasebound.capacity import (binomial_loss_matrix,
                                  shannon_entropy, unrestricted_capacity)
 from phasebound.cli import main
 from phasebound.estimation import SimGrid, bayesian_mmse
-from phasebound.fock import (ProbeSpec, average_state, chi_decompose,
-                             holevo_quantity, phase_randomize,
-                             von_neumann_entropy)
+from phasebound.fock import ProbeSpec, chi_decompose, holevo_quantity
 from phasebound.priors import TWO_PI, PhasePrior
 from phasebound import rate_distortion as rd
+
+from fock_states import average_state, phase_randomize, von_neumann_entropy
 
 UNIFORM = PhasePrior.uniform()
 

@@ -66,6 +66,18 @@ def test_unrestricted_capacity_values():
         unrestricted_capacity(-0.5)
 
 
+def test_unrestricted_capacity_large_and_tiny_photon_numbers():
+    # C = ln N + 1 + 1/(2N) + O(1/N^2); the difference (N+1)ln(N+1) - N ln N
+    # of two terms of size N ln N read 36.0 at 1e15 and 0.0 from 1e16 on
+    for n in (1e8, 1e16, 1e100, 1e300):
+        c = unrestricted_capacity(n)
+        assert abs(c - (math.log(n) + 1.0)) <= 1.0 / n + 1e-14 * c, n
+    # C = N (1 - ln N) + O(N^2), subnormal N included, where 1/N overflows
+    for n in (1e-20, 1e-300, 1e-310, 5e-324):
+        c = unrestricted_capacity(n)
+        assert c == pytest.approx(n * (1.0 - math.log(n)), rel=1e-12), n
+
+
 def test_unrestricted_capacity_increasing_concave():
     grid = np.linspace(0.1, 50.0, 500)
     c = np.array([unrestricted_capacity(x) for x in grid])

@@ -60,6 +60,17 @@ def test_bounds_analytic_rows(tmp_path, capsys):
     assert cells[8] == "" and cells[9] == "" and cells[10] == ""
 
 
+def test_bounds_iti_c_stays_a_bound_at_large_photon_numbers(tmp_path,
+                                                            capsys):
+    cfg = write_config(tmp_path, {"mean_photons": [1e16], "eta": [0.5]})
+    assert main(["bounds", "--config", cfg]) == 0
+    cells = capsys.readouterr().out.splitlines()[1].split(",")
+    q, iti_c = float(cells[2]), float(cells[7])
+    assert iti_c < q
+    # Q e^{-2C} with C = ln(1e16) + 1 + 5e-17
+    assert iti_c == pytest.approx(q * math.exp(-2.0) / 1e32, rel=1e-12)
+
+
 def test_bounds_probe_rows(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(SMALL))
     assert main(["bounds", "--config", cfg]) == 0
@@ -295,6 +306,21 @@ def test_prior_missing_every_grid_point_exits_2(tmp_path, capsys):
         assert f"prior puts no mass on the {size}-point phase grid" in err
         assert "RuntimeWarning" not in err
         assert [w for w in caught if w.category is RuntimeWarning] == []
+
+
+def test_float_overflows_exit_cleanly(tmp_path, capsys):
+    # |alpha|^2 would overflow: rejected as a probe past the cutoff cap
+    cfg = write_config(tmp_path, {"probes": [{"family": "coherent",
+                                              "alpha": 1e200}],
+                                  "eta": [0.5]})
+    assert main(["bounds", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: coherent alpha=1e+200 needs cutoff beyond 128\n"
+    # (N_S + 1)^2 in h_limit overflows: a numerical error, not a traceback
+    cfg = write_config(tmp_path, {"mean_photons": [1e200], "eta": [0.5]})
+    assert main(["bounds", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and err.count("\n") == 1
 
 
 def test_numerical_errors_map_to_exit_3(tmp_path, capsys, monkeypatch):

@@ -7,9 +7,10 @@ from scipy.special import xlogy
 from phasebound import estimation
 from phasebound.errors import NumericalError, ValidationError
 from phasebound.estimation import SimGrid, bayesian_mmse, monte_carlo_mse
-from phasebound.fock import (ProbeSpec, chi_decompose, holevo_quantity,
-                             modulated_state)
+from phasebound.fock import ProbeSpec, chi_decompose, holevo_quantity
 from phasebound.priors import PhasePrior
+
+from fock_states import modulated_state
 
 TWO_PI = 2.0 * math.pi
 PI2_3 = math.pi**2 / 3.0
