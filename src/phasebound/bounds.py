@@ -44,7 +44,11 @@ def h_limit_bound(entropy_power, mean_photons):
         raise ValidationError("h_limit_bound needs entropy power > 0")
     if mean_photons < 0.0:
         raise ValidationError(f"mean photon number must be >= 0, got {mean_photons}")
-    return entropy_power * math.exp(-2.0) / (mean_photons + 1.0) ** 2
+    n1 = mean_photons + 1.0
+    try:
+        return entropy_power * math.exp(-2.0) / n1 ** 2
+    except OverflowError:   # n1 ** 2 overflows from N_S ~ 1.3e154
+        return entropy_power * math.exp(-2.0) / n1 / n1
 
 
 def hall_wiseman_bound(max_density, mean_photons):
@@ -56,8 +60,12 @@ def hall_wiseman_bound(max_density, mean_photons):
             "can peak that low")
     if mean_photons < 0.0:
         raise ValidationError(f"mean photon number must be >= 0, got {mean_photons}")
-    return 1.0 / (TWO_PI * math.exp(3.0) * max_density**2
-                  * (mean_photons + 1.0) ** 2)
+    scale = TWO_PI * math.exp(3.0) * max_density**2
+    n1 = mean_photons + 1.0
+    try:
+        return 1.0 / (scale * n1 ** 2)
+    except OverflowError:   # n1 ** 2 overflows from N_S ~ 1.3e154
+        return 1.0 / (scale * n1) / n1
 
 
 def lossy_sql_bound(entropy_power, mean_photons, eta):

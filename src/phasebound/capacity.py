@@ -41,6 +41,10 @@ def _check_eta(eta):
     return eta
 
 
+# ln k! for k <= 128, every size a probe cutoff allows
+_LOG_FACTORIAL = np.array([math.lgamma(k + 1) for k in range(129)])
+
+
 def binomial_loss_matrix(n_max, eta):
     """Kernel table K[n, l] = B_eta(n, l), lower triangular, n, l <= n_max.
 
@@ -48,21 +52,23 @@ def binomial_loss_matrix(n_max, eta):
     """
     eta = _check_eta(eta)
     size = n_max + 1
-    out = np.zeros((size, size))
-    if eta == 1.0:
-        out[:, 0] = 1.0
+    if eta in (0.0, 1.0):
+        out = np.zeros((size, size))
+        if eta == 1.0:
+            out[:, 0] = 1.0
+        else:
+            np.fill_diagonal(out, 1.0)
         return out
-    if eta == 0.0:
-        np.fill_diagonal(out, 1.0)
-        return out
-    logfact = np.array([math.lgamma(k + 1) for k in range(size)])
-    nn, ll = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-    valid = ll <= nn
-    kk = np.where(valid, nn - ll, 0)
-    logk = (logfact[nn] - logfact[ll] - logfact[kk]
-            + kk * np.log(eta) + ll * np.log1p(-eta))
-    out[valid] = np.exp(logk[valid])
-    return out
+    logfact = _LOG_FACTORIAL[:size] if size <= _LOG_FACTORIAL.size else \
+        np.array([math.lgamma(k + 1) for k in range(size)])
+    idx = np.arange(size)
+    kk = idx[:, None] - idx   # n - l, the photons that survive
+    valid = kk >= 0
+    kk = np.maximum(kk, 0)
+    # above the diagonal logk <= 0, so exp stays finite before the mask
+    logk = (logfact[:, None] - logfact - logfact[kk]
+            + kk * np.log(eta) + idx * np.log1p(-eta))
+    return np.where(valid, np.exp(logk), 0.0)
 
 
 def loss_distribution(photon_dist, eta):
@@ -111,5 +117,11 @@ def capacity_upper_bound_lossy(mean_photons, eta):
     eta = _check_eta(eta)
     if eta in (0.0, 1.0):
         raise ValidationError("lossy capacity bound needs 0 < eta < 1")
-    arg = 2.0 * np.pi * np.e * (eta * (1.0 - eta) * n + 1.0 / 12.0)
-    return 0.5 * np.log(arg / (1.0 - eta) ** 2)
+    noise = eta * (1.0 - eta) * n + 1.0 / 12.0
+    ratio = 2.0 * np.pi * np.e * noise / (1.0 - eta) ** 2
+    if math.isinf(ratio):
+        # the ratio overflows near N ~ 1e308 (sooner as eta nears 1);
+        # the sum of its logs does not
+        return 0.5 * (np.log(2.0 * np.pi * np.e) + np.log(noise)
+                      - 2.0 * np.log1p(-eta))
+    return 0.5 * np.log(ratio)

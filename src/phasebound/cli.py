@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import bounds as bounds_mod
 from . import capacity as capacity_mod
@@ -49,6 +48,9 @@ def _parallel(tasks, threads):
     """Evaluate thunks, preserving their order regardless of thread count."""
     if threads <= 1 or len(tasks) <= 1:
         return [task() for task in tasks]
+    # imported here: concurrent.futures pulls in logging and queue, which
+    # a single-threaded run never needs
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda task: task(), tasks))
 

@@ -14,12 +14,20 @@ the theta points. Memory is O(L), not O(g_phi * g_theta).
 The input is the loss decomposition the Holevo quantity reads too
 (fock.chi_decompose); one window serves the fine and half-grid runs.
 
+The convolution core is (prior part) x (window part), and a command runs
+many (probe, eta) scenarios under one prior and grid. So the prior part
+is built once per (prior, g_phi, lattice) and cached: the masses, their
+mean and sum w ln w, the spectra of the four spread rows and the masses'
+Monte Carlo guide table. Per (probe, eta) come only the window, its
+spectra, the products and inverse FFTs, and the window's guide table.
+
 The estimator is the posterior mean, optimal for the non-periodic squared
 error used throughout. All grid sums are plain Riemann sums on open
 periodic grids, renormalized once; the half-resolution rerun quantifies
 the residual.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -80,55 +88,132 @@ def _window(decomp, lattice):
     return np.clip(vals, 0.0, None)
 
 
+class _GuideTable:
+    """Exact inverse-CDF draws from one distribution p, by guide table.
+
+    draw(u) is np.searchsorted(np.cumsum(p), u) for u in [0, 1). With a
+    power-of-two bucket count b >= p.size, u * b and k / b are exact.
+    first[k] counts the cdf values below k / b, so a draw in bucket k
+    has its answer in [first[k], first[k + 1]]: one comparison settles a
+    bucket at most one wide (Chen & Asau 1974; Devroye 1986, III.2.4).
+    A draw in a wider bucket (tails, point masses) climbs from first[k]
+    by halving strides; past its bracket the cdf is >= (k + 1) / b > u,
+    so no stride overshoots it. Built once per distribution; its arrays
+    are read-only and its indices int32.
+    """
+
+    def __init__(self, p):
+        cdf = np.cumsum(p)
+        self.buckets = b = 1 << (p.size - 1).bit_length()
+        keys = np.minimum(cdf * b, b).astype(np.intp)
+        first = np.cumsum(np.bincount(keys + 1, minlength=b + 2))[:b + 1]
+        widths = np.diff(first)
+        self.first = first.astype(np.int32)
+        self.wide = widths > 1
+        widest = int(widths.max())
+        steps = widest.bit_length() if widest > 1 else 0
+        self.strides = [1 << i for i in reversed(range(steps))]
+        # inf past the end keeps every stride's probe in range
+        self.cdf = np.concatenate([cdf, np.full(1 << steps, np.inf)])
+        for arr in (self.first, self.wide, self.cdf):
+            arr.flags.writeable = False
+
+    def draw(self, u):
+        k = (u * self.buckets).astype(np.intp)
+        out = self.first.take(k)
+        out += self.cdf.take(out) < u
+        if self.strides:
+            wide = np.flatnonzero(self.wide.take(k))
+            u = u.take(wide)
+            pos = self.first.take(k.take(wide))
+            for stride in self.strides:
+                np.add(pos, stride, out=pos,
+                       where=self.cdf.take(pos + (stride - 1)) < u)
+            out[wide] = pos
+        return out
+
+
+class _PriorPart:
+    """What `_core` reads of the prior on one (g_phi, lattice) pair.
+
+    The masses w, their mean, the last grid angle, sum w ln w, the rfft
+    spectra of the spread rows [w, w dphi, w dphi^2, w ln w] (dphi about
+    the mean; phi_i sits on lattice point i * lattice // g_phi) and the
+    masses' guide table. Built through `_prior_part`, once per process
+    and key, so the arrays are read-only: every (probe, eta) scenario
+    on this prior and grid shares them.
+    """
+
+    def __init__(self, prior, g_phi, lattice):
+        phi, w = discretize_prior(prior, g_phi)
+        self.mean = w @ phi
+        # moments about the prior mean keep m2 - m1 * shift from
+        # cancelling digits when the prior is narrow
+        dphi = phi - self.mean
+        self.phi_last = phi[-1]
+        wlnw = _xlogy(w, w)
+        self.wlnw_sum = wlnw.sum()
+        spread = np.zeros((4, lattice))
+        spread[:, ::lattice // g_phi] = [w, w * dphi, w * dphi ** 2, wlnw]
+        self.spectra = np.fft.rfft(spread)
+        self.masses = w
+        self.spectra.flags.writeable = w.flags.writeable = False
+
+    @functools.cached_property
+    def table(self):
+        # only the fine grid's masses are ever drawn from
+        return _GuideTable(self.masses)
+
+
+# keyed by the prior object, which the cache keeps alive, so its id
+# cannot be reused; priors are not mutated after construction. Four
+# entries hold the fine and half grids of the last two (prior, grid)
+# pairs. A miss taken by two threads at once builds the same bits twice.
+_prior_part = functools.lru_cache(maxsize=4)(_PriorPart)
+
+
 def _core(g, prior, g_phi, g_theta):
-    """One grid evaluation on the window g: returns (mse, info, estimator, w).
+    """One grid evaluation on the window g: (mse, info, estimator, part).
 
     The lattice is g.size = max(g_phi, g_theta). The joint
     g(theta - phi) w(phi) is never formed. Every sum over phi for a fixed
     theta is a circular convolution on the lattice, taken by FFT and read
     off at the theta points; the sum of J ln J over the joint splits into
-    (g ln g) * w + g * (w ln w).
+    (g ln g) * w + g * (w ln w). `part` is the cached _PriorPart.
     """
     lattice = g.size
-    phi, w = discretize_prior(prior, g_phi)
-    mean = w @ phi
-    # moments about the prior mean keep m2 - m1 * shift from cancelling
-    # digits when the prior is narrow
-    dphi = phi - mean
-    wlnw = _xlogy(w, w)
-    # phi_i sits on lattice point i * lattice // g_phi
-    spread = np.zeros((4, lattice))
-    spread[:, ::lattice // g_phi] = [w, w * dphi, w * dphi ** 2, wlnw]
-    fw = np.fft.rfft(spread)
+    part = _prior_part(prior, g_phi, lattice)
+    mean, fw = part.mean, part.spectra
     fg, fglng = np.fft.rfft([g, _xlogy(g, g)])
-    fw[3] *= fg
-    fw[3] += fglng * fw[0]
-    fw[:3] *= fg
-    p, m1, m2, s = np.fft.irfft(fw, n=lattice)[:, ::lattice // g_theta]
+    prod = fw * fg
+    prod[3] += fglng * fw[0]
+    p, m1, m2, s = np.fft.irfft(prod, n=lattice)[:, ::lattice // g_theta]
     p = np.maximum(p, 0.0)   # FFT rounding can dip below an exact zero
     z = p.sum()
     shift = np.zeros(g_theta)
     seen = p > 0.0
     # the posterior mean lies in the phi range; the clip only bites where
     # p is rounding noise and the ratio is meaningless
-    shift[seen] = np.clip(m1[seen] / p[seen], -mean, phi[-1] - mean)
+    shift[seen] = np.clip(m1[seen] / p[seen], -mean, part.phi_last - mean)
     est = mean + shift
     mse = max(float(np.sum(m2 - m1 * shift) / z), 0.0)
     # discrete mutual information; the differential corrections cancel
     info = float(s.sum() / z - math.log(z) - _xlogy(p / z, p / z).sum()
-                 - wlnw.sum())
-    return mse, max(info, 0.0), est, w
+                 - part.wlnw_sum)
+    return mse, max(info, 0.0), est, part
 
 
 class SimulationResult:
     """MMSE run output: fine-grid values plus the half-resolution rerun.
 
     `window` (g on the lattice) and `masses` (the prior on the phase
-    grid) are the fine grid's joint, kept for Monte Carlo draws.
+    grid) are the fine grid's joint, kept for Monte Carlo draws;
+    `masses_table` is the masses' guide table, shared by every result on
+    one (prior, grid) and built from `masses` when not given.
     """
 
     def __init__(self, mse, mse_coarse, mutual_information, converged,
-                 estimator, theta, grid, window, masses):
+                 estimator, theta, grid, window, masses, masses_table=None):
         self.mse = mse
         self.mse_coarse = mse_coarse
         self.mutual_information = mutual_information
@@ -138,6 +223,8 @@ class SimulationResult:
         self.grid = grid
         self.window = window
         self.masses = masses
+        self.masses_table = (_GuideTable(masses) if masses_table is None
+                             else masses_table)
 
     def __repr__(self):
         return (f"SimulationResult(mse={self.mse:.6g}, "
@@ -167,7 +254,7 @@ def bayesian_mmse(decomp, prior, grid=None):
     """
     grid = grid or SimGrid()
     g = _window(decomp, max(grid.phi_points, grid.theta_points))
-    mse, info, est, w = _core(g, prior, grid.phi_points, grid.theta_points)
+    mse, info, est, part = _core(g, prior, grid.phi_points, grid.theta_points)
     try:
         mse_c = _core(g[::2], prior,
                       grid.phi_points // 2, grid.theta_points // 2)[0]
@@ -180,30 +267,8 @@ def bayesian_mmse(decomp, prior, grid=None):
                             mutual_information=info,
                             converged=abs(mse - mse_c) <= CONVERGED_TOL,
                             estimator=est, theta=theta, grid=grid,
-                            window=g, masses=w)
-
-
-def _inverse_cdf(p, u):
-    """np.searchsorted(np.cumsum(p), u) for u in [0, 1), by guide table.
-
-    With a power-of-two bucket count b >= p.size, u * b and k / b are
-    exact. first[k] counts the cdf values below k / b, so a draw in
-    bucket k has its answer in [first[k], first[k + 1]]: one comparison
-    settles a bucket at most one wide, and the draws in wider buckets
-    (tails, point masses) fall back to a search on that subset (Chen &
-    Asau 1974; Devroye 1986, III.2.4).
-    """
-    cdf = np.cumsum(p)
-    b = 1 << (p.size - 1).bit_length()
-    keys = np.minimum(cdf * b, b).astype(np.intp)
-    first = np.cumsum(np.bincount(keys + 1, minlength=b + 2))[:b + 1]
-    k = (u * b).astype(np.intp)
-    out = first[k]
-    k += 1
-    wide = first[k] - out > 1
-    out += np.append(cdf, np.inf)[out] < u
-    out[wide] = np.searchsorted(cdf, u[wide])
-    return out
+                            window=g, masses=part.masses,
+                            masses_table=part.table)
 
 
 def monte_carlo_mse(sim, samples=100000, seed=0):
@@ -212,7 +277,8 @@ def monte_carlo_mse(sim, samples=100000, seed=0):
     Draws (phi, theta) from the fine-grid joint that `bayesian_mmse`
     already built and scores its estimator table. Each coordinate is an
     exact inverse-CDF draw, the index np.searchsorted(np.cumsum(p), u)
-    found through a guide table. Exact for square grids; with phi finer
+    found through a guide table: the masses' table comes with `sim`, the
+    window's is built here. Exact for square grids; with phi finer
     than theta the outcome snaps to the nearest theta point.
     `samples` must be an integer in [10000, SAMPLES_CAP].
     """
@@ -224,14 +290,14 @@ def monte_carlo_mse(sim, samples=100000, seed=0):
     lattice = max(g_phi, g_theta)
     rng = np.random.default_rng(seed)
     # a cdf tip that rounds below 1 can return the past-the-end index
-    i = np.minimum(_inverse_cdf(sim.masses, rng.random(samples)), g_phi - 1)
-    gh = sim.window / sim.window.sum()
-    j = np.minimum(_inverse_cdf(gh, rng.random(samples)), lattice - 1)
+    i = np.minimum(sim.masses_table.draw(rng.random(samples)), g_phi - 1)
+    window = _GuideTable(sim.window / sim.window.sum())
+    j = np.minimum(window.draw(rng.random(samples)), lattice - 1)
     # all sizes are powers of two: shifts and masks do the lattice maths
     t_lat = ((i << (lattice // g_phi).bit_length() - 1) + j) & (lattice - 1)
     step = lattice // g_theta
     t = ((t_lat + step // 2) >> step.bit_length() - 1) & (g_theta - 1)
-    errs = (i * (TWO_PI / g_phi) - sim.estimator[t]) ** 2
+    errs = (i * (TWO_PI / g_phi) - sim.estimator.take(t)) ** 2
     return MonteCarloResult(mean=float(errs.mean()),
                             stderr=float(errs.std(ddof=1) / math.sqrt(samples)),
                             samples=samples, seed=seed)

@@ -60,6 +60,28 @@ def test_hall_wiseman_matches_h_limit():
     assert abs(hall_wiseman_bound(1.0 / TWO_PI, 0.0) - H_LIMIT_VACUUM) < 1e-15
 
 
+def test_heisenberg_floors_past_the_square_overflow():
+    # (N_S + 1) ** 2 overflows from N_S ~ 1.3e154; both floors stay
+    # finite, nonnegative and on their closed form, which underflows
+    q = TWO_PI / math.e
+    pmax = 1.0 / math.pi
+    scale = TWO_PI * math.exp(3.0) * pmax ** 2
+    for n in [1.35e154, 2e154, 1e160, 1e200, 1e300, 1.7e308]:
+        hl, hw = h_limit_bound(q, n), hall_wiseman_bound(pmax, n)
+        assert math.isfinite(hl) and hl >= 0.0
+        assert math.isfinite(hw) and hw >= 0.0
+        log_n1 = math.log(n + 1.0)
+        for got, log_ref in [(hl, math.log(q) - 2.0 - 2.0 * log_n1),
+                             (hw, -math.log(scale) - 2.0 * log_n1)]:
+            # subnormal results carry fewer digits: compare to the last ulp
+            assert abs(got - math.exp(log_ref)) <= max(
+                1e-9 * math.exp(log_ref), 5e-324), (n, got)
+    # below the overflow the plain quotient stands, digit for digit
+    n = 1.3e154
+    assert h_limit_bound(q, n) == q * math.exp(-2.0) / (n + 1.0) ** 2
+    assert hall_wiseman_bound(pmax, n) == 1.0 / (scale * (n + 1.0) ** 2)
+
+
 def test_hall_wiseman_validation():
     with pytest.raises(ValidationError):
         hall_wiseman_bound(0.1, 1.0)      # below 1/(2 pi)

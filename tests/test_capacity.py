@@ -131,6 +131,30 @@ def test_loss_matrix_matches_gammaln_oracle(eta):
                                atol=1e-290)
 
 
+def meshgrid_loss_matrix(n_max, eta):
+    """The loss table built on a full index meshgrid, with ln k! from a
+    fresh lgamma list: oracle for binomial_loss_matrix's broadcast form."""
+    size = n_max + 1
+    out = np.zeros((size, size))
+    logfact = np.array([math.lgamma(k + 1) for k in range(size)])
+    nn, ll = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    valid = ll <= nn
+    kk = np.where(valid, nn - ll, 0)
+    logk = (logfact[nn] - logfact[ll] - logfact[kk]
+            + kk * np.log(eta) + ll * np.log1p(-eta))
+    out[valid] = np.exp(logk[valid])
+    return out
+
+
+def test_loss_matrix_equals_meshgrid_construction():
+    # past n_max = 128 the ln k! table gives way to the lgamma list
+    for eta in [1e-9, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999999, 0.123456789]:
+        for n_max in range(160):
+            assert np.array_equal(binomial_loss_matrix(n_max, eta),
+                                  meshgrid_loss_matrix(n_max, eta)), \
+                (n_max, eta)
+
+
 def test_xlogy_matches_scipy():
     rng = np.random.default_rng(3)
     # 0 ln 0, 0 ln y, x ln 1, subnormals, then random magnitudes
@@ -231,3 +255,14 @@ def test_capacity_upper_bound_lossy_values():
             capacity_upper_bound_lossy(1.0, eta)
     with pytest.raises(ValidationError):
         capacity_upper_bound_lossy(-1.0, 0.5)
+
+
+def test_capacity_upper_bound_lossy_at_the_top_of_the_float_range():
+    # below the overflow of 2 pi e (eta (1 - eta) N + 1/12) the digits stay
+    assert capacity_upper_bound_lossy(1e300, 0.5) == 346.80670248231155
+    # at 1e308 that product overflows; its logs give ~356 nats, not inf
+    got = capacity_upper_bound_lossy(1e308, 0.5)
+    ref = 0.5 * (math.log(2.0 * math.pi * math.e) + math.log(0.25e308)
+                 - 2.0 * math.log(0.5))
+    assert abs(got - ref) <= 1e-14 * ref
+    assert math.isfinite(capacity_upper_bound_lossy(1.7e308, 1.0 - 1e-12))

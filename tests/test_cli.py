@@ -146,6 +146,39 @@ def test_commands_never_import_scipy(tmp_path, command):
     assert json.loads(proc.stdout) == [0, []]
 
 
+def test_cli_import_leaves_the_thread_pool_unloaded():
+    # concurrent.futures (and the logging it pulls in) loads only when a
+    # command runs on more than one thread
+    script = ("import json, sys, phasebound.cli\n"
+              "print(json.dumps([m in sys.modules for m in "
+              "('concurrent.futures', 'logging')]))\n")
+    src = os.path.dirname(os.path.dirname(phasebound.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, False]
+
+
+def test_simulate_builds_the_prior_side_once(tmp_path, capsys, monkeypatch):
+    # every (probe, eta) scenario shares the prior's masses and spectra:
+    # one build on the fine grid, one on the half grid
+    calls = []
+    real = phasebound.estimation.discretize_prior
+
+    def counted(prior, grid_size):
+        calls.append(grid_size)
+        return real(prior, grid_size)
+
+    monkeypatch.setattr(phasebound.estimation, "discretize_prior", counted)
+    probes = SMALL["probes"] + [{"family": "coherent", "alpha": 1.0}]
+    cfg = write_config(tmp_path, dict(SMALL, probes=probes,
+                                      eta=[1.0, 0.5, 0.0]))
+    assert main(["simulate", "--config", cfg]) == 0
+    assert len(json.loads(capsys.readouterr().out)["results"]) == 6
+    assert sorted(calls) == [128, 256]
+
+
 def test_rd_curve_sorted(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(SMALL))
     assert main(["rd-curve", "--config", cfg]) == 0
@@ -316,11 +349,30 @@ def test_float_overflows_exit_cleanly(tmp_path, capsys):
     assert main(["bounds", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err == "error: coherent alpha=1e+200 needs cutoff beyond 128\n"
-    # (N_S + 1)^2 in h_limit overflows: a numerical error, not a traceback
+    # (N_S + 1)^2 in h_limit and hall_wiseman overflows; both floors
+    # divide by N_S + 1 twice there and print a row
     cfg = write_config(tmp_path, {"mean_photons": [1e200], "eta": [0.5]})
+    assert main(["bounds", "--config", cfg]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    row = dict(zip(out.splitlines()[0].split(","),
+                   out.splitlines()[1].split(",")))
+    for name in ("h_limit", "hall_wiseman"):
+        value = float(row[name])
+        assert math.isfinite(value) and value >= 0.0, (name, value)
+
+
+def test_overflow_error_exits_3(tmp_path, capsys, monkeypatch):
+    # an OverflowError anywhere is a numerical error, not a traceback
+    def overflow(*args):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(phasebound.bounds, "h_limit_bound", overflow)
+    cfg = write_config(tmp_path, {"mean_photons": [1.0], "eta": [0.5]})
     assert main(["bounds", "--config", cfg]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("numerical error: ") and err.count("\n") == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numerical error: math range error\n"
 
 
 def test_numerical_errors_map_to_exit_3(tmp_path, capsys, monkeypatch):

@@ -248,7 +248,7 @@ def test_monte_carlo_agrees_and_is_deterministic():
 
 
 def searchsorted_draw(p, u):
-    """Reference for estimation._inverse_cdf: a binary search per draw."""
+    """Reference for estimation._GuideTable.draw: a binary search per draw."""
     return np.searchsorted(np.cumsum(p), u)
 
 
@@ -286,7 +286,7 @@ def test_inverse_cdf_matches_searchsorted():
             u = np.concatenate([np.arange(b) / b, cdf, np.nextafter(cdf, 0.0),
                                 [np.nextafter(1.0, 0.0)], rng.random(5000)])
             u = u[(u >= 0.0) & (u < 1.0)]
-            got = estimation._inverse_cdf(p, u)
+            got = estimation._GuideTable(p).draw(u)
             ref = searchsorted_draw(p, u)
             assert np.array_equal(got, ref), (n, p[:4])
             tips += int((got == n).any())   # the tip rounded below 1
@@ -303,7 +303,7 @@ def test_monte_carlo_matches_searchsorted_oracle(grid, prior):
                         prior, grid)
     if prior.kind == "wrapped_gaussian":
         # the narrow prior's tails pack many cells into one bucket, so
-        # the draws there take the wide-bucket fallback
+        # the draws there climb their wide bucket
         cdf = np.cumsum(res.masses)
         first = np.searchsorted(cdf, np.arange(513) / 512)
         assert np.diff(first).max() > 1
@@ -336,6 +336,50 @@ def test_monte_carlo_draws_from_the_result(monkeypatch):
     monkeypatch.setattr(estimation, "_window", no_core)
     mc = monte_carlo_mse(res, samples=20000, seed=5)
     assert abs(mc.mean - res.mse) <= 4.0 * mc.stderr
+
+
+def test_prior_part_is_read_only():
+    # every scenario on one (prior, grid) shares these arrays
+    res = bayesian_mmse(chi_decompose(PROBE_01, 0.5), UNIFORM,
+                        SimGrid(512, 256))
+    part = estimation._prior_part(UNIFORM, 512, 512)
+    assert res.masses is part.masses and res.masses_table is part.table
+    for arr in (part.masses, part.spectra, part.table.first,
+                part.table.wide, part.table.cdf):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_monte_carlo_builds_no_prior_work(monkeypatch):
+    # the masses' guide table comes with the result; only the window's
+    # table is built per draw
+    res = bayesian_mmse(chi_decompose(PROBE_01, 0.5), UNIFORM,
+                        SimGrid(256, 256))
+
+    def no_prior(*args):
+        raise AssertionError("monte_carlo_mse rebuilt the prior part")
+
+    monkeypatch.setattr(estimation, "_prior_part", no_prior)
+    monkeypatch.setattr(estimation, "discretize_prior", no_prior)
+    mc = monte_carlo_mse(res, samples=10000, seed=1)
+    assert (mc.mean, mc.stderr) == oracle_monte_carlo(res, 10000, 1)
+
+
+def test_equal_priors_give_identical_results():
+    # the cache is keyed by the prior object; a twin prior builds its own
+    # entry with the same bits
+    decomp = chi_decompose(ProbeSpec.coherent(1.0), 0.6)
+    grid = SimGrid(1024, 256)
+    results = [bayesian_mmse(decomp, PhasePrior.wrapped_gaussian(1.0, 0.5),
+                             grid) for _ in range(2)]
+    a, b = results
+    assert (a.mse, a.mse_coarse, a.mutual_information, a.converged) == \
+        (b.mse, b.mse_coarse, b.mutual_information, b.converged)
+    for name in ("estimator", "theta", "window", "masses"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    mc_a, mc_b = (monte_carlo_mse(r, samples=20000, seed=2) for r in results)
+    assert (mc_a.mean, mc_a.stderr) == (mc_b.mean, mc_b.stderr)
 
 
 def test_unequal_grids_consistent():
