@@ -18,15 +18,16 @@ print("-" * len(header))
 for eta in (1.0, 0.8, 0.5):
     for ns in (0.0, 1.0, 4.0, 16.0, 64.0, 256.0):
         rep = build_report(prior, ns, eta=eta)
-        sql = "" if rep.lossy_sql is None else f"{rep.lossy_sql:12.6f}"
-        print(f"{ns:8.1f} {eta:5.2f} {rep.h_limit:12.6f} "
-              f"{rep.hall_wiseman:13.6f} {sql:>12} {rep.iti_C:12.6f}")
+        sql = "" if rep["lossy_sql"] is None else f"{rep['lossy_sql']:12.6f}"
+        print(f"{ns:8.1f} {eta:5.2f} {rep['h_limit']:12.6f} "
+              f"{rep['hall_wiseman']:13.6f} {sql:>12} {rep['iti_C']:12.6f}")
     print()
 
 # scaling check: multiply out the predicted asymptotes
 ns = np.array([4.0, 16.0, 64.0, 256.0, 1024.0])
-heis = np.array([build_report(prior, n).h_limit for n in ns]) * (ns + 1) ** 2
-sql = np.array([build_report(prior, n, eta=0.5).lossy_sql for n in ns]) * ns
+heis = np.array([build_report(prior, n)["h_limit"] for n in ns]) * (ns + 1) ** 2
+sql = np.array([build_report(prior, n, eta=0.5)["lossy_sql"]
+                for n in ns]) * ns
 print("h_limit * (N_S+1)^2 :", np.array2string(heis, precision=6))
 print("lossy_sql * N_S     :", np.array2string(sql, precision=6),
       "(flattens to Q(1-eta)/(2 pi e eta))")

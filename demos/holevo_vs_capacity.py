@@ -11,7 +11,7 @@ from phasebound import (ProbeSpec, capacity_upper_bound_lossy, chi_decompose,
 prior = PhasePrior.uniform()
 
 probes = [
-    ("two-level", ProbeSpec.from_amplitudes([2.0 ** -0.5, 2.0 ** -0.5])),
+    ("two-level", ProbeSpec([2.0 ** -0.5, 2.0 ** -0.5])),
     ("flat d=4", ProbeSpec.flat_superposition(4)),
     ("coherent a=1", ProbeSpec.coherent(1.0)),
     ("binomial d=6", ProbeSpec.binomial_phase(6)),

@@ -14,7 +14,7 @@ from phasebound import (PhasePrior, ProbeSpec, SimGrid, bayesian_mmse,
                         monte_carlo_mse)
 
 prior = PhasePrior.uniform()
-probe = ProbeSpec.from_amplitudes(np.array([1.0, 1.0]) / np.sqrt(2.0))
+probe = ProbeSpec(np.array([1.0, 1.0]) / np.sqrt(2.0))
 grid = SimGrid(2048, 2048)
 q = prior.entropy_power()
 

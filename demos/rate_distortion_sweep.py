@@ -10,7 +10,7 @@
 import numpy as np
 
 from phasebound import PhasePrior, rd_curve, shannon_lb_rate
-from phasebound.rate_distortion import (blahut_arimoto_point,
+from phasebound.rate_distortion import (blahut_arimoto_point, check_curve,
                                         discrete_entropy_power,
                                         discretize_prior, grid_distortion)
 
@@ -23,10 +23,10 @@ print(f"uniform prior on {K} cells, entropy power Q = {q:.6f}")
 print()
 
 curve = rd_curve(prior, K, slopes=[0.0, 0.25, 0.5, 1.0, 4.0])
-curve.check_invariants()
+check_curve(curve)
 
 print(f"{'slope':>6} {'D':>10} {'R':>10} {'Shannon LB':>11} {'conv':>5}")
-for pt in curve.points:
+for pt in curve:
     print(f"{pt.slope:6.2f} {pt.distortion:10.6f} {pt.rate:10.6f} "
           f"{shannon_lb_rate(q, pt.distortion):11.6f} "
           f"{'yes' if pt.converged else 'no':>5}")

@@ -1,9 +1,8 @@
 """Analytic MSE lower bounds for Bayesian phase estimation, plus a
 truncated Fock-space simulator used to verify them numerically."""
 
-from .bounds import (BoundReport, build_report, escher_bound,
-                     h_limit_bound, hall_wiseman_bound, iti_bound,
-                     lossy_sql_bound)
+from .bounds import (build_report, escher_bound, h_limit_bound,
+                     hall_wiseman_bound, iti_bound, lossy_sql_bound)
 from .capacity import (capacity_upper_bound_lossy, entropy_gain,
                        unrestricted_capacity)
 from .config import ScenarioConfig
@@ -18,8 +17,8 @@ from .verification import run_verification
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport", "NumericalError", "PhasePrior", "ProbeSpec",
-    "ScenarioConfig", "SimGrid", "ValidationError", "__version__",
+    "NumericalError", "PhasePrior", "ProbeSpec", "ScenarioConfig",
+    "SimGrid", "ValidationError", "__version__",
     "bayesian_mmse", "blahut_arimoto_point", "build_report",
     "capacity_upper_bound_lossy", "chi_decompose", "entropy_gain",
     "escher_bound", "h_limit_bound", "hall_wiseman_bound",

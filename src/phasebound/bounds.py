@@ -22,7 +22,7 @@ from .errors import ValidationError
 from .priors import TWO_PI
 
 __all__ = ["iti_bound", "h_limit_bound", "hall_wiseman_bound",
-           "lossy_sql_bound", "escher_bound", "BoundReport", "build_report"]
+           "lossy_sql_bound", "escher_bound", "build_report"]
 
 
 def iti_bound(entropy_power, rate_cap):
@@ -63,9 +63,12 @@ def hall_wiseman_bound(max_density, mean_photons):
     scale = TWO_PI * math.exp(3.0) * max_density**2
     n1 = mean_photons + 1.0
     try:
-        return 1.0 / (scale * n1 ** 2)
+        den = scale * n1 ** 2
     except OverflowError:   # n1 ** 2 overflows from N_S ~ 1.3e154
-        return 1.0 / (scale * n1) / n1
+        den = math.inf
+    # the product overflows to inf, silently, from N_S ~ 7.5e153 on, where
+    # the bound is still a subnormal: there divide one factor at a time
+    return 1.0 / den if den < math.inf else 1.0 / (scale * n1) / n1
 
 
 def lossy_sql_bound(entropy_power, mean_photons, eta):
@@ -83,7 +86,11 @@ def lossy_sql_bound(entropy_power, mean_photons, eta):
         raise ValidationError(
             f"lossy_sql_bound needs 0 <= eta < 1, got {eta}")
     noise = eta * (1.0 - eta) * mean_photons + 1.0 / 12.0
-    return entropy_power * (1.0 - eta) ** 2 / (TWO_PI * math.e * noise)
+    num = entropy_power * (1.0 - eta) ** 2
+    den = TWO_PI * math.e * noise
+    # den overflows to inf near N_S ~ 1e308, where the bound is still a
+    # subnormal: there divide one factor at a time
+    return num / den if den < math.inf else num / (TWO_PI * math.e) / noise
 
 
 def escher_bound(mean_photons, photon_variance, eta):
@@ -100,64 +107,24 @@ def escher_bound(mean_photons, photon_variance, eta):
             + (1.0 - eta) / (4.0 * eta * mean_photons))
 
 
-class BoundReport:
-    """Bounds applicable to one (prior, N_S, eta, Var N) scenario.
-
-    Bounds that do not apply are None: lossy_sql at eta = 1, escher
-    without photon spread or transmission. bayesian() returns the
-    prior-dependent entries, each of which must sit at or below the
-    prior variance.
-    """
-
-    fields = ("h_limit", "hall_wiseman", "iti_C", "lossy_sql", "escher")
-
-    def __init__(self, mean_photons, eta, photon_variance, entropy_power,
-                 max_density, prior_variance, h_limit, hall_wiseman, iti_C,
-                 lossy_sql, escher):
-        self.mean_photons = mean_photons
-        self.eta = eta
-        self.photon_variance = photon_variance
-        self.entropy_power = entropy_power
-        self.max_density = max_density
-        self.prior_variance = prior_variance
-        self.h_limit = h_limit
-        self.hall_wiseman = hall_wiseman
-        self.iti_C = iti_C
-        self.lossy_sql = lossy_sql
-        self.escher = escher
-
-    def bayesian(self):
-        out = {"h_limit": self.h_limit, "hall_wiseman": self.hall_wiseman,
-               "iti_C": self.iti_C}
-        if self.lossy_sql is not None:
-            out["lossy_sql"] = self.lossy_sql
-        return out
-
-    def as_dict(self):
-        return {name: getattr(self, name) for name in self.fields}
-
-    def __repr__(self):
-        parts = [f"{k}={v:.4g}" for k, v in self.as_dict().items()
-                 if v is not None]
-        return f"BoundReport(N_S={self.mean_photons:.4g}, eta={self.eta:.4g}, "\
-               + ", ".join(parts) + ")"
-
-
 def build_report(prior, mean_photons, eta=1.0, photon_variance=None):
-    """Evaluate every applicable bound for one scenario."""
+    """Every bound for one scenario, keyed by name in the CLI's column order.
+
+    An entry is None where its bound does not apply: lossy_sql at eta = 1,
+    escher without photon-number spread (a variance that is None or
+    <= 0), photons or transmission.
+    """
     if not 0.0 <= eta <= 1.0:
         raise ValidationError(f"transmittance must lie in [0, 1], got {eta}")
     q = prior.entropy_power()
     pmax = prior.max_density()
+    # lossy_sql runs first: invalid input raises its error, not h_limit's
     lossy = None if eta == 1.0 else lossy_sql_bound(q, mean_photons, eta)
     escher = None
     if (photon_variance is not None and photon_variance > 0.0
             and mean_photons > 0.0 and eta > 0.0):
         escher = escher_bound(mean_photons, photon_variance, eta)
-    return BoundReport(
-        mean_photons=mean_photons, eta=eta, photon_variance=photon_variance,
-        entropy_power=q, max_density=pmax, prior_variance=prior.variance(),
-        h_limit=h_limit_bound(q, mean_photons),
-        hall_wiseman=hall_wiseman_bound(pmax, mean_photons),
-        iti_C=iti_bound(q, unrestricted_capacity(mean_photons)),
-        lossy_sql=lossy, escher=escher)
+    return {"h_limit": h_limit_bound(q, mean_photons),
+            "hall_wiseman": hall_wiseman_bound(pmax, mean_photons),
+            "lossy_sql": lossy, "escher": escher,
+            "iti_C": iti_bound(q, unrestricted_capacity(mean_photons))}

@@ -83,14 +83,13 @@ def _cmd_bounds(cfg, threads):
         raise ValidationError(
             "bounds table needs probes or a mean_photons list")
 
+    q = prior.entropy_power()
+
     def row(ns, eta, probe=None):
-        spread = probe is not None and probe.photon_variance > 0
         report = bounds_mod.build_report(
             prior, ns, eta=eta,
-            photon_variance=probe.photon_variance if spread else None)
-        b = report.as_dict()
-        cells = (float(ns), float(eta), report.entropy_power, b["h_limit"],
-                 b["hall_wiseman"], b["lossy_sql"], b["escher"], b["iti_C"])
+            photon_variance=None if probe is None else probe.photon_variance)
+        cells = (float(ns), float(eta), q, *report.values())
         if probe is None:
             return cells + (None, None, None), None
         decomp = fock.chi_decompose(probe, eta)
@@ -121,9 +120,8 @@ def _cmd_rd_curve(cfg, threads):
     del threads  # the sweep is sequential by design: it warm-starts
     curve = rate_distortion.rd_curve(cfg.prior, cfg.rd_grid_size,
                                      cfg.rd_slopes)
-    rows = [(pt.distortion, pt.rate, pt.slope, pt.converged)
-            for pt in curve.points]
-    uncertified = [pt.slope for pt in curve.points if not pt.converged]
+    rows = [(pt.distortion, pt.rate, pt.slope, pt.converged) for pt in curve]
+    uncertified = [pt.slope for pt in curve if not pt.converged]
     if uncertified:
         print(f"warning: rd-curve slopes {uncertified} did not reach the "
               f"certified gap {rate_distortion.BA_TOL} within "

@@ -90,7 +90,7 @@ def _build_probe(spec, mean_photons=None):
     _require(family in _FAMILIES, f"unknown probe family {family!r}")
     if family == "amplitudes":
         _require("amplitudes" in spec, "amplitude probes need 'amplitudes'")
-        return ProbeSpec.from_amplitudes(_amplitudes(spec["amplitudes"]))
+        return ProbeSpec(_amplitudes(spec["amplitudes"]))
     if family == "coherent":
         alpha = _size(spec, "alpha")
         if alpha is not None:

@@ -206,25 +206,24 @@ def _core(g, prior, g_phi, g_theta):
 class SimulationResult:
     """MMSE run output: fine-grid values plus the half-resolution rerun.
 
+    `estimator` holds the posterior mean at theta_j = 2 pi j / g_theta.
     `window` (g on the lattice) and `masses` (the prior on the phase
     grid) are the fine grid's joint, kept for Monte Carlo draws;
     `masses_table` is the masses' guide table, shared by every result on
-    one (prior, grid) and built from `masses` when not given.
+    one (prior, grid).
     """
 
     def __init__(self, mse, mse_coarse, mutual_information, converged,
-                 estimator, theta, grid, window, masses, masses_table=None):
+                 estimator, grid, window, masses, masses_table):
         self.mse = mse
         self.mse_coarse = mse_coarse
         self.mutual_information = mutual_information
         self.converged = converged
         self.estimator = estimator
-        self.theta = theta
         self.grid = grid
         self.window = window
         self.masses = masses
-        self.masses_table = (_GuideTable(masses) if masses_table is None
-                             else masses_table)
+        self.masses_table = masses_table
 
     def __repr__(self):
         return (f"SimulationResult(mse={self.mse:.6g}, "
@@ -232,11 +231,9 @@ class SimulationResult:
 
 
 class MonteCarloResult:
-    def __init__(self, mean, stderr, samples, seed):
+    def __init__(self, mean, stderr):
         self.mean = mean
         self.stderr = stderr
-        self.samples = samples
-        self.seed = seed
 
     def __repr__(self):
         return f"MonteCarloResult(mean={self.mean:.6g}, stderr={self.stderr:.3g})"
@@ -262,13 +259,11 @@ def bayesian_mmse(decomp, prior, grid=None):
         # the prior's mass sits on odd phase points only: the fine value
         # stands, unconfirmed
         mse_c = math.nan
-    theta = np.arange(grid.theta_points) * (TWO_PI / grid.theta_points)
     return SimulationResult(mse=mse, mse_coarse=mse_c,
                             mutual_information=info,
                             converged=abs(mse - mse_c) <= CONVERGED_TOL,
-                            estimator=est, theta=theta, grid=grid,
-                            window=g, masses=part.masses,
-                            masses_table=part.table)
+                            estimator=est, grid=grid, window=g,
+                            masses=part.masses, masses_table=part.table)
 
 
 def monte_carlo_mse(sim, samples=100000, seed=0):
@@ -299,5 +294,4 @@ def monte_carlo_mse(sim, samples=100000, seed=0):
     t = ((t_lat + step // 2) >> step.bit_length() - 1) & (g_theta - 1)
     errs = (i * (TWO_PI / g_phi) - sim.estimator.take(t)) ** 2
     return MonteCarloResult(mean=float(errs.mean()),
-                            stderr=float(errs.std(ddof=1) / math.sqrt(samples)),
-                            samples=samples, seed=seed)
+                            stderr=float(errs.std(ddof=1) / math.sqrt(samples)))

@@ -103,11 +103,6 @@ class ProbeSpec:
                    family="flat-superposition", params={"d": int(d)})
 
     @classmethod
-    def from_amplitudes(cls, amplitudes):
-        """Probe from an explicit number-basis amplitude list."""
-        return cls(amplitudes)
-
-    @classmethod
     def binomial_phase(cls, d):
         """Amplitudes sqrt(C(d-1, n)/2^(d-1)) over n = 0..d-1."""
         if not 1 <= d <= CUTOFF_CAP + 1 or int(d) != d:

@@ -19,13 +19,13 @@ from .errors import ValidationError
 from .priors import TWO_PI
 
 __all__ = ["shannon_lb_rate", "shannon_lb_distortion", "blahut_arimoto_point",
-           "rd_curve", "grid_distortion", "BAPoint", "RDCurve"]
+           "rd_curve", "check_curve", "grid_distortion", "BAPoint"]
 
 BA_TOL = 1e-9          # nats of certified gap between the Lagrangian and its minimum
 BA_MAX_ITER = 200
 RD_GRID_CAP = 4096     # largest prior discretization a scenario may request
 _ARMIJO = 1e-4         # fraction of the first-order decrease a step must achieve
-_CURVE_TOL = 1e-7      # rounding slack of RDCurve.check_invariants
+_CURVE_TOL = 1e-7      # rounding slack of check_curve
 
 
 def shannon_lb_rate(entropy_power, distortion):
@@ -279,40 +279,6 @@ def _nnls(gram, rhs, start):
     return x
 
 
-class RDCurve:
-    """Swept BAPoints for one discretized source, sorted by distortion."""
-
-    def __init__(self, points, source_descriptor):
-        self.points = list(points)
-        self.source_descriptor = dict(source_descriptor)
-
-    def distortions(self):
-        return np.array([pt.distortion for pt in self.points])
-
-    def rates(self):
-        return np.array([pt.rate for pt in self.points])
-
-    def check_invariants(self):
-        """Raise ValidationError unless the curve is a valid R(D) sample.
-
-        Checks R >= 0, D > 0, R non-increasing in D, and convexity via
-        non-decreasing chord slopes, each to within _CURVE_TOL.
-        """
-        dd, rr = self.distortions(), self.rates()
-        if np.any(rr < 0.0):
-            raise ValidationError("rd curve has a negative rate")
-        if np.any(dd <= 0.0):
-            raise ValidationError("rd curve has a nonpositive distortion")
-        if np.any(np.diff(rr) > _CURVE_TOL):
-            raise ValidationError("rd curve rate increases with distortion")
-        chords = np.diff(rr) / np.diff(dd)
-        if np.any(np.diff(chords) < -_CURVE_TOL):
-            raise ValidationError("rd curve is not convex")
-
-    def __len__(self):
-        return len(self.points)
-
-
 def discretize_prior(prior, grid_size):
     """Point masses of the prior on the open grid phi_j = 2*pi*j/K.
 
@@ -350,11 +316,12 @@ def discrete_entropy_power(masses, cell_width):
 def rd_curve(prior, grid_size, slopes):
     """Trace R(D) of the discretized prior over a slope schedule.
 
-    Returns an RDCurve sorted by increasing D (slopes are reordered to
-    match). Squared error is non-periodic, consistent with the rest of the
+    Returns the list of BAPoints sorted by increasing D (slopes are
+    reordered to match; equal distortions keep their slope order).
+    Squared error is non-periodic, consistent with the rest of the
     package.
     """
-    phi, masses = discretize_prior(prior, grid_size)
+    _, masses = discretize_prior(prior, grid_size)
     d = grid_distortion(grid_size)
     # sweep slopes in increasing order, warm-starting each point from the
     # previous marginal; neighbors on the curve have nearby optima
@@ -364,6 +331,27 @@ def rd_curve(prior, grid_size, slopes):
         results.append(point)
         if point.output_marginal is not None:
             q = point.output_marginal
-    descriptor = dict(prior.descriptor(), grid_size=int(grid_size))
-    # sorted() is stable, so equal distortions keep their slope order
-    return RDCurve(sorted(results, key=lambda pt: pt.distortion), descriptor)
+    return sorted(results, key=lambda pt: pt.distortion)
+
+
+def check_curve(points):
+    """Raise ValidationError unless D-sorted points are a valid R(D) sample.
+
+    Checks R >= 0, D > 0, R non-increasing in D, and convexity via
+    non-decreasing chord slopes, each to within _CURVE_TOL. A run of
+    points with exactly equal D counts once, at its lowest R, so no chord
+    spans zero width.
+    """
+    dd = np.array([pt.distortion for pt in points])
+    rr = np.array([pt.rate for pt in points])
+    if np.any(rr < 0.0):
+        raise ValidationError("rd curve has a negative rate")
+    if np.any(dd <= 0.0):
+        raise ValidationError("rd curve has a nonpositive distortion")
+    if np.any(np.diff(rr) > _CURVE_TOL):
+        raise ValidationError("rd curve rate increases with distortion")
+    starts = np.flatnonzero(np.diff(dd, prepend=-np.inf) != 0.0)
+    dd, rr = dd[starts], np.minimum.reduceat(rr, starts)
+    chords = np.diff(rr) / np.diff(dd)
+    if np.any(np.diff(chords) < -_CURVE_TOL):
+        raise ValidationError("rd curve is not convex")

@@ -79,7 +79,7 @@ def test_criterion_4_holevo_chain_random_probes():
     worst = np.inf
     for _ in range(20):
         amps = rng.normal(size=31) + 1j * rng.normal(size=31)
-        probe = ProbeSpec.from_amplitudes(amps / np.linalg.norm(amps))
+        probe = ProbeSpec(amps / np.linalg.norm(amps))
         for eta in (0.3, 0.5, 0.8):
             kern = binomial_loss_matrix(probe.cutoff, eta)
             decomp = chi_decompose(probe, eta)
@@ -117,7 +117,7 @@ def test_criterion_5_entropy_gain_floor():
 def test_criterion_6_simulation_dominates_bounds():
     probes = (ProbeSpec.coherent(1.0),
               ProbeSpec.flat_superposition(4),
-              ProbeSpec.from_amplitudes(np.array([1.0, 1.0]) / np.sqrt(2.0)))
+              ProbeSpec(np.array([1.0, 1.0]) / np.sqrt(2.0)))
     grid = SimGrid(4096, 4096)
     q = UNIFORM.entropy_power()
     worst = np.inf

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -61,12 +62,14 @@ def test_hall_wiseman_matches_h_limit():
 
 
 def test_heisenberg_floors_past_the_square_overflow():
-    # (N_S + 1) ** 2 overflows from N_S ~ 1.3e154; both floors stay
-    # finite, nonnegative and on their closed form, which underflows
+    # (N_S + 1) ** 2 overflows from N_S ~ 1.3e154, and scale * (N_S + 1) ** 2
+    # a little earlier; both floors stay finite, nonnegative and on their
+    # closed form, which underflows
     q = TWO_PI / math.e
     pmax = 1.0 / math.pi
     scale = TWO_PI * math.exp(3.0) * pmax ** 2
-    for n in [1.35e154, 2e154, 1e160, 1e200, 1e300, 1.7e308]:
+    for n in [4e153, 1e154, 1.3e154, 1.35e154, 2e154, 1e160, 1e200, 1e300,
+              1.7e308]:
         hl, hw = h_limit_bound(q, n), hall_wiseman_bound(pmax, n)
         assert math.isfinite(hl) and hl >= 0.0
         assert math.isfinite(hw) and hw >= 0.0
@@ -76,8 +79,8 @@ def test_heisenberg_floors_past_the_square_overflow():
             # subnormal results carry fewer digits: compare to the last ulp
             assert abs(got - math.exp(log_ref)) <= max(
                 1e-9 * math.exp(log_ref), 5e-324), (n, got)
-    # below the overflow the plain quotient stands, digit for digit
-    n = 1.3e154
+    # below both overflows the plain quotient stands, digit for digit
+    n = 3e153
     assert h_limit_bound(q, n) == q * math.exp(-2.0) / (n + 1.0) ** 2
     assert hall_wiseman_bound(pmax, n) == 1.0 / (scale * (n + 1.0) ** 2)
 
@@ -101,6 +104,24 @@ def test_lossy_sql_values():
         lossy_sql_bound(q, -1.0, 0.5)
     with pytest.raises(ValidationError):
         lossy_sql_bound(0.0, 1.0, 0.5)
+
+
+def test_lossy_sql_near_the_top_of_the_float_range():
+    # 2 pi e * noise overflows near N_S ~ 1e308, where the bound is a
+    # subnormal; below that the plain quotient stands, bit for bit
+    q = TWO_PI / math.e
+    noise = 0.25 * 1e300 + 1.0 / 12.0
+    assert lossy_sql_bound(q, 1e300, 0.5) == \
+        q * 0.25 / (TWO_PI * math.e * noise)
+    # the exact quotient of the same float inputs, rounded once; the log
+    # form's own rounding is a few subnormal ulps here
+    noise = 0.25 * 1e308 + 1.0 / 12.0
+    exact = float(Fraction(q) * Fraction(0.25)
+                  / (Fraction(TWO_PI) * Fraction(math.e) * Fraction(noise)))
+    got = lossy_sql_bound(q, 1e308, 0.5)
+    assert 0.0 < got and abs(got - exact) <= math.ulp(exact)
+    log_ref = math.log(q * 0.25) - math.log(TWO_PI * math.e) - math.log(noise)
+    assert abs(got - math.exp(log_ref)) <= 1e-9 * math.exp(log_ref)
 
 
 def test_lossy_sql_is_iti_at_phase_capacity():
@@ -138,23 +159,23 @@ def test_escher_values():
 def test_build_report_omissions():
     uniform = PhasePrior.uniform()
     full = build_report(uniform, 1.0, eta=0.5, photon_variance=1.0)
-    assert all(v is not None for v in full.as_dict().values())
-    assert set(full.bayesian()) == {"h_limit", "hall_wiseman", "iti_C",
-                                    "lossy_sql"}
+    assert all(v is not None for v in full.values())
 
     lossless = build_report(uniform, 1.0, eta=1.0, photon_variance=1.0)
-    assert lossless.lossy_sql is None and lossless.escher is not None
+    assert lossless["lossy_sql"] is None and lossless["escher"] is not None
 
     opaque = build_report(uniform, 1.0, eta=0.0, photon_variance=1.0)
-    assert opaque.escher is None
-    assert abs(opaque.lossy_sql - LOSSY_SQL_ETA0) < 1e-14
+    assert opaque["escher"] is None
+    assert abs(opaque["lossy_sql"] - LOSSY_SQL_ETA0) < 1e-14
 
     vacuum = build_report(uniform, 0.0, eta=0.5, photon_variance=0.0)
-    assert vacuum.escher is None
-    assert abs(vacuum.h_limit - H_LIMIT_VACUUM) < 1e-15
+    assert vacuum["escher"] is None
+    assert abs(vacuum["h_limit"] - H_LIMIT_VACUUM) < 1e-15
 
     no_var = build_report(uniform, 2.0, eta=0.5)
-    assert no_var.escher is None
+    assert no_var["escher"] is None
+    # a negative variance means no spread too, as the CLI passes it through
+    assert build_report(uniform, 2.0, eta=0.5, photon_variance=-1e-17) == no_var
 
     with pytest.raises(ValidationError):
         build_report(uniform, 1.0, eta=1.5)
@@ -162,7 +183,7 @@ def test_build_report_omissions():
 
 def test_bayesian_bounds_never_exceed_prior_variance():
     # Q <= Var and every rate cap is >= 0, so the chain cannot clear the
-    # variance; escher can, which is why it is kept out of bayesian()
+    # variance; escher can, which is why the verification leaves it out
     priors = [PhasePrior.uniform(), PhasePrior.uniform(center=2.0, width=1.5),
               PhasePrior.wrapped_gaussian(1.0, 0.7)]
     for prior in priors:
@@ -170,5 +191,24 @@ def test_bayesian_bounds_never_exceed_prior_variance():
         for n in [0.0, 1.0, 10.0]:
             for eta in [0.0, 0.5, 1.0]:
                 report = build_report(prior, n, eta=eta, photon_variance=n)
-                for name, value in report.bayesian().items():
-                    assert value <= var + 1e-12, (name, n, eta)
+                for name, value in report.items():
+                    if value is not None and name != "escher":
+                        assert value <= var + 1e-12, (name, n, eta)
+
+
+def test_build_report_keys_follow_the_cli_columns():
+    report = build_report(PhasePrior.uniform(), 1.0, eta=0.5,
+                          photon_variance=1.0)
+    assert list(report) == ["h_limit", "hall_wiseman", "lossy_sql", "escher",
+                            "iti_C"]
+
+
+def test_build_report_never_reads_the_prior_variance(monkeypatch):
+    prior = PhasePrior.wrapped_gaussian(1.0, 0.5)
+
+    def variance():
+        raise AssertionError("build_report read the prior variance")
+
+    monkeypatch.setattr(prior, "variance", variance)
+    for eta in (0.0, 0.5, 1.0):
+        build_report(prior, 2.0, eta=eta, photon_variance=2.0)

@@ -121,7 +121,7 @@ def test_probe_families():
     assert abs(binom.mean_photons - 1.5) < 1e-14
     assert abs(binom.photon_variance - 0.75) < 1e-14
 
-    same = ProbeSpec.from_amplitudes(PROBE_02)
+    same = ProbeSpec(PROBE_02)
     assert same.cutoff == 2 and abs(same.mean_photons - 1.0) < 1e-14
 
 

@@ -1,5 +1,6 @@
 import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ import pytest
 import phasebound.rate_distortion as rd
 from phasebound.errors import ValidationError
 from phasebound.priors import PhasePrior
-from phasebound.rate_distortion import (BA_MAX_ITER, BA_TOL,
-                                        blahut_arimoto_point,
+from phasebound.rate_distortion import (BA_MAX_ITER, BA_TOL, BAPoint,
+                                        blahut_arimoto_point, check_curve,
                                         discrete_entropy_power,
                                         discretize_prior, grid_distortion,
                                         rd_curve, shannon_lb_distortion,
@@ -164,8 +165,8 @@ def test_zero_rate_distortion_uniform_grid():
     for k in [16, 512]:
         curve = rd_curve(PhasePrior.uniform(), k, slopes=[0.0])
         expected = math.pi**2 / 3.0 + 2.0 * math.pi**2 / (3.0 * k**2)
-        assert abs(curve.distortions()[0] - expected) < 1e-12 * expected
-        assert curve.rates()[0] == 0.0
+        assert abs(curve[0].distortion - expected) < 1e-12 * expected
+        assert curve[0].rate == 0.0
 
 
 def test_discretize_prior():
@@ -196,12 +197,33 @@ def test_discrete_entropy_power():
 def test_curve_ordering_and_invariants():
     curve = rd_curve(PhasePrior.uniform(), 128, slopes=[0.5, 0.0, 2.0, 1.0])
     assert len(curve) == 4
-    dd = curve.distortions()
+    dd = [pt.distortion for pt in curve]
     assert np.all(np.diff(dd) > 0.0)
-    slopes = [pt.slope for pt in curve.points]
+    slopes = [pt.slope for pt in curve]
     assert slopes == sorted(slopes, reverse=True)
-    curve.check_invariants()
-    assert curve.source_descriptor["grid_size"] == 128
+    check_curve(curve)
+
+
+def test_curve_with_equal_distortions():
+    # the zero-rate point of this window repeats at slopes 0 and 0.25, to
+    # the last bit: the pair is one point, not a chord of zero width
+    curve = rd_curve(PhasePrior.uniform(center=3.0, width=1.0), 32,
+                     [0.0, 0.25, 0.5])
+    assert curve[0].distortion == curve[1].distortion
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check_curve(curve)
+
+    def point(d, r):
+        return BAPoint(d, r, 1.0, True, 1, [r + d], None, 0.0)
+
+    # convex once the equal-D pair counts at its lower rate
+    check_curve([point(1.0, 2.0), point(2.0, 1.0 + 1e-8), point(2.0, 1.0),
+                 point(3.0, 0.5)])
+    # chords -0.6 then -0.9: concave at the pair, whichever rate stands
+    with pytest.raises(ValidationError, match="not convex"):
+        check_curve([point(1.0, 2.0), point(2.0, 1.5), point(2.0, 1.4),
+                     point(3.0, 0.5)])
 
 
 def test_curve_stays_above_shannon_bound():
@@ -216,9 +238,9 @@ def test_curve_stays_above_shannon_bound():
         curve = rd_curve(prior, k, slopes)
         q = discrete_entropy_power(discretize_prior(prior, k)[1], TWO_PI / k)
         slack = 0.05 * 512.0 / k
-        for pt in curve.points:
+        for pt in curve:
             assert pt.rate >= shannon_lb_rate(q, pt.distortion) - slack
-        curve.check_invariants()
+        check_curve(curve)
 
 
 @pytest.mark.parametrize("k", [16, 64])

@@ -64,8 +64,9 @@ def test_corrupted_simulator_is_caught(monkeypatch):
         return SimulationResult(mse=1e-6, mse_coarse=1e-6,
                                 mutual_information=sim.mutual_information,
                                 converged=True, estimator=sim.estimator,
-                                theta=sim.theta, grid=sim.grid,
-                                window=sim.window, masses=sim.masses)
+                                grid=sim.grid, window=sim.window,
+                                masses=sim.masses,
+                                masses_table=sim.masses_table)
 
     monkeypatch.setattr(phasebound.estimation, "bayesian_mmse", too_good)
     report = light_battery()
