@@ -66,17 +66,22 @@ def _window(decomp, lattice):
     """g on the len-`lattice` difference grid u_t = 2 pi t / lattice.
 
     g(u) = (1/2pi) sum_{|d| <= cutoff} C_d e^{-i d u}, C_{-d} = conj(C_d),
-    whose coefficients C_d = sum_m rho_S(0)[m+d, m] are the loss-branch
-    autocorrelations q_l sum_m u_l[m+d] conj(u_l[m]), summed over l.
+    whose coefficients C_d = sum_m rho_S(0)[m+d, m] are the superdiagonal
+    sums of V^dagger V, V the branch array: one product, one gather.
     Folding C_d into bin d mod lattice makes the sum one FFT of that
     length, exact even when the lattice is shorter than 2 * cutoff + 1.
     Negative dips beyond 1e-10 mean the coefficients were not those of a
     state and raise; smaller ones are clipped.
     """
     cutoff = decomp.probe.cutoff
-    diags = np.zeros(cutoff + 1, dtype=complex)
-    for q, u in zip(decomp.weights, decomp.vectors):
-        diags[:u.size] += q * np.correlate(u, u, "full")[u.size - 1:]
+    v = decomp.branches
+    gram = np.zeros((cutoff + 1, 2 * cutoff + 1), dtype=complex)
+    gram[:, :cutoff + 1] = v.conj().T @ v
+    # a read-only view of gram[m, m + d] at [m, d], all in bounds; the
+    # zero columns past the cutoff hold the lags d > cutoff - m
+    s0, s1 = gram.strides
+    diags = np.lib.stride_tricks.as_strided(
+        gram, (cutoff + 1, cutoff + 1), (s0 + s1, s1), writeable=False).sum(0)
     two_sided = np.concatenate([diags[:0:-1].conj(), [diags[0].real],
                                 diags[1:]])
     bins = np.zeros(lattice, dtype=complex)

@@ -7,15 +7,15 @@ loss distribution itself. Every state of the ensemble (rho_phi, its
 prior average and the dephased average) is therefore block-diagonal in
 l, with one block over the surviving count m per loss count.
 
-chi_decompose computes the branches once per (probe, eta), and its
-ChiDecomposition is the only input of both readers: holevo_quantity
-here and estimation.bayesian_mmse, whose outcome window sums the
-weighted branch autocorrelations.
+chi_decompose builds every branch at once, one array V[l, m] =
+c_{l+m} sqrt(B_eta(l+m, l)) per (probe, eta), and its ChiDecomposition
+is the only input of both readers: holevo_quantity here and
+estimation.bayesian_mmse, whose window reads V^dagger V.
 
 The Holevo quantity builds no state: the spectrum of each averaged block
-follows from the branch weights, the branch magnitudes |u_l| and the
-prior's Fourier coefficients (see holevo_quantity). The states
-themselves are built only by the test oracle, tests/fock_states.py.
+follows from the branch magnitudes |V_l| and the prior's Fourier
+coefficients (see holevo_quantity). The states themselves are built
+only by the test oracle, tests/fock_states.py.
 
 Entropies are in nats.
 """
@@ -71,13 +71,14 @@ class ProbeSpec:
         if ns == 0.0:
             return cls([1.0], family="coherent", params={"alpha": 0.0})
         # smallest cutoff with tail mass below threshold
-        logp = [-ns]
-        while sum(math.exp(v) for v in logp) < 1.0 - TAIL_MASS:
+        logp, total = [-ns], math.exp(-ns)   # total: sum of exp(logp)
+        while total < 1.0 - TAIL_MASS:
             n = len(logp)
             if n - 1 >= CUTOFF_CAP:
                 raise ValidationError(
                     f"coherent alpha={abs(alpha):g} needs cutoff beyond {CUTOFF_CAP}")
             logp.append(-ns + n * math.log(ns) - math.lgamma(n + 1.0))
+            total += math.exp(logp[-1])
         p = np.exp(logp)
         amps = np.sqrt(p / p.sum()) * np.exp(1j * np.angle(alpha)
                                              * np.arange(len(p)))
@@ -124,20 +125,27 @@ class ProbeSpec:
 
 
 class ChiDecomposition:
-    """Loss branches of a probe: weights q_l and unit branch vectors u_l.
+    """Loss branches of a probe as one array, a row per kept loss count l.
 
-    u_l[m] = c_{m+l} sqrt(B_eta(m+l, l) / q_l) over surviving count m,
-    complex probe phases kept; branches with q_l < 1e-14 are dropped. The
-    environment's loss record l separates the branches, so they are exactly
-    orthonormal.
+    branches[i, m] = c_{l+m} sqrt(B_eta(l+m, l)) = sqrt(q_l) u_l[m] is the
+    Kraus branch A_l = sum_n sqrt(B_eta(n, l)) |n-l><n| on the probe, zero
+    where l + m > cutoff. The weights q_l are its row sums of |.|^2; rows
+    with q_l < 1e-14 are dropped. The environment's loss record l
+    separates the branches, so the unit vectors u_l are orthonormal.
     """
 
-    def __init__(self, probe, eta, loss_counts, weights, vectors):
+    def __init__(self, probe, eta, loss_counts, weights, branches):
         self.probe = probe
         self.eta = float(eta)
         self.loss_counts = list(loss_counts)
         self.weights = np.asarray(weights, dtype=float)
-        self.vectors = vectors   # list of unit complex arrays u_l
+        self.branches = branches
+
+    @property
+    def vectors(self):
+        """The unit branch vectors u_l, as a list of arrays of m."""
+        return [v[:v.size - l] / np.sqrt(q) for l, q, v
+                in zip(self.loss_counts, self.weights, self.branches)]
 
     def __len__(self):
         return len(self.loss_counts)
@@ -146,19 +154,19 @@ class ChiDecomposition:
 def chi_decompose(probe, eta):
     """Split the probe by loss count; see ChiDecomposition.
 
-    Every branch comes from one binomial loss matrix, which raises
-    ValidationError for an eta outside [0, 1].
+    Every branch comes from one gather of the binomial loss matrix, which
+    raises ValidationError for an eta outside [0, 1].
     """
     kern = binomial_loss_matrix(probe.cutoff, eta)   # kern[n, l]
-    counts, weights, vectors = [], [], []
-    for l in range(probe.cutoff + 1):
-        v = probe.amplitudes[l:] * np.sqrt(kern[l:, l])
-        q = (np.abs(v) ** 2).sum()
-        if q >= 1e-14:
-            counts.append(l)
-            weights.append(q)
-            vectors.append(v / np.sqrt(q))
-    return ChiDecomposition(probe, eta, counts, weights, vectors)
+    l = np.arange(probe.cutoff + 1)[:, None]
+    n = l + l.T                                      # n = l + m
+    # zero amplitudes past the cutoff null the corner l + m > cutoff
+    amps = np.append(probe.amplitudes, np.zeros(probe.cutoff))
+    branches = amps[n] * np.sqrt(kern[np.minimum(n, probe.cutoff), l])
+    weights = (np.abs(branches) ** 2).sum(axis=1)
+    keep = weights >= 1e-14
+    return ChiDecomposition(probe, eta, np.flatnonzero(keep).tolist(),
+                            weights[keep], branches[keep])
 
 
 def _toeplitz_table(f):
@@ -171,13 +179,15 @@ def _toeplitz_table(f):
 
 
 def populations(decomp):
-    """Block diagonals q_l |u_l[m]|^2, concatenated over the loss count l.
+    """Block diagonals q_l |u_l[m]|^2: the entries of |branches|^2 with
+    l + m <= cutoff, in (l, m) order.
 
     They are the spectrum of the dephased average for every prior
     (f(0) = 1), and of rho_bar itself when f(k) = 0 for every k >= 1.
     """
-    return np.concatenate([q * np.abs(u) ** 2
-                           for q, u in zip(decomp.weights, decomp.vectors)])
+    size = decomp.probe.cutoff + 1
+    valid = np.add.outer(decomp.loss_counts, np.arange(size)) < size
+    return (np.abs(decomp.branches) ** 2)[valid]
 
 
 def _spectral_entropy(eigs):
@@ -195,11 +205,12 @@ def holevo_quantity(decomp, prior):
     orthonormality makes the spectrum of rho_IS exactly the loss
     distribution, so the subtracted term is the Shannon entropy of q.
 
-    Block l of rho_bar is q_l diag(u_l) F diag(u_l)^dagger. Diagonal phase
-    matrices commute with diagonal scalings, so it has the spectrum of
-    q_l diag|u_l| F diag|u_l|, and no state is built:
+    Block l of rho_bar is diag(v) F diag(v)^dagger, v = sqrt(q_l) u_l the
+    branch row. Diagonal phase matrices commute with diagonal scalings, so
+    it has the spectrum of |v| F |v| (diag |v| on both sides), and no
+    state is built:
     - when every harmonic f(1..cutoff) is zero, F = I and the spectrum is
-      the populations q_l |u_l[m]|^2, with no eigendecomposition;
+      the populations |v[m]|^2, with no eigendecomposition;
     - a prior symmetric about a centre c has f(k) = e^{ikc} g(k) with g
       real, and stripping e^{ikc} leaves a real symmetric table;
     - any other prior keeps the complex Hermitian table.
@@ -213,8 +224,8 @@ def holevo_quantity(decomp, prior):
         f = (f * np.exp(-1j * np.arange(f.size) * centre)).real
     table = _toeplitz_table(f)
     eigs = []
-    for q, u in zip(decomp.weights, decomp.vectors):
-        a = np.abs(u)
+    for l, v in zip(decomp.loss_counts, np.abs(decomp.branches)):
+        a = v[:v.size - l]
         eigs.append(np.linalg.eigvalsh(
-            q * a[:, None] * table[:a.size, :a.size] * a[None, :]))
+            a[:, None] * table[:a.size, :a.size] * a[None, :]))
     return _spectral_entropy(np.concatenate(eigs)) - h_loss

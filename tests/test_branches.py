@@ -1,0 +1,183 @@
+"""The loss-branch array against per-branch oracles.
+
+chi_decompose builds every branch of a probe at once, and the window,
+the populations and the Holevo blocks read that one array. The oracles
+below take the branches one loss count at a time: a slice of the loss
+matrix per branch, one np.correlate per branch for the window
+coefficients, and q-scaled unit vectors for the populations and the
+Holevo blocks.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from phasebound import estimation, fock
+from phasebound.capacity import binomial_loss_matrix, shannon_entropy
+from phasebound.fock import ProbeSpec, chi_decompose, holevo_quantity, populations
+from phasebound.priors import PhasePrior
+
+from test_fock import random_probe, vonmises_prior
+
+ETAS = [0.0, 1e-12, 0.3, 0.9, 1.0]
+EPS = np.finfo(float).eps
+
+
+def loop_decompose(probe, eta):
+    """(loss counts, weights q_l, unit vectors u_l), one branch at a time."""
+    kern = binomial_loss_matrix(probe.cutoff, eta)
+    counts, weights, vectors = [], [], []
+    for l in range(probe.cutoff + 1):
+        v = probe.amplitudes[l:] * np.sqrt(kern[l:, l])
+        q = (np.abs(v) ** 2).sum()
+        if q >= 1e-14:
+            counts.append(l)
+            weights.append(q)
+            vectors.append(v / np.sqrt(q))
+    return counts, np.array(weights), vectors
+
+
+def correlate_coefficients(weights, vectors, cutoff):
+    """C_d = sum_l q_l sum_m u_l[m+d] conj(u_l[m]), d = 0..cutoff."""
+    diags = np.zeros(cutoff + 1, dtype=complex)
+    for q, u in zip(weights, vectors):
+        diags[:u.size] += q * np.correlate(u, u, "full")[u.size - 1:]
+    return diags
+
+
+def loop_populations(weights, vectors):
+    return np.concatenate([q * np.abs(u) ** 2 for q, u in zip(weights, vectors)])
+
+
+def loop_holevo(weights, vectors, prior, cutoff):
+    """chi from the blocks q_l diag|u_l| F diag|u_l|, one per branch."""
+    f = prior.fourier_coefficients(cutoff)
+    h_loss = shannon_entropy(weights)
+    if not f[1:].any():
+        return fock._spectral_entropy(loop_populations(weights, vectors)) - h_loss
+    centre = prior._centre()
+    if centre is not None:
+        f = (f * np.exp(-1j * np.arange(f.size) * centre)).real
+    table = fock._toeplitz_table(f)
+    eigs = [np.linalg.eigvalsh(q * np.abs(u)[:, None] * table[:u.size, :u.size]
+                               * np.abs(u)[None, :])
+            for q, u in zip(weights, vectors)]
+    return fock._spectral_entropy(np.concatenate(eigs)) - h_loss
+
+
+def window_coefficients(decomp, monkeypatch):
+    """C_0..C_cutoff as _window hands them to its FFT.
+
+    A 512-point lattice exceeds 2 * cutoff + 1 for every cutoff up to
+    the cap, so no coefficient folds onto another and bin d holds C_d.
+    """
+    seen = []
+    hfft = np.fft.hfft
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return hfft(a, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.fft, "hfft", spy)
+        estimation._window(decomp, 512)
+    return seen[0][:decomp.probe.cutoff + 1]
+
+
+PROBES = {
+    "coherent-1": lambda: ProbeSpec.coherent(1.0),
+    "coherent-6": lambda: ProbeSpec.coherent(6.0),
+    "coherent-complex": lambda: ProbeSpec.coherent(1.5 - 2.0j),
+    "number-40": lambda: ProbeSpec.number(40),
+    "flat-4": lambda: ProbeSpec.flat_superposition(4),
+    "binomial-61": lambda: ProbeSpec.binomial_phase(61),
+    "opaque-02": lambda: ProbeSpec([2.0 ** -0.5, 0.0, 2.0 ** -0.5]),
+}
+PROBES.update({f"random-{c}": (lambda c=c: random_probe(
+    np.random.default_rng(300 + c), c)) for c in [0, 1, 14, 86, 128]})
+
+
+@pytest.mark.parametrize("name", sorted(PROBES))
+def test_branch_array_matches_per_branch_oracles(name, monkeypatch):
+    probe = PROBES[name]()
+    for eta in ETAS:
+        case = (name, eta)
+        decomp = chi_decompose(probe, eta)
+        counts, weights, vectors = loop_decompose(probe, eta)
+        assert decomp.loss_counts == counts, case
+        assert np.all(np.abs(decomp.weights - weights) <= 1e-15 * weights), case
+        for u, ref in zip(decomp.vectors, vectors):
+            assert u.size == ref.size and np.abs(u - ref).max() <= 1e-15, case
+        coeffs = correlate_coefficients(weights, vectors, probe.cutoff)
+        assert np.abs(window_coefficients(decomp, monkeypatch)
+                      - coeffs).max() <= 1e-14, case
+        # q |u|^2 takes a sqrt, a division, a square and a product past
+        # |V|^2, each rounding to half an ulp; squaring doubles the first
+        # two. The floor covers subnormal populations, which keep fewer bits
+        pops = populations(decomp)
+        ref = loop_populations(weights, vectors)
+        assert pops.shape == ref.shape, case
+        assert np.all(np.abs(pops - ref)
+                      <= 8 * EPS * np.maximum(ref, 1e-300)), case
+
+
+@pytest.mark.parametrize("name", sorted(PROBES))
+def test_holevo_blocks_match_per_branch_oracle(name):
+    # one prior per route: populations only, real centred blocks, complex
+    # tabulated blocks
+    probe = PROBES[name]()
+    priors = [PhasePrior.uniform(), PhasePrior.uniform(center=1.0, width=math.pi),
+              PhasePrior.wrapped_gaussian(2.0, 0.5), vonmises_prior(2.5, 3.0)]
+    for eta in ETAS:
+        decomp = chi_decompose(probe, eta)
+        _, weights, vectors = loop_decompose(probe, eta)
+        for prior in priors:
+            ref = loop_holevo(weights, vectors, prior, probe.cutoff)
+            assert abs(holevo_quantity(decomp, prior) - ref) <= 1e-12, \
+                (name, eta, prior)
+
+
+def test_branch_array_layout():
+    # (|0> + |2>)/sqrt2 fully lost: the n = 1 branch carries no mass and
+    # is dropped, and each kept row starts at surviving count m = 0
+    opaque = chi_decompose(PROBES["opaque-02"](), 0.0)
+    assert opaque.loss_counts == [0, 2]
+    assert opaque.branches.shape == (2, 3)
+    expected = [[2.0 ** -0.5, 0.0, 0.0], [2.0 ** -0.5, 0.0, 0.0]]
+    assert np.abs(opaque.branches - expected).max() <= 1e-16
+    # V[l, m] = c_{l+m} sqrt(B_eta(l+m, l)), zero past the cutoff
+    probe = random_probe(np.random.default_rng(3), 9)
+    decomp = chi_decompose(probe, 0.4)
+    kern = binomial_loss_matrix(9, 0.4)
+    for i, l in enumerate(decomp.loss_counts):
+        row = decomp.branches[i]
+        assert np.array_equal(row[:10 - l],
+                              probe.amplitudes[l:] * np.sqrt(kern[l:, l]))
+        assert not row[10 - l:].any()
+
+
+def sequential_coherent(alpha):
+    """The coherent amplitudes with the tail mass re-summed per term."""
+    ns = abs(alpha) ** 2
+    logp = [-ns]
+
+    def total():
+        acc = 0.0   # left to right, as the builtin sum adds floats
+        for v in logp:
+            acc += math.exp(v)
+        return acc
+
+    while total() < 1.0 - fock.TAIL_MASS:
+        n = len(logp)
+        logp.append(-ns + n * math.log(ns) - math.lgamma(n + 1.0))
+    p = np.exp(logp)
+    return np.sqrt(p / p.sum()) * np.exp(1j * np.angle(alpha) * np.arange(len(p)))
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 0.5, 1.0, 2.0, 6.0, 8.0, 1.5 - 2.0j])
+def test_coherent_running_total_is_bit_exact(alpha):
+    got = ProbeSpec.coherent(alpha)
+    ref = ProbeSpec(sequential_coherent(complex(alpha)))
+    assert got.cutoff == ref.cutoff
+    assert np.array_equal(got.amplitudes, ref.amplitudes)

@@ -75,6 +75,23 @@ def test_corrupted_simulator_is_caught(monkeypatch):
     assert "simulated-mse-between-bounds-and-prior" in names
 
 
+def test_prior_variance_ceiling_is_the_discretized_prior():
+    # the window's edges fall between 512-grid points, so the simulator's
+    # prior has a variance above the continuous 1/12; with the probe fully
+    # lost the MSE meets it, and the check must take the grid's value
+    cfg = {"prior": {"kind": "uniform", "center": 3, "width": 1},
+           "probes": [{"family": "coherent", "alpha": 1.0}], "eta": [0.0],
+           "grid": {"phi_points": 512, "theta_points": 512}}
+    prior = ScenarioConfig.from_dict(cfg).prior
+    sim = phasebound.estimation.bayesian_mmse(
+        phasebound.fock.chi_decompose(phasebound.fock.ProbeSpec.coherent(1.0),
+                                      0.0),
+        prior, phasebound.estimation.SimGrid(512, 512))
+    assert sim.mse > prior.variance() + 1e-6
+    report = run_verification(ScenarioConfig.from_dict(cfg))
+    assert report.passed, report.lines()
+
+
 def test_each_scenario_is_evaluated_once(monkeypatch):
     calls = {}
 
