@@ -8,18 +8,24 @@ shared len-L lattice of angle differences, L = max(g_phi, g_theta): both
 grids are powers of two and every theta - phi lands back on the lattice
 exactly. The joint g(theta - phi) w(phi) is therefore a circular
 convolution: the outcome marginal, the posterior moments and the joint
-entropy each come from one FFT convolution on the lattice, read off at
-the theta points. Memory is O(L), not O(g_phi * g_theta).
+entropy each come from one product of spectra on the lattice, read off
+at the theta points. Only those points are transformed back: reading
+every (L / g_theta)-th point folds a spectrum onto g_theta bins, so each
+row takes one inverse FFT of length g_theta. Memory is O(L), not
+O(g_phi * g_theta).
 
 The input is the loss decomposition the Holevo quantity reads too
-(fock.chi_decompose); one window serves the fine and half-grid runs.
+(fock.chi_decompose). One window and one forward transform serve the
+fine and half-grid runs: the half lattice holds the fine one's even
+points, whose spectra are an O(L) fold of the fine spectra.
 
 The convolution core is (prior part) x (window part), and a command runs
 many (probe, eta) scenarios under one prior and grid. So the prior part
 is built once per (prior, g_phi, lattice) and cached: the masses, their
 mean and sum w ln w, the spectra of the four spread rows and the masses'
 Monte Carlo guide table. Per (probe, eta) come only the window, its
-spectra, the products and inverse FFTs, and the window's guide table.
+spectra, the products and folded inverse FFTs, and the window's guide
+table.
 
 The estimator is the posterior mean, optimal for the non-periodic squared
 error used throughout. All grid sums are plain Riemann sums on open
@@ -29,6 +35,7 @@ the residual.
 
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -41,7 +48,7 @@ __all__ = ["SimGrid", "SimulationResult", "MonteCarloResult",
            "bayesian_mmse", "monte_carlo_mse"]
 
 CONVERGED_TOL = 1e-4     # fine-vs-half-grid MSE drift for the converged flag
-LATTICE_CAP = 2 ** 22    # largest grid size; _core peaks near 26 floats/point
+LATTICE_CAP = 2 ** 22    # largest grid size; a run peaks near 22 floats/point
 SAMPLES_CAP = 10 ** 7    # largest Monte Carlo draw a scenario may request
 
 
@@ -97,7 +104,8 @@ class _GuideTable:
     """Exact inverse-CDF draws from one distribution p, by guide table.
 
     draw(u) is np.searchsorted(np.cumsum(p), u) for u in [0, 1). With a
-    power-of-two bucket count b >= p.size, u * b and k / b are exact.
+    power-of-two bucket count b >= max(p.size, min_buckets), u * b and
+    k / b are exact.
     first[k] counts the cdf values below k / b, so a draw in bucket k
     has its answer in [first[k], first[k + 1]]: one comparison settles a
     bucket at most one wide (Chen & Asau 1974; Devroye 1986, III.2.4).
@@ -107,9 +115,9 @@ class _GuideTable:
     are read-only and its indices int32.
     """
 
-    def __init__(self, p):
+    def __init__(self, p, min_buckets=1):
         cdf = np.cumsum(p)
-        self.buckets = b = 1 << (p.size - 1).bit_length()
+        self.buckets = b = 1 << (max(p.size, min_buckets) - 1).bit_length()
         keys = np.minimum(cdf * b, b).astype(np.intp)
         first = np.cumsum(np.bincount(keys + 1, minlength=b + 2))[:b + 1]
         widths = np.diff(first)
@@ -163,36 +171,87 @@ class _PriorPart:
         self.spectra = np.fft.rfft(spread)
         self.masses = w
         self.spectra.flags.writeable = w.flags.writeable = False
+        self._table = None
 
-    @functools.cached_property
+    @property
     def table(self):
-        # only the fine grid's masses are ever drawn from
-        return _GuideTable(self.masses)
+        """The masses' guide table, built on first read: only the fine
+        grid's masses are ever drawn from."""
+        with _build_lock:
+            if self._table is None:
+                self._table = _GuideTable(self.masses)
+        return self._table
 
 
 # keyed by the prior object, which the cache keeps alive, so its id
 # cannot be reused; priors are not mutated after construction. Four
 # entries hold the fine and half grids of the last two (prior, grid)
-# pairs. A miss taken by two threads at once builds the same bits twice.
-_prior_part = functools.lru_cache(maxsize=4)(_PriorPart)
+# pairs. One lock guards the cache and the masses' tables, so pooled
+# scenarios that miss together build each entry once.
+_build_lock = threading.Lock()
+_cached_part = functools.lru_cache(maxsize=4)(_PriorPart)
 
 
-def _core(g, prior, g_phi, g_theta):
-    """One grid evaluation on the window g: (mse, info, estimator, part).
+def _prior_part(prior, g_phi, lattice):
+    """The cached _PriorPart of (prior, g_phi, lattice)."""
+    with _build_lock:
+        return _cached_part(prior, g_phi, lattice)
 
-    The lattice is g.size = max(g_phi, g_theta). The joint
-    g(theta - phi) w(phi) is never formed. Every sum over phi for a fixed
-    theta is a circular convolution on the lattice, taken by FFT and read
-    off at the theta points; the sum of J ln J over the joint splits into
+
+def _spectra(g):
+    """The rfft rows [g, g ln g] of a window: all that `_core` reads of it."""
+    return np.fft.rfft([g, _xlogy(g, g)])
+
+
+def _halve(spec):
+    """`_spectra` of the even points x[::2], from the spectra of x.
+
+    Reading every second sample folds bin k + L/2 onto bin k (Oppenheim
+    & Schafer, Discrete-Time Signal Processing, 4.6), and a real x has
+    X[L/2 + k] = conj(X[L/2 - k]), so H[k] = (X[k] + conj(X[L/2 - k])) / 2
+    for k <= L/4. Exact, since g ln g at the even points is (g ln g)[::2].
+    """
+    bins = (spec.shape[1] - 1) // 2 + 1
+    return (spec[:, :bins] + spec[:, ::-1][:, :bins].conj()) / 2
+
+
+def _read_points(prod, lattice, points):
+    """irfft(prod, lattice)[:, ::lattice // points], inverting `points` bins.
+
+    Reading every s-th point folds the spectrum onto `points` bins:
+    Y[k] = sum_j X[k + j points]. The rfft half holds the j < s/2 terms
+    as A[k] below, and the rest are conj(A[points - k]) by symmetry, so
+    Y[k] = A[k] + conj(A[points - k]) for 1 <= k <= points / 2, while
+    Y[0] adds conj(X[points] + ... + X[L/2]) = conj(A[0] - X[0] + X[L/2]).
+    One inverse transform of length `points` then reads the rows.
+    """
+    step, half = lattice // points, points // 2
+    if step == 1:
+        return np.fft.irfft(prod, n=lattice)
+    a = prod[:, :-1].reshape(len(prod), step // 2, points).sum(1)
+    folded = np.empty((len(prod), half + 1), dtype=complex)
+    folded[:, 0] = a[:, 0] + (a[:, 0] - prod[:, 0] + prod[:, -1]).conj()
+    folded[:, 1:] = a[:, 1:half + 1] + a[:, ::-1][:, :half].conj()
+    return np.fft.irfft(folded, n=points) / step
+
+
+def _core(spec, prior, g_phi, g_theta):
+    """One grid evaluation on window spectra: (mse, info, estimator, part).
+
+    `spec` is `_spectra` of the window on the lattice of
+    max(g_phi, g_theta) points. The joint g(theta - phi) w(phi) is never
+    formed. Every sum over phi for a fixed theta is a circular
+    convolution on the lattice, a product of spectra read off at the
+    theta points; the sum of J ln J over the joint splits into
     (g ln g) * w + g * (w ln w). `part` is the cached _PriorPart.
     """
-    lattice = g.size
+    lattice = 2 * (spec.shape[1] - 1)
     part = _prior_part(prior, g_phi, lattice)
     mean, fw = part.mean, part.spectra
-    fg, fglng = np.fft.rfft([g, _xlogy(g, g)])
+    fg, fglng = spec
     prod = fw * fg
     prod[3] += fglng * fw[0]
-    p, m1, m2, s = np.fft.irfft(prod, n=lattice)[:, ::lattice // g_theta]
+    p, m1, m2, s = _read_points(prod, lattice, g_theta)
     p = np.maximum(p, 0.0)   # FFT rounding can dip below an exact zero
     z = p.sum()
     shift = np.zeros(g_theta)
@@ -251,14 +310,17 @@ def bayesian_mmse(decomp, prior, grid=None):
     the requested grid and a half-resolution rerun; converged means the
     two MSE values agree within 1e-4. The fine values are primary. The
     half lattice is always half the fine one, so its window is the fine
-    window's even points. A prior that the half grid misses gets
-    mse_coarse = nan and converged = False.
+    window's even points, and its spectra are the fine ones halved. A
+    prior that the half grid misses gets mse_coarse = nan and
+    converged = False.
     """
     grid = grid or SimGrid()
     g = _window(decomp, max(grid.phi_points, grid.theta_points))
-    mse, info, est, part = _core(g, prior, grid.phi_points, grid.theta_points)
+    spec = _spectra(g)
+    mse, info, est, part = _core(spec, prior, grid.phi_points,
+                                 grid.theta_points)
     try:
-        mse_c = _core(g[::2], prior,
+        mse_c = _core(_halve(spec), prior,
                       grid.phi_points // 2, grid.theta_points // 2)[0]
     except ValidationError:
         # the prior's mass sits on odd phase points only: the fine value
@@ -290,13 +352,31 @@ def monte_carlo_mse(sim, samples=100000, seed=0):
     lattice = max(g_phi, g_theta)
     rng = np.random.default_rng(seed)
     # a cdf tip that rounds below 1 can return the past-the-end index
-    i = np.minimum(sim.masses_table.draw(rng.random(samples)), g_phi - 1)
-    window = _GuideTable(sim.window / sim.window.sum())
-    j = np.minimum(window.draw(rng.random(samples)), lattice - 1)
-    # all sizes are powers of two: shifts and masks do the lattice maths
-    t_lat = ((i << (lattice // g_phi).bit_length() - 1) + j) & (lattice - 1)
+    i = sim.masses_table.draw(rng.random(samples))
+    np.minimum(i, g_phi - 1, out=i)
+    # a table's time and memory grow with its buckets, its savings with
+    # the draws: one bucket per 16 draws settles most of 100 000 draws on
+    # a 2048 lattice in one comparison and stays small beside the draws
+    window = _GuideTable(sim.window / sim.window.sum(), samples // 16)
+    j = window.draw(rng.random(samples))
+    np.minimum(j, lattice - 1, out=j)
+    errs = i * (TWO_PI / g_phi)
+    # the outcome index round((i L / g_phi + j) / step) mod g_theta, in
+    # place; all sizes are powers of two, so shifts and one mask do it,
+    # and the mod g_theta covers the lattice's own mod L
+    i <<= (lattice // g_phi).bit_length() - 1
+    i += j
     step = lattice // g_theta
-    t = ((t_lat + step // 2) >> step.bit_length() - 1) & (g_theta - 1)
-    errs = (i * (TWO_PI / g_phi) - sim.estimator.take(t)) ** 2
-    return MonteCarloResult(mean=float(errs.mean()),
-                            stderr=float(errs.std(ddof=1) / math.sqrt(samples)))
+    if step > 1:
+        i += step // 2
+        i >>= step.bit_length() - 1
+    i &= g_theta - 1
+    errs -= sim.estimator.take(i)
+    errs *= errs
+    # errs.mean() and errs.std(ddof=1), in their own order of operations
+    mean = errs.mean()
+    errs -= mean
+    errs *= errs
+    var = errs.sum() / (samples - 1)
+    return MonteCarloResult(mean=float(mean),
+                            stderr=math.sqrt(var) / math.sqrt(samples))

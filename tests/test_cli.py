@@ -3,7 +3,7 @@ import math
 import os
 import subprocess
 import sys
-
+import time
 import warnings
 
 import pytest
@@ -177,6 +177,37 @@ def test_simulate_builds_the_prior_side_once(tmp_path, capsys, monkeypatch):
     assert main(["simulate", "--config", cfg]) == 0
     assert len(json.loads(capsys.readouterr().out)["results"]) == 6
     assert sorted(calls) == [128, 256]
+
+
+def test_simulate_builds_the_prior_side_once_on_two_threads(tmp_path, capsys,
+                                                           monkeypatch):
+    # both workers start on the same (prior, grid): the second waits for
+    # the first one's build instead of repeating it. Each build sleeps so
+    # that a worker arriving unguarded would miss the cache too.
+    calls, tables = [], []
+    real = phasebound.estimation.discretize_prior
+    real_table = phasebound.estimation._GuideTable
+
+    def counted(prior, grid_size):
+        calls.append(grid_size)
+        time.sleep(0.05)
+        return real(prior, grid_size)
+
+    def counted_table(p, *args):
+        if not args:   # the masses' table; a window's passes a bucket floor
+            tables.append(p.size)
+            time.sleep(0.05)
+        return real_table(p, *args)
+
+    monkeypatch.setattr(phasebound.estimation, "discretize_prior", counted)
+    monkeypatch.setattr(phasebound.estimation, "_GuideTable", counted_table)
+    probes = SMALL["probes"] + [{"family": "coherent", "alpha": 1.0}]
+    cfg = write_config(tmp_path, dict(SMALL, probes=probes,
+                                      eta=[1.0, 0.5, 0.0]))
+    assert main(["simulate", "--config", cfg, "--threads", "2"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["results"]) == 6
+    assert sorted(calls) == [128, 256]
+    assert tables == [256]
 
 
 def test_rd_curve_sorted(tmp_path, capsys):

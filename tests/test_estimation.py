@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -271,8 +273,10 @@ def oracle_monte_carlo(sim, samples, seed):
 def test_inverse_cdf_matches_searchsorted():
     rng = np.random.default_rng(1)
     tips = 0
-    for n in (2, 128, 1000, 2048, 2 ** 15):
-        b = 1 << (n - 1).bit_length()
+    for n, floor in [(2, 1), (128, 1), (1000, 1), (2048, 1), (2 ** 15, 1),
+                     (2, 16), (1000, 8192), (2048, 6250)]:
+        # a floor above n gives the table more buckets than points
+        b = 1 << (max(n, floor) - 1).bit_length()
         x = np.arange(n)
         point = np.zeros(n)
         point[n // 3] = 1.0
@@ -286,9 +290,11 @@ def test_inverse_cdf_matches_searchsorted():
             u = np.concatenate([np.arange(b) / b, cdf, np.nextafter(cdf, 0.0),
                                 [np.nextafter(1.0, 0.0)], rng.random(5000)])
             u = u[(u >= 0.0) & (u < 1.0)]
-            got = estimation._GuideTable(p).draw(u)
+            table = estimation._GuideTable(p, floor)
+            assert table.buckets == b
+            got = table.draw(u)
             ref = searchsorted_draw(p, u)
-            assert np.array_equal(got, ref), (n, p[:4])
+            assert np.array_equal(got, ref), (n, floor, p[:4])
             tips += int((got == n).any())   # the tip rounded below 1
     assert tips > 0
 
@@ -349,6 +355,43 @@ def test_prior_part_is_read_only():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0
+
+
+def test_prior_part_builds_once_under_contention(monkeypatch):
+    # eight threads on two cores ask for the same two parts and the fine
+    # masses' table at once, with the interpreter switching threads as
+    # often as it can: each is built once and every thread gets it
+    calls = []
+    real = estimation.discretize_prior
+
+    def counted(prior, grid_size):
+        calls.append(grid_size)
+        return real(prior, grid_size)
+
+    monkeypatch.setattr(estimation, "discretize_prior", counted)
+    prior = PhasePrior.wrapped_gaussian(2.0, 0.3)
+    seen = []
+    start = threading.Barrier(8)
+
+    def worker():
+        start.wait(timeout=30)
+        fine = estimation._prior_part(prior, 1024, 1024)
+        half = estimation._prior_part(prior, 512, 512)
+        seen.append((fine, half, fine.table))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(calls) == [512, 1024]
+    assert len(seen) == 8 and len({tuple(map(id, s)) for s in seen}) == 1
 
 
 def test_monte_carlo_builds_no_prior_work(monkeypatch):
@@ -439,8 +482,8 @@ def test_convolution_core_matches_dense_oracle(g_phi, g_theta):
             for eta in [1.0, 0.5, 0.0]:
                 g = estimation._window(chi_decompose(probe, eta),
                                        max(g_phi, g_theta))
-                mse, info, est = estimation._core(g, prior, g_phi,
-                                                  g_theta)[:3]
+                mse, info, est = estimation._core(estimation._spectra(g),
+                                                  prior, g_phi, g_theta)[:3]
                 ref_mse, ref_info, ref_est, p_theta = dense_core(
                     probe, eta, prior, g_phi, g_theta)
                 case = (prior.kind, probe, eta)
@@ -467,8 +510,84 @@ def test_half_grid_reads_the_even_window_points(grid):
             for eta in [1.0, 0.6]:
                 decomp = chi_decompose(probe, eta)
                 res = bayesian_mmse(decomp, prior, grid)
-                ref = estimation._core(estimation._window(decomp, half), prior,
-                                       grid.phi_points // 2,
-                                       grid.theta_points // 2)[0]
+                ref = estimation._core(
+                    estimation._spectra(estimation._window(decomp, half)),
+                    prior, grid.phi_points // 2, grid.theta_points // 2)[0]
                 assert abs(res.mse_coarse - ref) <= 1e-12 * ref, \
                     (prior.kind, probe, eta)
+
+
+@pytest.mark.parametrize("lattice", [256, 2 ** 15])
+def test_halved_spectra_match_the_even_points(lattice):
+    # the half grid's spectra fold the fine ones instead of transforming
+    # x[::2] again
+    rng = np.random.default_rng(lattice)
+    x = rng.random((2, lattice))
+    x[1] = xlogy(x[0], x[0])
+    got = estimation._halve(np.fft.rfft(x))
+    ref = np.fft.rfft(x[:, ::2])
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("g_phi,g_theta", [(1024, 256), (2 ** 15, 256),
+                                           (2048, 2048), (2 ** 14, 128),
+                                           (256, 128)])
+def test_folded_inverse_matches_the_full_transform(g_phi, g_theta,
+                                                   monkeypatch):
+    # _core inverts only the g_theta outcome bins; the oracle inverts the
+    # whole lattice and keeps every (lattice // g_theta)-th point. On the
+    # half grids (2^14 x 128, 256 x 128) the cutoff-60 and cutoff-128
+    # windows reach past the 64 bins that 128 outcome points hold, so
+    # their spectra fold onto them from both ends, and on a 256 lattice
+    # (|0> + |128>)/sqrt2 puts half its window in the Nyquist bin.
+    marginals = []
+
+    def full_irfft(prod, lattice, points):
+        rows = np.fft.irfft(prod, n=lattice)[:, ::lattice // points]
+        marginals.append(rows[0])
+        return rows
+
+    lattice = max(g_phi, g_theta)
+    edge = np.zeros(129)
+    edge[[0, 128]] = 2.0 ** -0.5
+    for prior in [UNIFORM, PhasePrior.wrapped_gaussian(1.0, 0.5),
+                  PhasePrior.uniform(center=3.0, width=1.0)]:
+        for probe, eta in [(ProbeSpec.binomial_phase(5), 0.7),
+                           (ProbeSpec.coherent(1.0), 0.5),
+                           (ProbeSpec.coherent(8.0), 1.0),
+                           (ProbeSpec.binomial_phase(61), 0.9),
+                           (ProbeSpec(edge), 1.0)]:
+            spec = estimation._spectra(
+                estimation._window(chi_decompose(probe, eta), lattice))
+            mse, info, est = estimation._core(spec, prior, g_phi,
+                                              g_theta)[:3]
+            with monkeypatch.context() as m:
+                m.setattr(estimation, "_read_points", full_irfft)
+                ref_mse, ref_info, ref_est = estimation._core(
+                    spec, prior, g_phi, g_theta)[:3]
+            case = (prior.kind, probe, eta)
+            assert abs(mse - ref_mse) <= 1e-13 * ref_mse, case
+            assert abs(info - ref_info) <= 1e-13 * max(ref_info, 1.0), case
+            # the posterior mean m1 / p inherits the rows' rounding over p:
+            # where the marginal is tiny (coherent alpha=8 against a
+            # narrow prior) both sides are a ratio of noise, and the MSE
+            # weighs it by p, so compare p * est
+            p = marginals.pop()
+            assert (np.abs(est - ref_est) * p).max() <= \
+                1e-13 * np.abs(ref_est).max() * p.max(), case
+
+
+@pytest.mark.parametrize("probe,eta,grid", [
+    (ProbeSpec.coherent(1.0), 0.5, SimGrid(2048, 2048)),
+    (ProbeSpec.binomial_phase(5), 0.7, SimGrid(2 ** 15, 256))])
+def test_monte_carlo_matches_the_oracle_on_workload_windows(probe, eta, grid):
+    # two windows of the simulate workload whose guide tables keep
+    # buckets wider than one cdf step, so the draws climb them
+    res = bayesian_mmse(chi_decompose(probe, eta), UNIFORM, grid)
+    table = estimation._GuideTable(res.window / res.window.sum(),
+                                   100000 // 16)
+    assert table.strides
+    for seed in range(3):
+        mc = monte_carlo_mse(res, samples=100000, seed=seed)
+        assert (mc.mean, mc.stderr) == oracle_monte_carlo(res, 100000, seed)
