@@ -208,6 +208,9 @@ def main(argv=None):
                     f"seed must be nonnegative, got {args.seed}")
             cfg.seed = args.seed
         text, code = _COMMANDS[args.command](cfg, args.threads)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -217,10 +220,7 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return 0 if code is None else code
 

@@ -9,15 +9,15 @@ grids are powers of two and every theta - phi lands back on the lattice
 exactly. The joint g(theta - phi) w(phi) is therefore a circular
 convolution: the outcome marginal, the posterior moments and the joint
 entropy each come from one product of spectra on the lattice, read off
-at the theta points. Only those points are transformed back: reading
-every (L / g_theta)-th point folds a spectrum onto g_theta bins, so each
-row takes one inverse FFT of length g_theta. Memory is O(L), not
-O(g_phi * g_theta).
+at the theta points. Memory is O(L), not O(g_phi * g_theta).
 
-The input is the loss decomposition the Holevo quantity reads too
-(fock.chi_decompose). One window and one forward transform serve the
-fine and half-grid runs: the half lattice holds the fine one's even
-points, whose spectra are an O(L) fold of the fine spectra.
+One identity serves twice: the spectrum of every s-th point x[::s] is
+the spectrum of x folded onto L/s bins, an O(L) step (`_fold`). The
+theta points are every (L / g_theta)-th lattice point, so each row
+takes one inverse FFT of length g_theta; the half lattice holds the
+fine one's even points, so one window and one forward transform serve
+the fine and half-grid runs. The input is the loss decomposition the
+Holevo quantity reads too (fock.chi_decompose).
 
 The convolution core is (prior part) x (window part), and a command runs
 many (probe, eta) scenarios under one prior and grid. So the prior part
@@ -203,36 +203,31 @@ def _spectra(g):
     return np.fft.rfft([g, _xlogy(g, g)])
 
 
-def _halve(spec):
-    """`_spectra` of the even points x[::2], from the spectra of x.
+def _fold(spec, step):
+    """The rfft rows of x[:, ::step], from the rfft rows `spec` of x.
 
-    Reading every second sample folds bin k + L/2 onto bin k (Oppenheim
-    & Schafer, Discrete-Time Signal Processing, 4.6), and a real x has
-    X[L/2 + k] = conj(X[L/2 - k]), so H[k] = (X[k] + conj(X[L/2 - k])) / 2
-    for k <= L/4. Exact, since g ln g at the even points is (g ln g)[::2].
+    Reading every step-th of L samples folds the spectrum onto M = L/step
+    bins, Y[k] = sum_j X[k + j M] / step (Oppenheim & Schafer,
+    Discrete-Time Signal Processing, 4.6). The rfft half holds the
+    j < step/2 terms, summed as A[k] below, and a real x has the rest as
+    conj(A[M - k]), so Y[k] = (A[k] + conj(A[M - k])) / step for
+    1 <= k <= M/2; Y[0] takes conj(A[0] - X[0] + X[L/2]) for its second
+    term. Exact: g ln g at the kept points is (g ln g)[::step], and step
+    is a power of two, so the scaling rounds nothing. step == 1 returns
+    `spec` itself.
     """
-    bins = (spec.shape[1] - 1) // 2 + 1
-    return (spec[:, :bins] + spec[:, ::-1][:, :bins].conj()) / 2
-
-
-def _read_points(prod, lattice, points):
-    """irfft(prod, lattice)[:, ::lattice // points], inverting `points` bins.
-
-    Reading every s-th point folds the spectrum onto `points` bins:
-    Y[k] = sum_j X[k + j points]. The rfft half holds the j < s/2 terms
-    as A[k] below, and the rest are conj(A[points - k]) by symmetry, so
-    Y[k] = A[k] + conj(A[points - k]) for 1 <= k <= points / 2, while
-    Y[0] adds conj(X[points] + ... + X[L/2]) = conj(A[0] - X[0] + X[L/2]).
-    One inverse transform of length `points` then reads the rows.
-    """
-    step, half = lattice // points, points // 2
     if step == 1:
-        return np.fft.irfft(prod, n=lattice)
-    a = prod[:, :-1].reshape(len(prod), step // 2, points).sum(1)
-    folded = np.empty((len(prod), half + 1), dtype=complex)
-    folded[:, 0] = a[:, 0] + (a[:, 0] - prod[:, 0] + prod[:, -1]).conj()
-    folded[:, 1:] = a[:, 1:half + 1] + a[:, ::-1][:, :half].conj()
-    return np.fft.irfft(folded, n=points) / step
+        return spec
+    points = 2 * (spec.shape[1] - 1) // step
+    half = points // 2
+    # at step 2 each bin has one term: a view, not a copy
+    a = spec[:, :points] if step == 2 else \
+        spec[:, :-1].reshape(len(spec), step // 2, points).sum(1)
+    out = np.empty((len(spec), half + 1), dtype=complex)
+    out[:, 0] = a[:, 0] + (a[:, 0] - spec[:, 0] + spec[:, -1]).conj()
+    out[:, 1:] = a[:, 1:half + 1] + a[:, ::-1][:, :half].conj()
+    out *= 1.0 / step
+    return out
 
 
 def _core(spec, prior, g_phi, g_theta):
@@ -251,7 +246,7 @@ def _core(spec, prior, g_phi, g_theta):
     fg, fglng = spec
     prod = fw * fg
     prod[3] += fglng * fw[0]
-    p, m1, m2, s = _read_points(prod, lattice, g_theta)
+    p, m1, m2, s = np.fft.irfft(_fold(prod, lattice // g_theta), n=g_theta)
     p = np.maximum(p, 0.0)   # FFT rounding can dip below an exact zero
     z = p.sum()
     shift = np.zeros(g_theta)
@@ -310,7 +305,7 @@ def bayesian_mmse(decomp, prior, grid=None):
     the requested grid and a half-resolution rerun; converged means the
     two MSE values agree within 1e-4. The fine values are primary. The
     half lattice is always half the fine one, so its window is the fine
-    window's even points, and its spectra are the fine ones halved. A
+    window's even points, and its spectra are the fine ones folded. A
     prior that the half grid misses gets mse_coarse = nan and
     converged = False.
     """
@@ -320,7 +315,7 @@ def bayesian_mmse(decomp, prior, grid=None):
     mse, info, est, part = _core(spec, prior, grid.phi_points,
                                  grid.theta_points)
     try:
-        mse_c = _core(_halve(spec), prior,
+        mse_c = _core(_fold(spec, 2), prior,
                       grid.phi_points // 2, grid.theta_points // 2)[0]
     except ValidationError:
         # the prior's mass sits on odd phase points only: the fine value

@@ -337,10 +337,11 @@ def rd_curve(prior, grid_size, slopes):
 def check_curve(points):
     """Raise ValidationError unless D-sorted points are a valid R(D) sample.
 
-    Checks R >= 0, D > 0, R non-increasing in D, and convexity via
-    non-decreasing chord slopes, each to within _CURVE_TOL. A run of
-    points with exactly equal D counts once, at its lowest R, so no chord
-    spans zero width.
+    Checks R >= 0, D > 0, R non-increasing in D, and convexity: each
+    middle point lies on or below its neighbours' chord, to within
+    _CURVE_TOL in rate units. That test multiplies by the distortion gaps
+    instead of dividing by them, so points of (nearly) equal D need no
+    special case: rounding noise in R cannot become a steep chord slope.
     """
     dd = np.array([pt.distortion for pt in points])
     rr = np.array([pt.rate for pt in points])
@@ -350,8 +351,8 @@ def check_curve(points):
         raise ValidationError("rd curve has a nonpositive distortion")
     if np.any(np.diff(rr) > _CURVE_TOL):
         raise ValidationError("rd curve rate increases with distortion")
-    starts = np.flatnonzero(np.diff(dd, prepend=-np.inf) != 0.0)
-    dd, rr = dd[starts], np.minimum.reduceat(rr, starts)
-    chords = np.diff(rr) / np.diff(dd)
-    if np.any(np.diff(chords) < -_CURVE_TOL):
+    span = dd[2:] - dd[:-2]
+    above = ((rr[1:-1] - rr[:-2]) * span
+             - (rr[2:] - rr[:-2]) * (dd[1:-1] - dd[:-2]))
+    if np.any(above > _CURVE_TOL * span):
         raise ValidationError("rd curve is not convex")

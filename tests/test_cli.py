@@ -347,6 +347,24 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["capacity", "--config", str(infinite)]) == 2
     assert "finite" in capsys.readouterr().err
 
+    # --out names a directory, or a file in a missing directory
+    table = write_config(tmp_path, {"mean_photons": [1.0], "eta": [1.0]},
+                         name="table.json")
+    for out in (tmp_path, tmp_path / "missing" / "out.csv"):
+        assert main(["capacity", "--config", table, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    # a width the prior's working grid cannot resolve
+    narrow = write_config(tmp_path, {
+        "prior": {"kind": "wrapped_gaussian", "mean": 0.000767,
+                  "sigma": 1e-4},
+        "mean_photons": [1.0], "eta": [1.0]}, name="narrow.json")
+    assert main(["bounds", "--config", narrow]) == 2
+    assert "sigma in [0.002, 4.4]" in capsys.readouterr().err
+
     assert main(["simulate"]) == 2  # no probes configured
     assert main(["capacity", "--threads", "0"]) == 2
     assert main(["capacity", "--seed", "-1"]) == 2

@@ -518,16 +518,20 @@ def test_half_grid_reads_the_even_window_points(grid):
 
 
 @pytest.mark.parametrize("lattice", [256, 2 ** 15])
-def test_halved_spectra_match_the_even_points(lattice):
-    # the half grid's spectra fold the fine ones instead of transforming
-    # x[::2] again
+def test_fold_matches_the_spectra_of_every_step_th_point(lattice):
+    # the half grid's spectra and the outcome points' rows both fold the
+    # lattice spectra instead of transforming x[::step] again
     rng = np.random.default_rng(lattice)
     x = rng.random((2, lattice))
     x[1] = xlogy(x[0], x[0])
-    got = estimation._halve(np.fft.rfft(x))
-    ref = np.fft.rfft(x[:, ::2])
-    assert got.shape == ref.shape
-    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    spec = np.fft.rfft(x)
+    step = 1
+    while lattice // step >= 128:
+        got = estimation._fold(spec, step)
+        ref = np.fft.rfft(x[:, ::step])
+        assert got.shape == ref.shape, step
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), step
+        step *= 2
 
 
 @pytest.mark.parametrize("g_phi,g_theta", [(1024, 256), (2 ** 15, 256),
@@ -543,10 +547,10 @@ def test_folded_inverse_matches_the_full_transform(g_phi, g_theta,
     # (|0> + |128>)/sqrt2 puts half its window in the Nyquist bin.
     marginals = []
 
-    def full_irfft(prod, lattice, points):
-        rows = np.fft.irfft(prod, n=lattice)[:, ::lattice // points]
+    def full_fold(spec, step):
+        rows = np.fft.irfft(spec, n=2 * (spec.shape[1] - 1))[:, ::step]
         marginals.append(rows[0])
-        return rows
+        return np.fft.rfft(rows)
 
     lattice = max(g_phi, g_theta)
     edge = np.zeros(129)
@@ -563,7 +567,7 @@ def test_folded_inverse_matches_the_full_transform(g_phi, g_theta,
             mse, info, est = estimation._core(spec, prior, g_phi,
                                               g_theta)[:3]
             with monkeypatch.context() as m:
-                m.setattr(estimation, "_read_points", full_irfft)
+                m.setattr(estimation, "_fold", full_fold)
                 ref_mse, ref_info, ref_est = estimation._core(
                     spec, prior, g_phi, g_theta)[:3]
             case = (prior.kind, probe, eta)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from phasebound.errors import ValidationError
-from phasebound.priors import PhasePrior, TWO_PI
+from phasebound.priors import SIGMA_MAX, SIGMA_MIN, PhasePrior, TWO_PI
 
 # frozen reference values (independent quadrature / closed forms)
 LN_2PI = 1.8378770664093453
@@ -101,6 +101,32 @@ def test_wrapped_gaussian_wide_stays_normalized():
     # approaches the uniform limit from below
     assert p.differential_entropy() < LN_2PI
     assert p.differential_entropy() > LN_2PI - 0.01
+
+
+def test_wrapped_gaussian_resolved_widths():
+    # the ends of the accepted range keep normalization and entropy power
+    # to ~1e-12; at SIGMA_MIN the images do not overlap, so Q = sigma^2,
+    # and at SIGMA_MAX the density is the Fourier series 1 + 2 sum_k
+    # e^{-k^2 sigma^2 / 2} cos(k (phi - mu)), over 2 pi, to k = 3
+    for mean in (0.000767, 1.0, TWO_PI - 1e-3):
+        narrow = PhasePrior.wrapped_gaussian(mean, SIGMA_MIN)
+        assert abs(narrow.normalization() - 1.0) < 1e-12
+        assert abs(narrow.entropy_power() / SIGMA_MIN ** 2 - 1.0) < 1e-12
+        wide = PhasePrior.wrapped_gaussian(mean, SIGMA_MAX)
+        assert abs(wide.normalization() - 1.0) < 1e-12
+        phi = np.arange(4096) * (TWO_PI / 4096)
+        k = np.arange(1, 4)[:, None]
+        dens = (1.0 + 2.0 * (np.exp(-0.5 * (k * SIGMA_MAX) ** 2)
+                             * np.cos(k * (phi - mean))).sum(0)) / TWO_PI
+        h = -np.sum(dens * np.log(dens)) * (TWO_PI / 4096)
+        q = np.exp(2.0 * h) / (TWO_PI * np.e)
+        assert abs(wide.entropy_power() / q - 1.0) < 1e-12
+    # narrower: the working grid misses the peak (at sigma 1e-4 its sum
+    # gives Q = 0.0585 for a true 1e-8); wider: the +/-5 images lose mass
+    for sigma in (np.nextafter(SIGMA_MIN, 0.0), 1e-4,
+                  np.nextafter(SIGMA_MAX, np.inf), 6.0, 30.0):
+        with pytest.raises(ValidationError, match="sigma in"):
+            PhasePrior.wrapped_gaussian(0.000767, sigma)
 
 
 def test_tabulated_von_mises():

@@ -206,7 +206,7 @@ def test_curve_ordering_and_invariants():
 
 def test_curve_with_equal_distortions():
     # the zero-rate point of this window repeats at slopes 0 and 0.25, to
-    # the last bit: the pair is one point, not a chord of zero width
+    # the last bit: a gap of zero width, which the check must not divide by
     curve = rd_curve(PhasePrior.uniform(center=3.0, width=1.0), 32,
                      [0.0, 0.25, 0.5])
     assert curve[0].distortion == curve[1].distortion
@@ -217,13 +217,25 @@ def test_curve_with_equal_distortions():
     def point(d, r):
         return BAPoint(d, r, 1.0, True, 1, [r + d], None, 0.0)
 
-    # convex once the equal-D pair counts at its lower rate
+    # the pair's upper point sits 1e-8 above the chord: within tolerance
     check_curve([point(1.0, 2.0), point(2.0, 1.0 + 1e-8), point(2.0, 1.0),
                  point(3.0, 0.5)])
     # chords -0.6 then -0.9: concave at the pair, whichever rate stands
     with pytest.raises(ValidationError, match="not convex"):
         check_curve([point(1.0, 2.0), point(2.0, 1.5), point(2.0, 1.4),
                      point(3.0, 0.5)])
+
+
+def test_curve_with_distortions_an_ulp_apart():
+    # three zero-rate points whose D differ in the last bits and whose R
+    # is rounding noise (~1e-17): as chord slopes that noise reads +-19,
+    # a false "not convex"; as a height above the chord it stays ~1e-17
+    curve = rd_curve(PhasePrior.wrapped_gaussian(1.0, 0.05), 64,
+                     [0.0, 0.25, 0.5])
+    dd = [pt.distortion for pt in curve]
+    assert 0.0 < dd[2] - dd[0] <= 4 * np.spacing(dd[0])
+    assert max(pt.rate for pt in curve) < 1e-16
+    check_curve(curve)
 
 
 def test_curve_stays_above_shannon_bound():
