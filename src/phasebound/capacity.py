@@ -4,6 +4,11 @@ Everything here is diagonal in photon number: the loss channel acts on a
 number distribution p_n through the binomial kernel B_eta(n, l), the
 probability that l of n photons are lost. Entropies are Shannon entropies
 in nats, by direct summation.
+
+`loss_distribution`, `shannon_entropy` and `entropy_gain` take one
+distribution or a 2-d stack whose rows are distributions, zero-padded to
+a common length; a stack shares one loss kernel and gives a result per
+row. Trailing zeros change no entropy and no loss count.
 """
 
 import math
@@ -72,15 +77,22 @@ def binomial_loss_matrix(n_max, eta):
 
 
 def loss_distribution(photon_dist, eta):
-    """q_l = sum_{n >= l} p_n B_eta(n, l): distribution of the loss count."""
+    """q_l = sum_{n >= l} p_n B_eta(n, l): distribution of the loss count.
+
+    A 2-d stack gives one loss distribution per row.
+    """
     p = np.asarray(photon_dist, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ValidationError("photon distribution must be a 1-d array")
+    if p.ndim not in (1, 2) or p.size == 0:
+        raise ValidationError("photon distribution must be a 1-d array or "
+                              "a 2-d stack of them")
     if np.any(p < 0.0) or not np.all(np.isfinite(p)):
         raise ValidationError("photon distribution entries must be finite, >= 0")
-    if abs(p.sum() - 1.0) > 1e-10:
-        raise ValidationError(f"photon distribution sums to {p.sum()!r}, not 1")
-    kern = binomial_loss_matrix(p.size - 1, eta)
+    sums = p.sum(axis=-1)
+    off = np.abs(sums - 1.0) > 1e-10
+    if off.any():
+        raise ValidationError(f"photon distribution sums to "
+                              f"{sums[off].flat[0]!r}, not 1")
+    kern = binomial_loss_matrix(p.shape[-1] - 1, eta)
     return p @ kern
 
 
@@ -90,8 +102,13 @@ def _xlogy(x, y):
 
 
 def shannon_entropy(dist):
-    """-sum p ln p in nats, with 0*ln(0) = 0."""
+    """-sum p ln p in nats, with 0*ln(0) = 0; one per row of a 2-d stack."""
     p = np.asarray(dist, dtype=float)
+    if p.ndim > 2:
+        raise ValidationError("a distribution must be a 1-d array or a 2-d "
+                              "stack of them")
+    if p.ndim == 2:
+        return -np.sum(_xlogy(p, p), axis=1)
     return float(-np.sum(_xlogy(p, p)))
 
 
@@ -99,7 +116,7 @@ def entropy_gain(photon_dist, eta):
     """H(L) - H(N): entropy picked up by the loss count over the input.
 
     Holevo's minimum-entropy-gain theorem puts this at >= ln(1-eta) for the
-    number-diagonal inputs used here.
+    number-diagonal inputs used here. A 2-d stack gives one gain per row.
     """
     q = loss_distribution(photon_dist, eta)
     return shannon_entropy(q) - shannon_entropy(photon_dist)

@@ -22,10 +22,10 @@ Holevo quantity reads too (fock.chi_decompose).
 The convolution core is (prior part) x (window part), and a command runs
 many (probe, eta) scenarios under one prior and grid. So the prior part
 is built once per (prior, g_phi, lattice) and cached: the masses, their
-mean and sum w ln w, the spectra of the four spread rows and the masses'
-Monte Carlo guide table. Per (probe, eta) come only the window, its
-spectra, the products and folded inverse FFTs, and the window's guide
-table.
+mean and sum w ln w, the spectra of the four spread rows and, from the
+first Monte Carlo draw on, the masses' guide table. Per (probe, eta)
+come only the window, its spectra, the products and folded inverse
+FFTs, and the window's guide table.
 
 The estimator is the posterior mean, optimal for the non-periodic squared
 error used throughout. All grid sums are plain Riemann sums on open
@@ -175,8 +175,8 @@ class _PriorPart:
 
     @property
     def table(self):
-        """The masses' guide table, built on first read: only the fine
-        grid's masses are ever drawn from."""
+        """The masses' guide table, built on first read, by the first
+        Monte Carlo draw: only the fine grid's masses are drawn from."""
         with _build_lock:
             if self._table is None:
                 self._table = _GuideTable(self.masses)
@@ -267,13 +267,14 @@ class SimulationResult:
 
     `estimator` holds the posterior mean at theta_j = 2 pi j / g_theta.
     `window` (g on the lattice) and `masses` (the prior on the phase
-    grid) are the fine grid's joint, kept for Monte Carlo draws;
-    `masses_table` is the masses' guide table, shared by every result on
-    one (prior, grid).
+    grid) are the fine grid's joint, kept for Monte Carlo draws.
+    `prior_part` is the fine grid's cached _PriorPart, shared by every
+    result on one (prior, grid); its masses' guide table is built on the
+    first draw, so a result that is never sampled builds none.
     """
 
     def __init__(self, mse, mse_coarse, mutual_information, converged,
-                 estimator, grid, window, masses, masses_table):
+                 estimator, grid, window, prior_part):
         self.mse = mse
         self.mse_coarse = mse_coarse
         self.mutual_information = mutual_information
@@ -281,8 +282,8 @@ class SimulationResult:
         self.estimator = estimator
         self.grid = grid
         self.window = window
-        self.masses = masses
-        self.masses_table = masses_table
+        self.prior_part = prior_part
+        self.masses = prior_part.masses
 
     def __repr__(self):
         return (f"SimulationResult(mse={self.mse:.6g}, "
@@ -325,7 +326,7 @@ def bayesian_mmse(decomp, prior, grid=None):
                             mutual_information=info,
                             converged=abs(mse - mse_c) <= CONVERGED_TOL,
                             estimator=est, grid=grid, window=g,
-                            masses=part.masses, masses_table=part.table)
+                            prior_part=part)
 
 
 def monte_carlo_mse(sim, samples=100000, seed=0):
@@ -334,9 +335,10 @@ def monte_carlo_mse(sim, samples=100000, seed=0):
     Draws (phi, theta) from the fine-grid joint that `bayesian_mmse`
     already built and scores its estimator table. Each coordinate is an
     exact inverse-CDF draw, the index np.searchsorted(np.cumsum(p), u)
-    found through a guide table: the masses' table comes with `sim`, the
-    window's is built here. Exact for square grids; with phi finer
-    than theta the outcome snaps to the nearest theta point.
+    found through a guide table: the masses' table is the one cached with
+    `sim`'s prior part, built by the first draw from it, and the window's
+    is built here. Exact for square grids; with phi finer than theta the
+    outcome snaps to the nearest theta point.
     `samples` must be an integer in [10000, SAMPLES_CAP].
     """
     if (not isinstance(samples, (int, np.integer))  # bools fall below 10000
@@ -347,7 +349,7 @@ def monte_carlo_mse(sim, samples=100000, seed=0):
     lattice = max(g_phi, g_theta)
     rng = np.random.default_rng(seed)
     # a cdf tip that rounds below 1 can return the past-the-end index
-    i = sim.masses_table.draw(rng.random(samples))
+    i = sim.prior_part.table.draw(rng.random(samples))
     np.minimum(i, g_phi - 1, out=i)
     # a table's time and memory grow with its buckets, its savings with
     # the draws: one bucket per 16 draws settles most of 100 000 draws on

@@ -141,12 +141,6 @@ class ChiDecomposition:
         self.weights = np.asarray(weights, dtype=float)
         self.branches = branches
 
-    @property
-    def vectors(self):
-        """The unit branch vectors u_l, as a list of arrays of m."""
-        return [v[:v.size - l] / np.sqrt(q) for l, q, v
-                in zip(self.loss_counts, self.weights, self.branches)]
-
     def __len__(self):
         return len(self.loss_counts)
 

@@ -175,7 +175,7 @@ def _newton_step(a, p, c, r, q, atoms):
     """
     with np.errstate(divide="ignore"):
         lr = np.log(r)
-    top = int(np.argmax(lr))
+    top = int(lr.argmax())
     span = atoms.copy()
     span[top] = True
     if lr[top] > np.log(2.0):
@@ -184,15 +184,17 @@ def _newton_step(a, p, c, r, q, atoms):
     # local maxima of ln r that break the certificate; a rise below 1e-12
     # is rounding noise, which on a flat stretch of r would mark a peak at
     # every few columns
-    left = np.insert(lr[:-1], 0, -np.inf)
-    right = np.append(lr[1:], -np.inf)
+    left = np.concatenate(([-np.inf], lr[:-1]))
+    right = np.concatenate((lr[1:], [-np.inf]))
     span |= (lr > BA_TOL) & (lr > left + 1e-12) & (lr >= right - 1e-12)
-    cols = np.flatnonzero(span)
-    model = np.sqrt(p)[:, None] * (a[:, cols] / c[:, None] - 2.0)
+    cols = span.nonzero()[0]
+    model = np.empty((p.size + 1, cols.size))
+    np.multiply(np.sqrt(p)[:, None], a[:, cols] / c[:, None] - 2.0,
+                out=model[:-1])
     # a row of ones with target 1 turns the sum constraint into plain NNLS:
     # the model is homogeneous on the simplex, so the NNLS solution rescaled
     # to unit sum is the constrained minimizer
-    model = np.vstack([model, np.ones(cols.size)])
+    model[-1] = 1.0
     # unit column scale: a peak under source letters that c barely reaches
     # has entries up to 1/c, which would swamp the NNLS tolerance
     scale = np.abs(model).max(axis=0)
@@ -205,13 +207,13 @@ def _newton_step(a, p, c, r, q, atoms):
     v = (a @ step) / c
     descent = p @ v
     alpha = 1.0
-    while descent > 0.0 and alpha > 1e-12:
-        with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore"):
+        while descent > 0.0 and alpha > 1e-12:
             gain = p @ np.log1p(alpha * v)
-        if gain >= _ARMIJO * alpha * descent:
-            q = np.maximum(q + alpha * step, 0.0)
-            return q / q.sum(), span & (q > 0.0)
-        alpha *= 0.5
+            if gain >= _ARMIJO * alpha * descent:
+                q = np.maximum(q + alpha * step, 0.0)
+                return q / q.sum(), span & (q > 0.0)
+            alpha *= 0.5
     q = _vertex_step(a, p, c, q, top)
     return q, span & (q > 0.0)
 
@@ -256,23 +258,25 @@ def _nnls(gram, rhs, start):
     ridge = n * np.finfo(float).eps * gram.diagonal().max()
     for _ in range(3 * n):
         while passive.any():
-            idx = np.flatnonzero(passive)
-            sub = gram[np.ix_(idx, idx)] + ridge * np.eye(idx.size)
+            idx = passive.nonzero()[0]
+            sub = gram[idx[:, None], idx]
+            sub.flat[::idx.size + 1] += ridge
+            sol = np.linalg.solve(sub, rhs[idx])
             z = np.zeros(n)
-            z[idx] = np.linalg.solve(sub, rhs[idx])
-            if np.all(z[idx] > 0.0):
+            z[idx] = sol
+            if (sol > 0.0).all():
                 x = z
                 break
             # step back to the boundary and release the blocking entry
-            neg = np.flatnonzero(passive & (z <= 0.0))
+            neg = (passive & (z <= 0.0)).nonzero()[0]
             ratio = x[neg] / (x[neg] - z[neg])
             x = x + ratio.min() * (z - x)
-            x[neg[np.argmin(ratio)]] = 0.0
+            x[neg[ratio.argmin()]] = 0.0
             passive &= x > 0.0
             x[~passive] = 0.0
         grad = rhs - gram @ x
         grad[passive] = -np.inf
-        j = int(np.argmax(grad))
+        j = int(grad.argmax())
         if grad[j] <= 10.0 * ridge:
             break
         passive[j] = True

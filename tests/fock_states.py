@@ -4,7 +4,7 @@ holevo_quantity and the simulator read the loss branches of a
 ChiDecomposition directly and build no state. The states they stand for
 are built here, so the tests can check the engine against them: rho_phi,
 its prior average rho_bar, the dephased average and the von Neumann
-entropy of each.
+entropy of each, all from the unit branch vectors u_l (`vectors`).
 
 Every state is block-diagonal in the loss count l and kept as that list
 of blocks, each over the surviving count m. The averaging table comes
@@ -17,8 +17,15 @@ from scipy.linalg import toeplitz
 from phasebound.errors import ValidationError
 from phasebound.fock import _spectral_entropy
 
-__all__ = ["DensityMatrix", "modulated_state", "average_state",
+__all__ = ["vectors", "DensityMatrix", "modulated_state", "average_state",
            "phase_randomize", "von_neumann_entropy"]
+
+
+def vectors(decomp):
+    """The unit branch vectors u_l of a ChiDecomposition, as a list of
+    arrays over the surviving count m."""
+    return [v[:v.size - l] / np.sqrt(q) for l, q, v
+            in zip(decomp.loss_counts, decomp.weights, decomp.branches)]
 
 
 class DensityMatrix:
@@ -48,7 +55,7 @@ class DensityMatrix:
 def modulated_state(decomp, phi):
     """rho_phi: q_l (v v^dagger) per block, v[m] = u_l[m] e^{i(m+l)phi}."""
     blocks = []
-    for l, q, u in zip(decomp.loss_counts, decomp.weights, decomp.vectors):
+    for l, q, u in zip(decomp.loss_counts, decomp.weights, vectors(decomp)):
         v = u * np.exp(1j * (np.arange(u.size) + l) * float(phi))
         blocks.append(q * np.outer(v, v.conj()))
     return DensityMatrix(blocks)

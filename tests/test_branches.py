@@ -18,6 +18,7 @@ from phasebound.capacity import binomial_loss_matrix, shannon_entropy
 from phasebound.fock import ProbeSpec, chi_decompose, holevo_quantity, populations
 from phasebound.priors import PhasePrior
 
+import fock_states
 from test_fock import random_probe, vonmises_prior
 
 ETAS = [0.0, 1e-12, 0.3, 0.9, 1.0]
@@ -107,7 +108,7 @@ def test_branch_array_matches_per_branch_oracles(name, monkeypatch):
         counts, weights, vectors = loop_decompose(probe, eta)
         assert decomp.loss_counts == counts, case
         assert np.all(np.abs(decomp.weights - weights) <= 1e-15 * weights), case
-        for u, ref in zip(decomp.vectors, vectors):
+        for u, ref in zip(fock_states.vectors(decomp), vectors):
             assert u.size == ref.size and np.abs(u - ref).max() <= 1e-15, case
         coeffs = correlate_coefficients(weights, vectors, probe.cutoff)
         assert np.abs(window_coefficients(decomp, monkeypatch)

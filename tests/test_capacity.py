@@ -207,6 +207,40 @@ def test_loss_distribution_validation():
         loss_distribution([1.2, -0.2], 0.5)
 
 
+def test_stacked_distributions_match_their_rows():
+    # zero-padded rows of any length give their own 1-d results
+    rng = np.random.default_rng(3)
+    rows = [rng.random(int(rng.integers(1, 42))) for _ in range(30)]
+    rows = [p / p.sum() for p in rows]
+    stack = np.zeros((len(rows), 41))
+    for row, p in zip(stack, rows):
+        row[:p.size] = p
+    h = shannon_entropy(stack)
+    assert h.shape == (len(rows),)
+    for eta in (0.0, 0.1, 0.5, 0.9, 1.0):
+        q = loss_distribution(stack, eta)
+        gains = entropy_gain(stack, eta)
+        assert q.shape == stack.shape and gains.shape == (len(rows),)
+        for i, p in enumerate(rows):
+            assert np.abs(q[i, :p.size] - loss_distribution(p, eta)).max() \
+                <= 1e-14
+            assert not q[i, p.size:].any()
+            assert abs(gains[i] - entropy_gain(p, eta)) <= 1e-14
+            assert abs(h[i] - shannon_entropy(p)) <= 1e-14
+
+
+def test_stacked_distribution_validation():
+    good = np.full((2, 4), 0.25)
+    for bad in (np.vstack([good, [0.3, 0.3, 0.3, 0.0]]),    # sums to 0.9
+                np.vstack([good, [0.5, 0.6, -0.1, 0.0]]),   # negative entry
+                good[None]):                                # 3-d
+        for func in (loss_distribution, entropy_gain):
+            with pytest.raises(ValidationError):
+                func(bad, 0.5)
+    with pytest.raises(ValidationError):
+        shannon_entropy(good[None])
+
+
 def test_entropy_variance_bound_values():
     assert abs(entropy_variance_bound(0.0) - EVB_AT_0) < 1e-12
     assert 0.0 <= entropy_variance_bound(0.0)   # deterministic variable: H = 0

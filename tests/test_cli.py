@@ -108,6 +108,23 @@ def test_bounds_evaluates_each_scenario_once(tmp_path, capsys,
     assert calls == {"chi_decompose": 6, "_window": 6}
 
 
+def test_bounds_builds_no_guide_table(tmp_path, capsys, monkeypatch):
+    # bounds never draws, so neither the masses' guide table nor a
+    # window's is built
+    tables = []
+
+    def counted_table(p, *args):
+        tables.append(p.size)
+        return real_table(p, *args)
+
+    real_table = phasebound.estimation._GuideTable
+    monkeypatch.setattr(phasebound.estimation, "_GuideTable", counted_table)
+    cfg = write_config(tmp_path, dict(SMALL, eta=[1.0, 0.5]))
+    assert main(["bounds", "--config", cfg]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert tables == []
+
+
 def test_bounds_flags_unconverged_mse_sim(tmp_path, capsys):
     # on 256^2 halving the grid moves the two-level MSE by ~2e-4, past the
     # 1e-4 convergence tolerance; on 2048^2 it converges

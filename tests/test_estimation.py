@@ -349,7 +349,7 @@ def test_prior_part_is_read_only():
     res = bayesian_mmse(chi_decompose(PROBE_01, 0.5), UNIFORM,
                         SimGrid(512, 256))
     part = estimation._prior_part(UNIFORM, 512, 512)
-    assert res.masses is part.masses and res.masses_table is part.table
+    assert res.prior_part is part and res.masses is part.masses
     for arr in (part.masses, part.spectra, part.table.first,
                 part.table.wide, part.table.cdf):
         assert not arr.flags.writeable
@@ -395,8 +395,8 @@ def test_prior_part_builds_once_under_contention(monkeypatch):
 
 
 def test_monte_carlo_builds_no_prior_work(monkeypatch):
-    # the masses' guide table comes with the result; only the window's
-    # table is built per draw
+    # the masses' guide table is the cached prior part's, which the result
+    # carries; only the window's table is built per draw
     res = bayesian_mmse(chi_decompose(PROBE_01, 0.5), UNIFORM,
                         SimGrid(256, 256))
 

@@ -15,7 +15,7 @@ from phasebound.fock import (ProbeSpec, chi_decompose, holevo_quantity,
 from phasebound.priors import PhasePrior
 
 from fock_states import (DensityMatrix, average_state, modulated_state,
-                         phase_randomize, von_neumann_entropy)
+                         phase_randomize, vectors, von_neumann_entropy)
 
 # chi at eta = 0.5 under the uniform prior
 CHI_02_UNIFORM = 0.3127515147113673
@@ -41,11 +41,11 @@ def random_probe(rng, cutoff):
 def flat_branch_vectors(decomp):
     """Branch vectors embedded in the joint (m, l) basis, one per column."""
     basis = {}
-    for u, l in zip(decomp.vectors, decomp.loss_counts):
+    for u, l in zip(vectors(decomp), decomp.loss_counts):
         for m in range(u.size):
             basis.setdefault((m, l), len(basis))
     vecs = np.zeros((len(basis), len(decomp)), dtype=complex)
-    for col, (u, l) in enumerate(zip(decomp.vectors, decomp.loss_counts)):
+    for col, (u, l) in enumerate(zip(vectors(decomp), decomp.loss_counts)):
         for m, a in enumerate(u):
             vecs[basis[(m, l)], col] = a
     return vecs
@@ -59,12 +59,12 @@ def dense_average_state(decomp, prior):
     order n_i - n_j. Returns (matrix, n per basis element).
     """
     gen, offsets = [], []
-    for u, l in zip(decomp.vectors, decomp.loss_counts):
+    for u, l in zip(vectors(decomp), decomp.loss_counts):
         offsets.append(len(gen))
         gen.extend(np.flatnonzero(u) + l)
     gen = np.array(gen)
     mat = np.zeros((gen.size, gen.size), dtype=complex)
-    for off, u, w in zip(offsets, decomp.vectors, decomp.weights):
+    for off, u, w in zip(offsets, vectors(decomp), decomp.weights):
         v = u[np.flatnonzero(u)]
         sl = slice(off, off + v.size)
         mat[sl, sl] = w * np.outer(v, v.conj())
@@ -80,7 +80,7 @@ def quadrature_average_state(decomp, prior, grid_size=512):
     phis = np.arange(grid_size) * (2.0 * np.pi / grid_size)
     w = prior.grid_density(grid_size)
     w = w / w.sum()
-    acc = [np.zeros((u.size, u.size), dtype=complex) for u in decomp.vectors]
+    acc = [np.zeros((u.size, u.size), dtype=complex) for u in vectors(decomp)]
     for phi, weight in zip(phis, w):
         for a, b in zip(acc, modulated_state(decomp, phi).blocks):
             a += weight * b
@@ -198,7 +198,7 @@ def test_modulated_state_matches_hand_assembly():
     state = modulated_state(decomp, phi)
     # element m of branch l carries photon number m + l
     ns = np.concatenate([np.arange(u.size) + l for u, l
-                         in zip(decomp.vectors, decomp.loss_counts)])
+                         in zip(vectors(decomp), decomp.loss_counts)])
     phase = np.exp(1j * ns * phi)
     expected = np.zeros((ns.size, ns.size), dtype=complex)
     for col, w in enumerate(decomp.weights):

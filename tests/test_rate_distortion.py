@@ -361,3 +361,26 @@ def test_solver_leaves_inputs_untouched(prior, monkeypatch):
     ((_, masses), (_, masses0)), (dist, dist0) = made
     assert masses.tobytes() == masses0.tobytes()
     assert dist.tobytes() == dist0.tobytes()
+
+
+def test_nnls_matches_scipy():
+    # the Newton step's active-set solver against scipy's NNLS on seeded
+    # overdetermined problems; every third starts from a feasible point
+    # with zero entries, the rest from zero
+    from scipy.optimize import nnls
+
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for trial in range(240):
+        cols = int(rng.integers(1, 13))
+        m = rng.standard_normal((cols + int(rng.integers(1, 30)), cols))
+        e = rng.standard_normal(m.shape[0])
+        start = np.zeros(cols)
+        if trial % 3 == 0:
+            start = rng.random(cols) * (rng.random(cols) < 0.5)
+        got = rd._nnls(m.T @ m, m.T @ e, start)
+        ref = nnls(m, e)[0]
+        assert np.all(got >= 0.0)
+        err = np.abs(got - ref).max() / max(np.abs(ref).max(), 1e-300)
+        worst = max(worst, err)
+    assert worst <= 1e-10

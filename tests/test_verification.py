@@ -1,6 +1,7 @@
 import pytest
 
 import phasebound.bounds
+import phasebound.capacity
 import phasebound.estimation
 import phasebound.fock
 import phasebound.rate_distortion
@@ -56,6 +57,22 @@ def test_corrupted_bound_is_caught(monkeypatch):
     assert "FAIL" in joined and "h_limit" in joined
 
 
+def test_corrupted_entropy_gain_is_caught(monkeypatch):
+    # the batched floor check reads entropy_gain through its module, so a
+    # gain lowered by one nat falls below ln(1-eta)
+    real = phasebound.capacity.entropy_gain
+    monkeypatch.setattr(phasebound.capacity, "entropy_gain",
+                        lambda p, eta: real(p, eta) - 1.0)
+    report = light_battery()
+    assert [r.name for r in report.failures()] == ["loss-entropy-gain-floor"]
+    lines = report.lines()
+    assert any(line.startswith("FAIL loss-entropy-gain-floor margin=-")
+               for line in lines)
+    details = [line for line in lines if line.startswith("  trial ")]
+    assert details and all("below ln(1-eta) (margin -" in line
+                           for line in details)
+
+
 def test_corrupted_simulator_is_caught(monkeypatch):
     real = phasebound.estimation.bayesian_mmse
 
@@ -65,8 +82,7 @@ def test_corrupted_simulator_is_caught(monkeypatch):
                                 mutual_information=sim.mutual_information,
                                 converged=True, estimator=sim.estimator,
                                 grid=sim.grid, window=sim.window,
-                                masses=sim.masses,
-                                masses_table=sim.masses_table)
+                                prior_part=sim.prior_part)
 
     monkeypatch.setattr(phasebound.estimation, "bayesian_mmse", too_good)
     report = light_battery()
