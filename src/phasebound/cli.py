@@ -44,15 +44,15 @@ def _csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def _parallel(tasks, threads):
-    """Evaluate thunks, preserving their order regardless of thread count."""
-    if threads <= 1 or len(tasks) <= 1:
-        return [task() for task in tasks]
+def _parallel(fn, args, threads):
+    """[fn(*a) for a in args], in that order whatever the thread count."""
+    if threads <= 1 or len(args) <= 1:
+        return [fn(*a) for a in args]
     # imported here: concurrent.futures pulls in logging and queue, which
     # a single-threaded run never needs
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda task: task(), tasks))
+        return list(pool.map(lambda a: fn(*a), args))
 
 
 def _cmd_capacity(cfg, threads):
@@ -67,9 +67,8 @@ def _cmd_capacity(cfg, threads):
             if 0.0 < eta < 1.0 else None
         return (float(ns), float(eta), c, cp)
 
-    tasks = [lambda ns=ns, eta=eta: row(ns, eta)
-             for ns in targets for eta in cfg.etas]
-    rows = _parallel(tasks, threads)
+    rows = _parallel(row, [(ns, eta) for ns in targets for eta in cfg.etas],
+                     threads)
     return _csv(("N_S", "eta", "C_unrestricted", "C_ph_upper"), rows), 0
 
 
@@ -91,29 +90,27 @@ def _cmd_bounds(cfg, threads):
             photon_variance=None if probe is None else probe.photon_variance)
         cells = (float(ns), float(eta), q, *report.values())
         if probe is None:
-            return cells + (None, None, None), None
+            return cells + (None, None, None)
         decomp = fock.chi_decompose(probe, eta)
-        chi = fock.holevo_quantity(decomp, prior)
-        sim = estimation.bayesian_mmse(decomp, prior, cfg.grid)
-        drift = abs(sim.mse - sim.mse_coarse)
-        why = "holds none of the prior's mass" if math.isnan(drift) else \
-            f"moves it by {drift!r}, beyond {estimation.CONVERGED_TOL}"
-        warning = None if sim.converged else (
-            f"warning: bounds mse_sim for {probe!r} at eta {eta!r} is not "
-            f"converged: the half grid {why}")
-        return cells + (chi, sim.mutual_information, sim.mse), warning
+        return cells + (fock.holevo_quantity(decomp, prior), decomp)
 
-    if cfg.probes:
-        tasks = [lambda p=p, eta=eta: row(p.mean_photons, eta, p)
-                 for p in cfg.probes for eta in cfg.etas]
-    else:
-        tasks = [lambda ns=ns, eta=eta: row(ns, eta)
-                 for ns in cfg.mean_photons for eta in cfg.etas]
-    results = _parallel(tasks, threads)
-    for _, warning in results:
-        if warning:
-            print(warning, file=sys.stderr)
-    return _csv(_BOUNDS_HEADER, [row for row, _ in results]), 0
+    if not cfg.probes:
+        return _csv(_BOUNDS_HEADER, _parallel(row, [
+            (ns, eta) for ns in cfg.mean_photons for eta in cfg.etas],
+            threads)), 0
+    pairs = [(p, eta) for p in cfg.probes for eta in cfg.etas]
+    rows = _parallel(row, [(p.mean_photons, eta, p) for p, eta in pairs],
+                     threads)
+    sims = estimation.bayesian_mmse_all([r[-1] for r in rows], prior, cfg.grid)
+    for (probe, eta), sim in zip(pairs, sims):
+        if not sim.converged:
+            drift = abs(sim.mse - sim.mse_coarse)
+            why = "holds none of the prior's mass" if math.isnan(drift) else \
+                f"moves it by {drift!r}, beyond {estimation.CONVERGED_TOL}"
+            print(f"warning: bounds mse_sim for {probe!r} at eta {eta!r} is "
+                  f"not converged: the half grid {why}", file=sys.stderr)
+    return _csv(_BOUNDS_HEADER, [r[:-1] + (sim.mutual_information, sim.mse)
+                                 for r, sim in zip(rows, sims)]), 0
 
 
 def _cmd_rd_curve(cfg, threads):
@@ -133,7 +130,8 @@ def _cmd_simulate(cfg, threads):
     if not cfg.probes:
         raise ValidationError("simulate needs at least one probe")
 
-    def scenario(index, probe, eta):
+    def scenario(index, pair):
+        probe, eta = pair
         sim = estimation.bayesian_mmse(fock.chi_decompose(probe, eta),
                                        cfg.prior, cfg.grid)
         mc = estimation.monte_carlo_mse(sim, samples=cfg.samples,
@@ -145,9 +143,7 @@ def _cmd_simulate(cfg, threads):
                 "mc_mean": float(mc.mean), "mc_stderr": float(mc.stderr)}
 
     pairs = [(probe, eta) for probe in cfg.probes for eta in cfg.etas]
-    tasks = [lambda i=i, p=p, eta=eta: scenario(i, p, eta)
-             for i, (p, eta) in enumerate(pairs)]
-    results = _parallel(tasks, threads)
+    results = _parallel(scenario, list(enumerate(pairs)), threads)
     if len(results) == 1:
         payload = dict(results[0])
         del payload["probe"], payload["eta"]
@@ -163,32 +159,31 @@ def _cmd_verify(cfg, threads):
 
 
 _COMMANDS = {
-    "bounds": _cmd_bounds,
-    "capacity": _cmd_capacity,
-    "rd-curve": _cmd_rd_curve,
-    "simulate": _cmd_simulate,
-    "verify": _cmd_verify,
+    "bounds": (_cmd_bounds, "tabulate every analytic MSE bound as CSV"),
+    "capacity": (_cmd_capacity, "tabulate channel capacities as CSV"),
+    "rd-curve": (_cmd_rd_curve, "sweep the rate-distortion curve as CSV"),
+    "simulate": (_cmd_simulate, "run the measurement simulator, JSON output"),
+    "verify": (_cmd_verify, "cross-check bounds against the simulator"),
 }
 
 
 def _build_parser():
+    # one flat parser: subparsers cost several times as much to build,
+    # and every invocation builds it
     parser = argparse.ArgumentParser(
         prog="phasebound",
         description="Bayesian phase estimation bounds and their "
-                    "numerical verification.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("bounds", "tabulate every analytic MSE bound as CSV"),
-            ("capacity", "tabulate channel capacities as CSV"),
-            ("rd-curve", "sweep the rate-distortion curve as CSV"),
-            ("simulate", "run the measurement simulator, JSON output"),
-            ("verify", "cross-check bounds against the simulator")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="scenario JSON file")
-        p.add_argument("--out", help="write output here instead of stdout")
-        p.add_argument("--seed", type=int, help="override the scenario seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (default: 1)")
+                    "numerical verification.",
+        epilog="commands:\n" + "".join(f"  {name:<10}{text}\n" for name,
+                                       (_, text) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=_COMMANDS,
+                        help="what to run; see the commands below")
+    parser.add_argument("--config", help="scenario JSON file")
+    parser.add_argument("--out", help="write output here instead of stdout")
+    parser.add_argument("--seed", type=int, help="override the scenario seed")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker threads (default: 1)")
     return parser
 
 
@@ -207,19 +202,16 @@ def main(argv=None):
                 raise ValidationError(
                     f"seed must be nonnegative, got {args.seed}")
             cfg.seed = args.seed
-        text, code = _COMMANDS[args.command](cfg, args.threads)
+        text, code = _COMMANDS[args.command][0](cfg, args.threads)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, OverflowError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     if not args.out:
         sys.stdout.write(text)
     return 0 if code is None else code

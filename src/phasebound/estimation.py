@@ -21,11 +21,12 @@ Holevo quantity reads too (fock.chi_decompose).
 
 The convolution core is (prior part) x (window part), and a command runs
 many (probe, eta) scenarios under one prior and grid. So the prior part
-is built once per (prior, g_phi, lattice) and cached: the masses, their
-mean and sum w ln w, the spectra of the four spread rows and, from the
-first Monte Carlo draw on, the masses' guide table. Per (probe, eta)
-come only the window, its spectra, the products and folded inverse
-FFTs, and the window's guide table.
+is cached per (prior, g_phi, lattice) (`_PriorPart`), and the window
+parts run stacked: `_spectra`, `_fold` and `_core` take (..., rows,
+bins) arrays, one scenario per leading index, and `bayesian_mmse_all`
+makes one forward transform and one fine and one half-grid `_core` per
+stack of at most STACK_POINTS lattice points. A grid at or above that
+runs one scenario per stack, and peaks as a lone run does.
 
 The estimator is the posterior mean, optimal for the non-periodic squared
 error used throughout. All grid sums are plain Riemann sums on open
@@ -45,11 +46,14 @@ from .priors import TWO_PI
 from .rate_distortion import discretize_prior
 
 __all__ = ["SimGrid", "SimulationResult", "MonteCarloResult",
-           "bayesian_mmse", "monte_carlo_mse"]
+           "bayesian_mmse", "bayesian_mmse_all", "monte_carlo_mse"]
 
 CONVERGED_TOL = 1e-4     # fine-vs-half-grid MSE drift for the converged flag
 LATTICE_CAP = 2 ** 22    # largest grid size; a run peaks near 22 floats/point
+STACK_POINTS = 2 ** 16   # lattice points per stacked pass of scenarios
 SAMPLES_CAP = 10 ** 7    # largest Monte Carlo draw a scenario may request
+# math.log, not np.log, whose SIMD loop can round differently
+_log = np.vectorize(math.log, otypes=[float])
 
 
 class SimGrid:
@@ -199,12 +203,12 @@ def _prior_part(prior, g_phi, lattice):
 
 
 def _spectra(g):
-    """The rfft rows [g, g ln g] of a window: all that `_core` reads of it."""
-    return np.fft.rfft([g, _xlogy(g, g)])
+    """The rfft rows [g, g ln g] of windows g: all that `_core` reads."""
+    return np.fft.rfft(np.stack([g, _xlogy(g, g)], -2))
 
 
 def _fold(spec, step):
-    """The rfft rows of x[:, ::step], from the rfft rows `spec` of x.
+    """The rfft rows of x[..., ::step], from the rfft rows `spec` of x.
 
     Reading every step-th of L samples folds the spectrum onto M = L/step
     bins, Y[k] = sum_j X[k + j M] / step (Oppenheim & Schafer,
@@ -218,14 +222,14 @@ def _fold(spec, step):
     """
     if step == 1:
         return spec
-    points = 2 * (spec.shape[1] - 1) // step
+    points = 2 * (spec.shape[-1] - 1) // step
     half = points // 2
     # at step 2 each bin has one term: a view, not a copy
-    a = spec[:, :points] if step == 2 else \
-        spec[:, :-1].reshape(len(spec), step // 2, points).sum(1)
-    out = np.empty((len(spec), half + 1), dtype=complex)
-    out[:, 0] = a[:, 0] + (a[:, 0] - spec[:, 0] + spec[:, -1]).conj()
-    out[:, 1:] = a[:, 1:half + 1] + a[:, ::-1][:, :half].conj()
+    a = spec[..., :points] if step == 2 else spec[..., :-1].reshape(
+        spec.shape[:-1] + (step // 2, points)).sum(-2)
+    out = np.empty(spec.shape[:-1] + (half + 1,), dtype=complex)
+    out[..., 0] = a[..., 0] + (a[..., 0] - spec[..., 0] + spec[..., -1]).conj()
+    out[..., 1:] = a[..., 1:half + 1] + a[..., ::-1][..., :half].conj()
     out *= 1.0 / step
     return out
 
@@ -233,33 +237,33 @@ def _fold(spec, step):
 def _core(spec, prior, g_phi, g_theta):
     """One grid evaluation on window spectra: (mse, info, estimator, part).
 
-    `spec` is `_spectra` of the window on the lattice of
-    max(g_phi, g_theta) points. The joint g(theta - phi) w(phi) is never
-    formed. Every sum over phi for a fixed theta is a circular
-    convolution on the lattice, a product of spectra read off at the
-    theta points; the sum of J ln J over the joint splits into
-    (g ln g) * w + g * (w ln w). `part` is the cached _PriorPart.
+    `spec` is `_spectra` of windows on the lattice of max(g_phi, g_theta)
+    points; mse, info and estimator rows follow its leading axes. The
+    joint g(theta - phi) w(phi) is never formed. Every sum over phi for a
+    fixed theta is a circular convolution on the lattice, a product of
+    spectra read off at the theta points; the sum of J ln J over the joint
+    splits into (g ln g) * w + g * (w ln w). `part` is the cached _PriorPart.
     """
-    lattice = 2 * (spec.shape[1] - 1)
+    lattice = 2 * (spec.shape[-1] - 1)
     part = _prior_part(prior, g_phi, lattice)
     mean, fw = part.mean, part.spectra
-    fg, fglng = spec
-    prod = fw * fg
-    prod[3] += fglng * fw[0]
-    p, m1, m2, s = np.fft.irfft(_fold(prod, lattice // g_theta), n=g_theta)
+    prod = fw * spec[..., :1, :]
+    prod[..., 3, :] += spec[..., 1, :] * fw[0]
+    rows = np.fft.irfft(_fold(prod, lattice // g_theta), n=g_theta)
+    p, m1, m2, s = (rows[..., k, :] for k in range(4))
     p = np.maximum(p, 0.0)   # FFT rounding can dip below an exact zero
-    z = p.sum()
-    shift = np.zeros(g_theta)
+    z = p.sum(-1)
+    shift = np.zeros(p.shape)
     seen = p > 0.0
     # the posterior mean lies in the phi range; the clip only bites where
     # p is rounding noise and the ratio is meaningless
     shift[seen] = np.clip(m1[seen] / p[seen], -mean, part.phi_last - mean)
     est = mean + shift
-    mse = max(float(np.sum(m2 - m1 * shift) / z), 0.0)
+    mse = np.maximum((m2 - m1 * shift).sum(-1) / z, 0.0)
     # discrete mutual information; the differential corrections cancel
-    info = float(s.sum() / z - math.log(z) - _xlogy(p / z, p / z).sum()
-                 - part.wlnw_sum)
-    return mse, max(info, 0.0), est, part
+    q = p / z[..., None]
+    info = s.sum(-1) / z - _log(z) - _xlogy(q, q).sum(-1) - part.wlnw_sum
+    return mse, np.maximum(info, 0.0), est, part
 
 
 class SimulationResult:
@@ -300,33 +304,41 @@ class MonteCarloResult:
 
 
 def bayesian_mmse(decomp, prior, grid=None):
-    """Posterior-mean MSE of the canonical measurement on a decomposition.
+    """The SimulationResult of one decomposition; see bayesian_mmse_all."""
+    return bayesian_mmse_all([decomp], prior, grid)[0]
 
-    `decomp` is the probe's ChiDecomposition at the channel's eta. Runs
-    the requested grid and a half-resolution rerun; converged means the
-    two MSE values agree within 1e-4. The fine values are primary. The
-    half lattice is always half the fine one, so its window is the fine
-    window's even points, and its spectra are the fine ones folded. A
-    prior that the half grid misses gets mse_coarse = nan and
-    converged = False.
+
+def bayesian_mmse_all(decomps, prior, grid=None):
+    """Posterior-mean MSE of the canonical measurement, per decomposition.
+
+    Each is a probe's ChiDecomposition at the channel's eta. The fine
+    grid's values are primary; converged means that a half-resolution
+    rerun, on the fine window's even points (its spectra folded), moves
+    the MSE by at most 1e-4. A prior that the half grid misses gets
+    mse_coarse = nan and converged = False. Each stack of at most
+    STACK_POINTS lattice points runs one fine and one half-grid `_core`.
     """
     grid = grid or SimGrid()
-    g = _window(decomp, max(grid.phi_points, grid.theta_points))
-    spec = _spectra(g)
-    mse, info, est, part = _core(spec, prior, grid.phi_points,
-                                 grid.theta_points)
-    try:
-        mse_c = _core(_fold(spec, 2), prior,
-                      grid.phi_points // 2, grid.theta_points // 2)[0]
-    except ValidationError:
-        # the prior's mass sits on odd phase points only: the fine value
-        # stands, unconfirmed
-        mse_c = math.nan
-    return SimulationResult(mse=mse, mse_coarse=mse_c,
-                            mutual_information=info,
-                            converged=abs(mse - mse_c) <= CONVERGED_TOL,
-                            estimator=est, grid=grid, window=g,
-                            prior_part=part)
+    g_phi, g_theta = grid.phi_points, grid.theta_points
+    lattice = max(g_phi, g_theta)
+    size = max(STACK_POINTS // lattice, 1)
+    out = []
+    for start in range(0, len(decomps), size):
+        g = np.array([_window(d, lattice)
+                      for d in decomps[start:start + size]])
+        spec = _spectra(g)
+        mse, info, est, part = _core(spec, prior, g_phi, g_theta)
+        try:
+            mse_c = _core(_fold(spec, 2), prior, g_phi // 2,
+                          g_theta // 2)[0].tolist()
+        except ValidationError:
+            # the prior's mass sits on odd phase points only: the fine
+            # values stand, unconfirmed
+            mse_c = [math.nan] * len(g)
+        out += [SimulationResult(m, c, i, abs(m - c) <= CONVERGED_TOL, e,
+                                 grid, w, part) for m, c, i, e, w in
+                zip(mse.tolist(), mse_c, info.tolist(), est, g)]
+    return out
 
 
 def monte_carlo_mse(sim, samples=100000, seed=0):

@@ -11,6 +11,8 @@ call time, not imported as bare names, so a monkeypatched or corrupted
 bound is caught rather than silently bypassed.
 """
 
+import math
+
 import numpy as np
 
 from . import bounds
@@ -49,16 +51,20 @@ class CheckResult:
         self.details = []
 
     def track(self, margin, text):
-        self.margin = min(self.margin, float(margin))
-        if margin < 0.0:
+        # a negative or NaN margin is a violation; a NaN one stays the min
+        margin = float(margin)
+        if not (math.isnan(self.margin) or margin >= self.margin):
+            self.margin = margin
+        if not margin >= 0.0:
             self.details.append(f"{text} (margin {margin:+.3e})")
 
     def track_all(self, margins, text):
-        """track() every entry of an array of margins; text(*index) is
-        formatted only for the entries below zero, in index order."""
-        self.margin = min(self.margin, float(margins.min()))
-        for idx in np.argwhere(margins < 0.0):
+        # track() each entry; text(*index) only for the violations
+        bad = ~(margins >= 0.0)
+        for idx in np.argwhere(bad):
             self.track(margins[tuple(idx)], text(*idx))
+        if not bad.any():
+            self.track(margins.min(), "")
 
     @property
     def passed(self):
@@ -190,27 +196,29 @@ def _check_rate_distortion(prior, grid_size, slopes):
 
 def _check_branch_orthonormality(decomps):
     # the loss record separates branches of different counts, so each
-    # count must carry one branch of unit norm
+    # count must carry one branch of unit norm; the weights are checked
+    # against the loss distribution, computed apart from the branches
     check = CheckResult("environment-branch-orthonormality")
     for decomp in decomps:
         tag = f"{_name(decomp.probe)} eta={decomp.eta}"
         if len(set(decomp.loss_counts)) != len(decomp):
             check.track(-1.0, f"{tag}: two branches share a loss count")
-        norms = (np.abs(decomp.branches) ** 2).sum(axis=1) / decomp.weights
-        err = float(np.abs(norms - 1.0).max())
+        q = capacity.loss_distribution(decomp.probe.probabilities, decomp.eta)
+        w = np.stack([(np.abs(decomp.branches) ** 2).sum(1), decomp.weights])
+        err = float(np.abs(w / q[decomp.loss_counts] - 1.0).max())
         check.track(1e-10 - err, f"{tag}: branch norm error {err:.2e}")
     return check
 
 
 def _scenarios(probes, etas, prior, grid):
-    """(probe, eta, decomposition, Holevo quantity, MMSE run) per pair."""
-    out = []
-    for probe in probes:
-        for eta in etas:
-            decomp = fock.chi_decompose(probe, eta)
-            out.append((probe, eta, decomp, fock.holevo_quantity(decomp, prior),
-                        estimation.bayesian_mmse(decomp, prior, grid)))
-    return out
+    """(probe, eta, decomposition, Holevo quantity, MMSE run) per pair;
+    the MMSE runs share one stacked pass."""
+    pairs = [(probe, eta) for probe in probes for eta in etas]
+    decomps = [fock.chi_decompose(probe, eta) for probe, eta in pairs]
+    chis = [fock.holevo_quantity(decomp, prior) for decomp in decomps]
+    sims = estimation.bayesian_mmse_all(decomps, prior, grid)
+    return [(probe, eta, decomp, chi, sim) for (probe, eta), decomp, chi, sim
+            in zip(pairs, decomps, chis, sims)]
 
 
 def _check_holevo_chain(scenarios):

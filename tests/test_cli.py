@@ -449,3 +449,67 @@ def test_numerical_errors_map_to_exit_3(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, dict(SMALL))
     assert main(["simulate", "--config", cfg]) == 3
     assert "negative eigenvalue" in capsys.readouterr().err
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["--help"])
+    assert err.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: phasebound ")
+    for line in ("  bounds    tabulate every analytic MSE bound as CSV",
+                 "  capacity  tabulate channel capacities as CSV",
+                 "  rd-curve  sweep the rate-distortion curve as CSV",
+                 "  simulate  run the measurement simulator, JSON output",
+                 "  verify    cross-check bounds against the simulator"):
+        assert line in out.splitlines()
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "the following arguments are required: command"),
+    (["tabulate"], "argument command: invalid choice: 'tabulate'"),
+    (["verify", "--threads", "abc"], "argument --threads: invalid int value"),
+    (["--seed", "x", "verify"], "argument --seed: invalid int value")])
+def test_bad_command_lines_exit_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: phasebound ")
+    assert message in captured.err
+
+
+def test_options_may_precede_the_command(tmp_path, capsys):
+    assert main(["--seed", "3", "verify"]) == 0
+    before = capsys.readouterr().out
+    assert main(["verify", "--seed", "3"]) == 0
+    assert before == capsys.readouterr().out
+    cfg = write_config(tmp_path, {"mean_photons": [1.0], "eta": [0.5]})
+    out = str(tmp_path / "table.csv")
+    assert main(["--config", cfg, "--out", out, "capacity"]) == 0
+    assert capsys.readouterr().out == ""
+    assert open(out).read().startswith("N_S,eta,C_unrestricted,C_ph_upper\n")
+
+
+def test_bounds_above_the_stack_cap_runs_one_scenario_per_pass(
+        tmp_path, capsys, monkeypatch):
+    stacks = []
+    real = phasebound.estimation._core
+
+    def counted(spec, prior, g_phi, g_theta):
+        stacks.append(spec.shape[:-2])
+        return real(spec, prior, g_phi, g_theta)
+
+    monkeypatch.setattr(phasebound.estimation, "_core", counted)
+    probes = SMALL["probes"] + [{"family": "coherent", "alpha": 1.0}]
+    for points, expected in [(256, [(4,)] * 2),
+                             (2 * phasebound.estimation.STACK_POINTS,
+                              [(1,)] * 8)]:
+        cfg = write_config(tmp_path, dict(
+            SMALL, probes=probes, eta=[1.0, 0.5],
+            grid={"phi_points": points, "theta_points": 256}))
+        assert main(["bounds", "--config", cfg]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 4
+        assert stacks == expected
+        stacks.clear()

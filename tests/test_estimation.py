@@ -595,3 +595,68 @@ def test_monte_carlo_matches_the_oracle_on_workload_windows(probe, eta, grid):
     for seed in range(3):
         mc = monte_carlo_mse(res, samples=100000, seed=seed)
         assert (mc.mean, mc.stderr) == oracle_monte_carlo(res, 100000, seed)
+
+
+def _odd_point_prior(g_phi):
+    # all the mass on phase point 3 of g_phi: the half grid holds none
+    return PhasePrior.uniform(center=TWO_PI * 3 / g_phi, width=0.03 / g_phi)
+
+
+@pytest.mark.parametrize("grid", [SimGrid(256, 256), SimGrid(1024, 256),
+                                  SimGrid(256, 1024), SimGrid(2 ** 15, 256)])
+def test_stacked_runs_match_lone_runs_bit_for_bit(grid):
+    # every result of one stacked pass (chunked at 2^15 x 256) equals the
+    # lone run of its decomposition: same floats, flags and arrays
+    tab = 1.0 + 0.5 * np.cos(np.arange(64) * (TWO_PI / 64))
+    priors = [UNIFORM, PhasePrior.uniform(center=3.0, width=1.0),
+              PhasePrior.wrapped_gaussian(1.0, 0.5),
+              PhasePrior.tabulated(tab / (tab.sum() * TWO_PI / 64)),
+              _odd_point_prior(grid.phi_points)]
+    rng = np.random.default_rng(11)
+    c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    # cutoffs 1, 3, 8, ~9 and 61
+    probes = [PROBE_01, ProbeSpec.flat_superposition(4),
+              ProbeSpec(c / np.linalg.norm(c)), ProbeSpec.coherent(1.0),
+              ProbeSpec.binomial_phase(61)]
+    decomps = [chi_decompose(p, eta) for p in probes for eta in (0.0, 0.3, 1.0)]
+    for prior in priors:
+        stacked = estimation.bayesian_mmse_all(decomps, prior, grid)
+        assert len(stacked) == len(decomps)
+        for decomp, got in zip(decomps, stacked):
+            ref = bayesian_mmse(decomp, prior, grid)
+            case = (prior.kind, decomp.probe, decomp.eta)
+            assert repr((got.mse, got.mse_coarse, got.mutual_information,
+                         got.converged)) == \
+                repr((ref.mse, ref.mse_coarse, ref.mutual_information,
+                      ref.converged)), case
+            for name in ("mse", "mse_coarse", "mutual_information"):
+                assert type(getattr(got, name)) is float, (name, case)
+            for name in ("estimator", "window"):
+                assert getattr(got, name).tobytes() == \
+                    getattr(ref, name).tobytes(), (name, case)
+            if prior is priors[-1]:
+                assert math.isnan(got.mse_coarse) and not got.converged
+
+
+@pytest.mark.parametrize("grid,passes", [
+    (SimGrid(256, 256), 1),
+    (SimGrid(2 ** 15, 256), 3),
+    (SimGrid(estimation.STACK_POINTS, 256), 5),
+    (SimGrid(256, 2 * estimation.STACK_POINTS), 5)])
+def test_stacked_passes_hold_at_most_the_cap(grid, passes, monkeypatch):
+    # five scenarios: one pass on a small grid, one scenario per pass at or
+    # above the cap; each pass runs one fine and one half-grid core
+    sizes = []
+    real = estimation._core
+
+    def counted(spec, prior, g_phi, g_theta):
+        sizes.append(spec.shape[0] * 2 * (spec.shape[-1] - 1))
+        return real(spec, prior, g_phi, g_theta)
+
+    monkeypatch.setattr(estimation, "_core", counted)
+    decomps = [chi_decompose(ProbeSpec.coherent(1.0), eta)
+               for eta in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    results = estimation.bayesian_mmse_all(decomps, UNIFORM, grid)
+    assert len(results) == 5 and len(sizes) == 2 * passes
+    assert max(sizes) <= max(estimation.STACK_POINTS,
+                             max(grid.phi_points, grid.theta_points))

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 import phasebound.bounds
@@ -8,7 +11,9 @@ import phasebound.rate_distortion
 from phasebound.config import ScenarioConfig
 from phasebound.errors import ValidationError
 from phasebound.estimation import SimulationResult
-from phasebound.verification import DEFAULT_BATTERY, run_verification
+from phasebound.verification import (DEFAULT_BATTERY, CheckResult,
+                                     _check_branch_orthonormality,
+                                     run_verification)
 
 HALF = [0.7071067811865475] * 2
 LIGHT = {
@@ -74,21 +79,65 @@ def test_corrupted_entropy_gain_is_caught(monkeypatch):
 
 
 def test_corrupted_simulator_is_caught(monkeypatch):
-    real = phasebound.estimation.bayesian_mmse
+    real = phasebound.estimation.bayesian_mmse_all
 
-    def too_good(decomp, prior, grid=None):
-        sim = real(decomp, prior, grid)
-        return SimulationResult(mse=1e-6, mse_coarse=1e-6,
-                                mutual_information=sim.mutual_information,
-                                converged=True, estimator=sim.estimator,
-                                grid=sim.grid, window=sim.window,
-                                prior_part=sim.prior_part)
+    def too_good(decomps, prior, grid=None):
+        return [SimulationResult(mse=1e-6, mse_coarse=1e-6,
+                                 mutual_information=sim.mutual_information,
+                                 converged=True, estimator=sim.estimator,
+                                 grid=sim.grid, window=sim.window,
+                                 prior_part=sim.prior_part)
+                for sim in real(decomps, prior, grid)]
 
-    monkeypatch.setattr(phasebound.estimation, "bayesian_mmse", too_good)
+    monkeypatch.setattr(phasebound.estimation, "bayesian_mmse_all", too_good)
     report = light_battery()
     assert not report.passed
     names = [r.name for r in report.failures()]
     assert "simulated-mse-between-bounds-and-prior" in names
+
+
+def test_nan_margin_fails(monkeypatch):
+    # a bound that turns NaN leaves its inequality untested: a violation
+    # whose NaN margin no later margin replaces
+    monkeypatch.setattr(phasebound.bounds, "h_limit_bound",
+                        lambda q, n: math.nan)
+    report = light_battery()
+    lines = report.lines()
+    assert [r.name for r in report.failures()] == \
+        ["simulated-mse-between-bounds-and-prior"]
+    assert "FAIL simulated-mse-between-bounds-and-prior margin=+nan" in lines
+    assert any(line.startswith("  ") and "h_limit bound nan (margin +nan)"
+               in line for line in lines)
+    assert lines[-1] == "verify: 1 check(s) failed"
+
+
+def test_nan_entries_of_a_margin_array_fail():
+    check = CheckResult("c")
+    check.track(2.0, "fine")
+    check.track_all(np.array([[1.0, math.nan], [-1.0, 3.0]]),
+                    lambda i, j: f"entry {i},{j}")
+    check.track(0.5, "fine")
+    assert not check.passed and math.isnan(check.margin)
+    assert check.details == ["entry 0,1 (margin +nan)",
+                             "entry 1,0 (margin -1.000e+00)"]
+    clean = CheckResult("c")
+    clean.track_all(np.array([3.0, 0.25]), lambda i: f"entry {i}")
+    assert clean.passed and clean.margin == 0.25 and clean.details == []
+
+
+def test_scaled_branch_is_caught():
+    # a branch row 1% too long, with the weights read off the branches as
+    # chi_decompose reads them: only the loss distribution, computed apart
+    # from the branches, tells
+    decomp = phasebound.fock.chi_decompose(
+        phasebound.fock.ProbeSpec.coherent(1.0), 0.5)
+    assert _check_branch_orthonormality([decomp]).passed
+    decomp.branches = decomp.branches.copy()
+    decomp.branches[1] *= 1.01
+    decomp.weights = (np.abs(decomp.branches) ** 2).sum(axis=1)
+    check = _check_branch_orthonormality([decomp])
+    assert not check.passed
+    assert "branch norm error 2.01e-02" in check.details[0]
 
 
 def test_prior_variance_ceiling_is_the_discretized_prior():
@@ -123,7 +172,7 @@ def test_each_scenario_is_evaluated_once(monkeypatch):
     for module, name in [(phasebound.fock, "holevo_quantity"),
                          (phasebound.fock, "chi_decompose"),
                          (phasebound.fock, "binomial_loss_matrix"),
-                         (phasebound.estimation, "bayesian_mmse"),
+                         (phasebound.estimation, "bayesian_mmse_all"),
                          (phasebound.estimation, "_window"),
                          (phasebound.estimation, "_core")]:
         counted(module, name)
@@ -133,12 +182,12 @@ def test_each_scenario_is_evaluated_once(monkeypatch):
     assert report.passed
     scenarios = len(probes) * 2
     # one decomposition (one loss matrix), one Holevo evaluation and one
-    # MMSE run (one window, fine + half grid) per scenario; the Monte
-    # Carlo check evaluates no grid
+    # window per scenario; the MMSE runs share one stacked pass (one fine
+    # and one half-grid core); the Monte Carlo check evaluates no grid
     assert calls == {"chi_decompose": scenarios, "holevo_quantity": scenarios,
                      "binomial_loss_matrix": scenarios,
-                     "bayesian_mmse": scenarios, "_window": scenarios,
-                     "_core": 2 * scenarios}
+                     "bayesian_mmse_all": 1, "_window": scenarios,
+                     "_core": 2}
 
 
 def test_uncertified_rate_point_is_caught(monkeypatch):
