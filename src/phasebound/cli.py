@@ -101,7 +101,11 @@ def _cmd_bounds(cfg, threads):
     pairs = [(p, eta) for p in cfg.probes for eta in cfg.etas]
     rows = _parallel(row, [(p.mean_photons, eta, p) for p, eta in pairs],
                      threads)
-    sims = estimation.bayesian_mmse_all([r[-1] for r in rows], prior, cfg.grid)
+    # one contiguous slice of decompositions per thread, each run stacked
+    size = -(-len(rows) // threads)
+    sims = sum(_parallel(estimation.bayesian_mmse_all, [
+        ([r[-1] for r in rows[i:i + size]], prior, cfg.grid)
+        for i in range(0, len(rows), size)], threads), [])
     for (probe, eta), sim in zip(pairs, sims):
         if not sim.converged:
             drift = abs(sim.mse - sim.mse_coarse)
@@ -168,8 +172,7 @@ _COMMANDS = {
 
 
 def _build_parser():
-    # one flat parser: subparsers cost several times as much to build,
-    # and every invocation builds it
+    # one flat parser: subparsers cost several times as much to build
     parser = argparse.ArgumentParser(
         prog="phasebound",
         description="Bayesian phase estimation bounds and their "

@@ -21,12 +21,11 @@ Holevo quantity reads too (fock.chi_decompose).
 
 The convolution core is (prior part) x (window part), and a command runs
 many (probe, eta) scenarios under one prior and grid. So the prior part
-is cached per (prior, g_phi, lattice) (`_PriorPart`), and the window
-parts run stacked: `_spectra`, `_fold` and `_core` take (..., rows,
-bins) arrays, one scenario per leading index, and `bayesian_mmse_all`
-makes one forward transform and one fine and one half-grid `_core` per
-stack of at most STACK_POINTS lattice points. A grid at or above that
-runs one scenario per stack, and peaks as a lone run does.
+is cached per (prior, g_phi, lattice) (`_PriorPart`), and the windows
+run stacked: `_spectra`, `_fold` and `_core` take (..., rows, bins)
+arrays, and `bayesian_mmse_all` makes one forward transform and one
+fine and one half-grid `_core` per stack of at most STACK_POINTS
+lattice points; a grid at or above that runs one scenario per stack.
 
 The estimator is the posterior mean, optimal for the non-periodic squared
 error used throughout. All grid sums are plain Riemann sums on open
@@ -52,8 +51,7 @@ CONVERGED_TOL = 1e-4     # fine-vs-half-grid MSE drift for the converged flag
 LATTICE_CAP = 2 ** 22    # largest grid size; a run peaks near 22 floats/point
 STACK_POINTS = 2 ** 16   # lattice points per stacked pass of scenarios
 SAMPLES_CAP = 10 ** 7    # largest Monte Carlo draw a scenario may request
-# math.log, not np.log, whose SIMD loop can round differently
-_log = np.vectorize(math.log, otypes=[float])
+_log = np.vectorize(math.log, otypes=[float])  # math.log's bits, not np.log's
 
 
 class SimGrid:
@@ -311,33 +309,28 @@ def bayesian_mmse(decomp, prior, grid=None):
 def bayesian_mmse_all(decomps, prior, grid=None):
     """Posterior-mean MSE of the canonical measurement, per decomposition.
 
-    Each is a probe's ChiDecomposition at the channel's eta. The fine
-    grid's values are primary; converged means that a half-resolution
-    rerun, on the fine window's even points (its spectra folded), moves
-    the MSE by at most 1e-4. A prior that the half grid misses gets
-    mse_coarse = nan and converged = False. Each stack of at most
-    STACK_POINTS lattice points runs one fine and one half-grid `_core`.
+    Each is a probe's ChiDecomposition at the channel's eta. converged
+    means a half-grid rerun (the fine spectra folded) moves the fine,
+    primary MSE by at most 1e-4; a prior the half grid misses gets
+    mse_coarse = nan and converged = False.
     """
     grid = grid or SimGrid()
     g_phi, g_theta = grid.phi_points, grid.theta_points
     lattice = max(g_phi, g_theta)
     size = max(STACK_POINTS // lattice, 1)
     out = []
-    for start in range(0, len(decomps), size):
-        g = np.array([_window(d, lattice)
-                      for d in decomps[start:start + size]])
+    for k in range(0, len(decomps), size):
+        g = np.array([_window(d, lattice) for d in decomps[k:k + size]])
         spec = _spectra(g)
         mse, info, est, part = _core(spec, prior, g_phi, g_theta)
         try:
-            mse_c = _core(_fold(spec, 2), prior, g_phi // 2,
-                          g_theta // 2)[0].tolist()
+            mse_c = _core(_fold(spec, 2), prior, g_phi // 2, g_theta // 2)[0]
         except ValidationError:
-            # the prior's mass sits on odd phase points only: the fine
-            # values stand, unconfirmed
-            mse_c = [math.nan] * len(g)
+            # the prior's mass is on odd phase points: the fine values stand
+            mse_c = np.full(len(g), math.nan)
         out += [SimulationResult(m, c, i, abs(m - c) <= CONVERGED_TOL, e,
                                  grid, w, part) for m, c, i, e, w in
-                zip(mse.tolist(), mse_c, info.tolist(), est, g)]
+                zip(mse.tolist(), mse_c.tolist(), info.tolist(), est, g)]
     return out
 
 

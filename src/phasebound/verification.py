@@ -11,8 +11,6 @@ call time, not imported as bare names, so a monkeypatched or corrupted
 bound is caught rather than silently bypassed.
 """
 
-import math
-
 import numpy as np
 
 from . import bounds
@@ -51,20 +49,17 @@ class CheckResult:
         self.details = []
 
     def track(self, margin, text):
-        # a negative or NaN margin is a violation; a NaN one stays the min
-        margin = float(margin)
-        if not (math.isnan(self.margin) or margin >= self.margin):
-            self.margin = margin
+        # np.minimum keeps a NaN margin, and not >= 0 makes it a violation
+        self.margin = float(np.minimum(self.margin, margin))
         if not margin >= 0.0:
             self.details.append(f"{text} (margin {margin:+.3e})")
 
     def track_all(self, margins, text):
-        # track() each entry; text(*index) only for the violations
-        bad = ~(margins >= 0.0)
-        for idx in np.argwhere(bad):
+        """track() every entry of an array of margins; text(*index) is
+        formatted only for the violating entries, in index order."""
+        self.margin = float(np.minimum(self.margin, margins.min()))
+        for idx in np.argwhere(~(margins >= 0.0)):
             self.track(margins[tuple(idx)], text(*idx))
-        if not bad.any():
-            self.track(margins.min(), "")
 
     @property
     def passed(self):
@@ -195,9 +190,8 @@ def _check_rate_distortion(prior, grid_size, slopes):
 
 
 def _check_branch_orthonormality(decomps):
-    # the loss record separates branches of different counts, so each
-    # count must carry one branch of unit norm; the weights are checked
-    # against the loss distribution, computed apart from the branches
+    # the loss record separates branches of different counts, so each count
+    # carries one branch whose norm and weight are its loss probability
     check = CheckResult("environment-branch-orthonormality")
     for decomp in decomps:
         tag = f"{_name(decomp.probe)} eta={decomp.eta}"
@@ -211,14 +205,12 @@ def _check_branch_orthonormality(decomps):
 
 
 def _scenarios(probes, etas, prior, grid):
-    """(probe, eta, decomposition, Holevo quantity, MMSE run) per pair;
-    the MMSE runs share one stacked pass."""
+    """(probe, eta, decomposition, Holevo quantity, MMSE run) per pair."""
     pairs = [(probe, eta) for probe in probes for eta in etas]
     decomps = [fock.chi_decompose(probe, eta) for probe, eta in pairs]
-    chis = [fock.holevo_quantity(decomp, prior) for decomp in decomps]
     sims = estimation.bayesian_mmse_all(decomps, prior, grid)
-    return [(probe, eta, decomp, chi, sim) for (probe, eta), decomp, chi, sim
-            in zip(pairs, decomps, chis, sims)]
+    return [(p, eta, d, fock.holevo_quantity(d, prior), sim)
+            for (p, eta), d, sim in zip(pairs, decomps, sims)]
 
 
 def _check_holevo_chain(scenarios):

@@ -492,8 +492,10 @@ def test_options_may_precede_the_command(tmp_path, capsys):
     assert open(out).read().startswith("N_S,eta,C_unrestricted,C_ph_upper\n")
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
 def test_bounds_above_the_stack_cap_runs_one_scenario_per_pass(
-        tmp_path, capsys, monkeypatch):
+        threads, tmp_path, capsys, monkeypatch):
+    # each thread runs one contiguous slice of the rows as stacked passes
     stacks = []
     real = phasebound.estimation._core
 
@@ -503,13 +505,18 @@ def test_bounds_above_the_stack_cap_runs_one_scenario_per_pass(
 
     monkeypatch.setattr(phasebound.estimation, "_core", counted)
     probes = SMALL["probes"] + [{"family": "coherent", "alpha": 1.0}]
-    for points, expected in [(256, [(4,)] * 2),
+    per_thread = 4 // int(threads)
+    for points, expected in [(256, [(per_thread,)] * 2 * int(threads)),
                              (2 * phasebound.estimation.STACK_POINTS,
                               [(1,)] * 8)]:
         cfg = write_config(tmp_path, dict(
             SMALL, probes=probes, eta=[1.0, 0.5],
             grid={"phi_points": points, "theta_points": 256}))
         assert main(["bounds", "--config", cfg]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 1 + 4
+        lone = capsys.readouterr().out
+        stacks.clear()
+        assert main(["bounds", "--config", cfg, "--threads", threads]) == 0
+        assert capsys.readouterr().out == lone
+        assert len(lone.splitlines()) == 1 + 4
         assert stacks == expected
         stacks.clear()
