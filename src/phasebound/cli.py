@@ -55,6 +55,14 @@ def _parallel(fn, args, threads):
         return list(pool.map(lambda a: fn(*a), args))
 
 
+def _sliced(fn, items, threads):
+    """fn(items[i:j], i) on one contiguous slice per thread, concatenated:
+    a slice runs its MMSE scenarios in one bayesian_mmse_all call."""
+    size = -(-len(items) // threads)
+    return sum(_parallel(fn, [(items[i:i + size], i) for i in
+                              range(0, len(items), size)], threads), [])
+
+
 def _cmd_capacity(cfg, threads):
     targets = cfg.photon_targets()
     if not targets:
@@ -101,11 +109,8 @@ def _cmd_bounds(cfg, threads):
     pairs = [(p, eta) for p in cfg.probes for eta in cfg.etas]
     rows = _parallel(row, [(p.mean_photons, eta, p) for p, eta in pairs],
                      threads)
-    # one contiguous slice of decompositions per thread, each run stacked
-    size = -(-len(rows) // threads)
-    sims = sum(_parallel(estimation.bayesian_mmse_all, [
-        ([r[-1] for r in rows[i:i + size]], prior, cfg.grid)
-        for i in range(0, len(rows), size)], threads), [])
+    sims = _sliced(lambda chunk, _: estimation.bayesian_mmse_all(
+        [r[-1] for r in chunk], prior, cfg.grid), rows, threads)
     for (probe, eta), sim in zip(pairs, sims):
         if not sim.converged:
             drift = abs(sim.mse - sim.mse_coarse)
@@ -134,20 +139,24 @@ def _cmd_simulate(cfg, threads):
     if not cfg.probes:
         raise ValidationError("simulate needs at least one probe")
 
-    def scenario(index, pair):
-        probe, eta = pair
-        sim = estimation.bayesian_mmse(fock.chi_decompose(probe, eta),
-                                       cfg.prior, cfg.grid)
-        mc = estimation.monte_carlo_mse(sim, samples=cfg.samples,
-                                        seed=cfg.seed + index)
-        return {"probe": probe.descriptor(), "eta": float(eta),
-                "mse": float(sim.mse),
-                "mutual_information": float(sim.mutual_information),
-                "converged": bool(sim.converged),
-                "mc_mean": float(mc.mean), "mc_stderr": float(mc.stderr)}
+    def scenarios(pairs, start):
+        sims = estimation.bayesian_mmse_all(
+            [fock.chi_decompose(probe, eta) for probe, eta in pairs],
+            cfg.prior, cfg.grid)
+        out = []
+        for index, ((probe, eta), sim) in enumerate(zip(pairs, sims), start):
+            mc = estimation.monte_carlo_mse(sim, samples=cfg.samples,
+                                            seed=cfg.seed + index)
+            out.append({"probe": probe.descriptor(), "eta": float(eta),
+                        "mse": float(sim.mse),
+                        "mutual_information": float(sim.mutual_information),
+                        "converged": bool(sim.converged),
+                        "mc_mean": float(mc.mean),
+                        "mc_stderr": float(mc.stderr)})
+        return out
 
-    pairs = [(probe, eta) for probe in cfg.probes for eta in cfg.etas]
-    results = _parallel(scenario, list(enumerate(pairs)), threads)
+    results = _sliced(scenarios, [(probe, eta) for probe in cfg.probes
+                                  for eta in cfg.etas], threads)
     if len(results) == 1:
         payload = dict(results[0])
         del payload["probe"], payload["eta"]

@@ -20,12 +20,13 @@ the fine and half-grid runs. The input is the loss decomposition the
 Holevo quantity reads too (fock.chi_decompose).
 
 The convolution core is (prior part) x (window part), and a command runs
-many (probe, eta) scenarios under one prior and grid. So the prior part
-is cached per (prior, g_phi, lattice) (`_PriorPart`), and the windows
-run stacked: `_spectra`, `_fold` and `_core` take (..., rows, bins)
-arrays, and `bayesian_mmse_all` makes one forward transform and one
-fine and one half-grid `_core` per stack of at most STACK_POINTS
-lattice points; a grid at or above that runs one scenario per stack.
+many (probe, eta) scenarios under one prior and grid. So
+`bayesian_mmse_all` builds the fine and the half-grid prior part
+(`_PriorPart`) once per call, and runs the windows stacked: `_spectra`,
+`_fold` and `_core` take (..., rows, bins) arrays, and each stack of at
+most STACK_POINTS lattice points takes one forward transform and one
+fine and one half-grid `_core`; a grid at or above that runs one
+scenario per stack.
 
 The estimator is the posterior mean, optimal for the non-periodic squared
 error used throughout. All grid sums are plain Riemann sums on open
@@ -33,9 +34,7 @@ periodic grids, renormalized once; the half-resolution rerun quantifies
 the residual.
 """
 
-import functools
 import math
-import threading
 
 import numpy as np
 
@@ -48,7 +47,7 @@ __all__ = ["SimGrid", "SimulationResult", "MonteCarloResult",
            "bayesian_mmse", "bayesian_mmse_all", "monte_carlo_mse"]
 
 CONVERGED_TOL = 1e-4     # fine-vs-half-grid MSE drift for the converged flag
-LATTICE_CAP = 2 ** 22    # largest grid size; a run peaks near 22 floats/point
+LATTICE_CAP = 2 ** 22    # largest grid size; a run peaks near 24 floats/point
 STACK_POINTS = 2 ** 16   # lattice points per stacked pass of scenarios
 SAMPLES_CAP = 10 ** 7    # largest Monte Carlo draw a scenario may request
 _log = np.vectorize(math.log, otypes=[float])  # math.log's bits, not np.log's
@@ -60,10 +59,11 @@ class SimGrid:
     def __init__(self, phi_points=2048, theta_points=2048):
         for name, n, floor in [("phi_points", phi_points, 128),
                                ("theta_points", theta_points, 256)]:
-            if n < floor or n > LATTICE_CAP or n & (n - 1):
+            if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+                    or not floor <= n <= LATTICE_CAP or n & (n - 1)):
                 raise ValidationError(
                     f"{name} must be a power of two in [{floor}, "
-                    f"{LATTICE_CAP}], got {n}")
+                    f"{LATTICE_CAP}], got {n!r}")
         self.phi_points = int(phi_points)
         self.theta_points = int(theta_points)
 
@@ -154,9 +154,9 @@ class _PriorPart:
     The masses w, their mean, the last grid angle, sum w ln w, the rfft
     spectra of the spread rows [w, w dphi, w dphi^2, w ln w] (dphi about
     the mean; phi_i sits on lattice point i * lattice // g_phi) and the
-    masses' guide table. Built through `_prior_part`, once per process
-    and key, so the arrays are read-only: every (probe, eta) scenario
-    on this prior and grid shares them.
+    masses' guide table. Built once per `bayesian_mmse_all` call; the
+    arrays are read-only, since every (probe, eta) scenario of the call
+    shares them.
     """
 
     def __init__(self, prior, g_phi, lattice):
@@ -178,26 +178,11 @@ class _PriorPart:
     @property
     def table(self):
         """The masses' guide table, built on first read, by the first
-        Monte Carlo draw: only the fine grid's masses are drawn from."""
-        with _build_lock:
-            if self._table is None:
-                self._table = _GuideTable(self.masses)
+        Monte Carlo draw: only the fine grid's masses are drawn from.
+        Unguarded: threads that race here each build an equal table."""
+        if self._table is None:
+            self._table = _GuideTable(self.masses)
         return self._table
-
-
-# keyed by the prior object, which the cache keeps alive, so its id
-# cannot be reused; priors are not mutated after construction. Four
-# entries hold the fine and half grids of the last two (prior, grid)
-# pairs. One lock guards the cache and the masses' tables, so pooled
-# scenarios that miss together build each entry once.
-_build_lock = threading.Lock()
-_cached_part = functools.lru_cache(maxsize=4)(_PriorPart)
-
-
-def _prior_part(prior, g_phi, lattice):
-    """The cached _PriorPart of (prior, g_phi, lattice)."""
-    with _build_lock:
-        return _cached_part(prior, g_phi, lattice)
 
 
 def _spectra(g):
@@ -232,18 +217,17 @@ def _fold(spec, step):
     return out
 
 
-def _core(spec, prior, g_phi, g_theta):
-    """One grid evaluation on window spectra: (mse, info, estimator, part).
+def _core(spec, part, g_theta):
+    """One grid evaluation on window spectra: (mse, info, estimator).
 
-    `spec` is `_spectra` of windows on the lattice of max(g_phi, g_theta)
-    points; mse, info and estimator rows follow its leading axes. The
-    joint g(theta - phi) w(phi) is never formed. Every sum over phi for a
-    fixed theta is a circular convolution on the lattice, a product of
-    spectra read off at the theta points; the sum of J ln J over the joint
-    splits into (g ln g) * w + g * (w ln w). `part` is the cached _PriorPart.
+    `spec` is `_spectra` of windows on the lattice of `part`, the
+    _PriorPart of the phase grid; mse, info and estimator rows follow its
+    leading axes. The joint g(theta - phi) w(phi) is never formed. Every
+    sum over phi for a fixed theta is a circular convolution on the
+    lattice, a product of spectra read off at the theta points; the sum
+    of J ln J over the joint splits into (g ln g) * w + g * (w ln w).
     """
     lattice = 2 * (spec.shape[-1] - 1)
-    part = _prior_part(prior, g_phi, lattice)
     mean, fw = part.mean, part.spectra
     prod = fw * spec[..., :1, :]
     prod[..., 3, :] += spec[..., 1, :] * fw[0]
@@ -261,7 +245,7 @@ def _core(spec, prior, g_phi, g_theta):
     # discrete mutual information; the differential corrections cancel
     q = p / z[..., None]
     info = s.sum(-1) / z - _log(z) - _xlogy(q, q).sum(-1) - part.wlnw_sum
-    return mse, np.maximum(info, 0.0), est, part
+    return mse, np.maximum(info, 0.0), est
 
 
 class SimulationResult:
@@ -270,8 +254,8 @@ class SimulationResult:
     `estimator` holds the posterior mean at theta_j = 2 pi j / g_theta.
     `window` (g on the lattice) and `masses` (the prior on the phase
     grid) are the fine grid's joint, kept for Monte Carlo draws.
-    `prior_part` is the fine grid's cached _PriorPart, shared by every
-    result on one (prior, grid); its masses' guide table is built on the
+    `prior_part` is the fine grid's _PriorPart, shared by every result of
+    one `bayesian_mmse_all` call; its masses' guide table is built on the
     first draw, so a result that is never sampled builds none.
     """
 
@@ -318,16 +302,19 @@ def bayesian_mmse_all(decomps, prior, grid=None):
     g_phi, g_theta = grid.phi_points, grid.theta_points
     lattice = max(g_phi, g_theta)
     size = max(STACK_POINTS // lattice, 1)
+    part = _PriorPart(prior, g_phi, lattice)
+    try:
+        half = _PriorPart(prior, g_phi // 2, lattice // 2)
+    except ValidationError:
+        half = None   # the prior's mass is on odd phase points
     out = []
     for k in range(0, len(decomps), size):
         g = np.array([_window(d, lattice) for d in decomps[k:k + size]])
         spec = _spectra(g)
-        mse, info, est, part = _core(spec, prior, g_phi, g_theta)
-        try:
-            mse_c = _core(_fold(spec, 2), prior, g_phi // 2, g_theta // 2)[0]
-        except ValidationError:
-            # the prior's mass is on odd phase points: the fine values stand
-            mse_c = np.full(len(g), math.nan)
+        mse, info, est = _core(spec, part, g_theta)
+        # without a half grid the fine values stand
+        mse_c = np.full(len(g), math.nan) if half is None else \
+            _core(_fold(spec, 2), half, g_theta // 2)[0]
         out += [SimulationResult(m, c, i, abs(m - c) <= CONVERGED_TOL, e,
                                  grid, w, part) for m, c, i, e, w in
                 zip(mse.tolist(), mse_c.tolist(), info.tolist(), est, g)]
@@ -340,7 +327,7 @@ def monte_carlo_mse(sim, samples=100000, seed=0):
     Draws (phi, theta) from the fine-grid joint that `bayesian_mmse`
     already built and scores its estimator table. Each coordinate is an
     exact inverse-CDF draw, the index np.searchsorted(np.cumsum(p), u)
-    found through a guide table: the masses' table is the one cached with
+    found through a guide table: the masses' table is the one kept with
     `sim`'s prior part, built by the first draw from it, and the window's
     is built here. Exact for square grids; with phi finer than theta the
     outcome snaps to the nearest theta point.
@@ -350,6 +337,7 @@ def monte_carlo_mse(sim, samples=100000, seed=0):
             or not 10000 <= samples <= SAMPLES_CAP):
         raise ValidationError(f"samples must be an integer in [10000, "
                               f"{SAMPLES_CAP}], got {samples!r}")
+    samples = int(samples)
     g_phi, g_theta = sim.grid.phi_points, sim.grid.theta_points
     lattice = max(g_phi, g_theta)
     rng = np.random.default_rng(seed)

@@ -198,9 +198,9 @@ def test_simulate_builds_the_prior_side_once(tmp_path, capsys, monkeypatch):
 
 def test_simulate_builds_the_prior_side_once_on_two_threads(tmp_path, capsys,
                                                            monkeypatch):
-    # both workers start on the same (prior, grid): the second waits for
-    # the first one's build instead of repeating it. Each build sleeps so
-    # that a worker arriving unguarded would miss the cache too.
+    # each thread's slice of scenarios builds the fine and the half-grid
+    # prior part once, and the masses' table on its first draw. Each
+    # build sleeps, so the two threads' builds overlap.
     calls, tables = [], []
     real = phasebound.estimation.discretize_prior
     real_table = phasebound.estimation._GuideTable
@@ -223,8 +223,8 @@ def test_simulate_builds_the_prior_side_once_on_two_threads(tmp_path, capsys,
                                       eta=[1.0, 0.5, 0.0]))
     assert main(["simulate", "--config", cfg, "--threads", "2"]) == 0
     assert len(json.loads(capsys.readouterr().out)["results"]) == 6
-    assert sorted(calls) == [128, 256]
-    assert tables == [256]
+    assert sorted(calls) == [128, 128, 256, 256]
+    assert tables == [256, 256]
 
 
 def test_rd_curve_sorted(tmp_path, capsys):
@@ -285,18 +285,24 @@ def test_outputs_byte_identical(tmp_path):
 
 
 def test_simulate_bytes_independent_of_threads(tmp_path):
-    # phase grid finer than the outcome grid: the snapped Monte Carlo path
-    cfg = write_config(tmp_path, dict(
-        SMALL, probes=[{"family": "coherent", "alpha": 1.0},
-                       {"family": "flat-superposition", "d": 4}],
-        eta=[1.0, 0.5], grid={"phi_points": 4096, "theta_points": 256}))
-    outs = [str(tmp_path / f"sim{threads}.json") for threads in ("1", "2")]
-    for threads, out in zip(("1", "2"), outs):
-        assert main(["simulate", "--config", cfg, "--out", out,
-                     "--threads", threads]) == 0
-    blob = open(outs[0], "rb").read()
-    assert len(json.loads(blob)["results"]) == 4
-    assert blob == open(outs[1], "rb").read()
+    # phase grid finer than the outcome grid: the snapped Monte Carlo path.
+    # 4 scenarios run as slices of 2 + 2 on 2 and on 3 threads, 5 as 3 + 2
+    # on 2 threads and 2 + 2 + 1 on 3
+    probes = [{"family": "coherent", "alpha": 1.0},
+              {"family": "flat-superposition", "d": 4}]
+    for probes, etas in [(probes, [1.0, 0.5]),
+                         (probes[:1], [1.0, 0.75, 0.5, 0.25, 0.0])]:
+        cfg = write_config(tmp_path, dict(
+            SMALL, probes=probes, eta=etas,
+            grid={"phi_points": 4096, "theta_points": 256}))
+        blobs = []
+        for threads in "123":
+            out = str(tmp_path / f"sim{threads}.json")
+            assert main(["simulate", "--config", cfg, "--out", out,
+                         "--threads", threads]) == 0
+            blobs.append(open(out, "rb").read())
+        assert len(json.loads(blobs[0])["results"]) == len(probes) * len(etas)
+        assert blobs[0] == blobs[1] == blobs[2]
 
 
 def test_verify_default_battery(tmp_path, capsys):
@@ -442,10 +448,10 @@ def test_overflow_error_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_numerical_errors_map_to_exit_3(tmp_path, capsys, monkeypatch):
-    def explode(decomp, prior, grid=None):
+    def explode(decomps, prior, grid=None):
         raise NumericalError("negative eigenvalue -1e-3")
 
-    monkeypatch.setattr(phasebound.estimation, "bayesian_mmse", explode)
+    monkeypatch.setattr(phasebound.estimation, "bayesian_mmse_all", explode)
     cfg = write_config(tmp_path, dict(SMALL))
     assert main(["simulate", "--config", cfg]) == 3
     assert "negative eigenvalue" in capsys.readouterr().err
@@ -495,28 +501,32 @@ def test_options_may_precede_the_command(tmp_path, capsys):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_bounds_above_the_stack_cap_runs_one_scenario_per_pass(
         threads, tmp_path, capsys, monkeypatch):
-    # each thread runs one contiguous slice of the rows as stacked passes
+    # each thread runs one contiguous slice of the scenarios as stacked
+    # passes, under `bounds` and under `simulate`
     stacks = []
     real = phasebound.estimation._core
 
-    def counted(spec, prior, g_phi, g_theta):
+    def counted(spec, part, g_theta):
         stacks.append(spec.shape[:-2])
-        return real(spec, prior, g_phi, g_theta)
+        return real(spec, part, g_theta)
 
     monkeypatch.setattr(phasebound.estimation, "_core", counted)
     probes = SMALL["probes"] + [{"family": "coherent", "alpha": 1.0}]
     per_thread = 4 // int(threads)
-    for points, expected in [(256, [(per_thread,)] * 2 * int(threads)),
-                             (2 * phasebound.estimation.STACK_POINTS,
-                              [(1,)] * 8)]:
-        cfg = write_config(tmp_path, dict(
-            SMALL, probes=probes, eta=[1.0, 0.5],
-            grid={"phi_points": points, "theta_points": 256}))
-        assert main(["bounds", "--config", cfg]) == 0
-        lone = capsys.readouterr().out
-        stacks.clear()
-        assert main(["bounds", "--config", cfg, "--threads", threads]) == 0
-        assert capsys.readouterr().out == lone
-        assert len(lone.splitlines()) == 1 + 4
-        assert stacks == expected
-        stacks.clear()
+    for command in ("bounds", "simulate"):
+        for points, expected in [(256, [(per_thread,)] * 2 * int(threads)),
+                                 (2 * phasebound.estimation.STACK_POINTS,
+                                  [(1,)] * 8)]:
+            cfg = write_config(tmp_path, dict(
+                SMALL, probes=probes, eta=[1.0, 0.5],
+                grid={"phi_points": points, "theta_points": 256}))
+            assert main([command, "--config", cfg]) == 0
+            lone = capsys.readouterr().out
+            stacks.clear()
+            assert main([command, "--config", cfg, "--threads", threads]) == 0
+            assert capsys.readouterr().out == lone
+            rows = lone.splitlines()[1:] if command == "bounds" else \
+                json.loads(lone)["results"]
+            assert len(rows) == 4
+            assert stacks == expected
+            stacks.clear()

@@ -1,6 +1,4 @@
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -83,6 +81,12 @@ def test_sim_grid_validation():
         SimGrid(1536, 2048)   # not a power of two
     with pytest.raises(ValidationError):
         SimGrid(2 ** 23, 256)  # past the lattice cap, before any allocation
+    assert SimGrid(np.int64(256), np.int32(512)).theta_points == 512
+    for bad in (256.0, "256", True, None):
+        with pytest.raises(ValidationError, match="phi_points"):
+            SimGrid(bad, 256)
+        with pytest.raises(ValidationError, match="theta_points"):
+            SimGrid(256, bad)
 
 
 def test_modulated_state_signal_blocks():
@@ -330,6 +334,15 @@ def test_monte_carlo_rejects_bad_sample_counts(monkeypatch):
             monte_carlo_mse(res, samples=samples)
 
 
+def test_monte_carlo_takes_a_numpy_integer_count():
+    res = bayesian_mmse(chi_decompose(PROBE_01, 0.5), UNIFORM,
+                        SimGrid(256, 256))
+    lone = monte_carlo_mse(res, samples=20000, seed=4)
+    mc = monte_carlo_mse(res, samples=np.int64(20000), seed=4)
+    assert (mc.mean, mc.stderr) == (lone.mean, lone.stderr)
+    assert type(mc.mean) is float and type(mc.stderr) is float
+
+
 def test_monte_carlo_draws_from_the_result(monkeypatch):
     # the draw reuses the joint the MMSE run built; no grid is evaluated
     res = bayesian_mmse(chi_decompose(ProbeSpec.flat_superposition(4), 0.5),
@@ -345,11 +358,11 @@ def test_monte_carlo_draws_from_the_result(monkeypatch):
 
 
 def test_prior_part_is_read_only():
-    # every scenario on one (prior, grid) shares these arrays
+    # every scenario of one bayesian_mmse_all call shares these arrays
     res = bayesian_mmse(chi_decompose(PROBE_01, 0.5), UNIFORM,
                         SimGrid(512, 256))
-    part = estimation._prior_part(UNIFORM, 512, 512)
-    assert res.prior_part is part and res.masses is part.masses
+    part = res.prior_part
+    assert type(part) is estimation._PriorPart and res.masses is part.masses
     for arr in (part.masses, part.spectra, part.table.first,
                 part.table.wide, part.table.cdf):
         assert not arr.flags.writeable
@@ -357,45 +370,8 @@ def test_prior_part_is_read_only():
             arr[0] = 0
 
 
-def test_prior_part_builds_once_under_contention(monkeypatch):
-    # eight threads on two cores ask for the same two parts and the fine
-    # masses' table at once, with the interpreter switching threads as
-    # often as it can: each is built once and every thread gets it
-    calls = []
-    real = estimation.discretize_prior
-
-    def counted(prior, grid_size):
-        calls.append(grid_size)
-        return real(prior, grid_size)
-
-    monkeypatch.setattr(estimation, "discretize_prior", counted)
-    prior = PhasePrior.wrapped_gaussian(2.0, 0.3)
-    seen = []
-    start = threading.Barrier(8)
-
-    def worker():
-        start.wait(timeout=30)
-        fine = estimation._prior_part(prior, 1024, 1024)
-        half = estimation._prior_part(prior, 512, 512)
-        seen.append((fine, half, fine.table))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert sorted(calls) == [512, 1024]
-    assert len(seen) == 8 and len({tuple(map(id, s)) for s in seen}) == 1
-
-
 def test_monte_carlo_builds_no_prior_work(monkeypatch):
-    # the masses' guide table is the cached prior part's, which the result
+    # the masses' guide table is the prior part's, which the result
     # carries; only the window's table is built per draw
     res = bayesian_mmse(chi_decompose(PROBE_01, 0.5), UNIFORM,
                         SimGrid(256, 256))
@@ -403,15 +379,14 @@ def test_monte_carlo_builds_no_prior_work(monkeypatch):
     def no_prior(*args):
         raise AssertionError("monte_carlo_mse rebuilt the prior part")
 
-    monkeypatch.setattr(estimation, "_prior_part", no_prior)
+    monkeypatch.setattr(estimation, "_PriorPart", no_prior)
     monkeypatch.setattr(estimation, "discretize_prior", no_prior)
     mc = monte_carlo_mse(res, samples=10000, seed=1)
     assert (mc.mean, mc.stderr) == oracle_monte_carlo(res, 10000, 1)
 
 
 def test_equal_priors_give_identical_results():
-    # the cache is keyed by the prior object; a twin prior builds its own
-    # entry with the same bits
+    # each call builds its own prior part; a twin prior gives the same bits
     decomp = chi_decompose(ProbeSpec.coherent(1.0), 0.6)
     grid = SimGrid(1024, 256)
     results = [bayesian_mmse(decomp, PhasePrior.wrapped_gaussian(1.0, 0.5),
@@ -482,8 +457,10 @@ def test_convolution_core_matches_dense_oracle(g_phi, g_theta):
             for eta in [1.0, 0.5, 0.0]:
                 g = estimation._window(chi_decompose(probe, eta),
                                        max(g_phi, g_theta))
+                part = estimation._PriorPart(prior, g_phi,
+                                             max(g_phi, g_theta))
                 mse, info, est = estimation._core(estimation._spectra(g),
-                                                  prior, g_phi, g_theta)[:3]
+                                                  part, g_theta)
                 ref_mse, ref_info, ref_est, p_theta = dense_core(
                     probe, eta, prior, g_phi, g_theta)
                 case = (prior.kind, probe, eta)
@@ -512,7 +489,8 @@ def test_half_grid_reads_the_even_window_points(grid):
                 res = bayesian_mmse(decomp, prior, grid)
                 ref = estimation._core(
                     estimation._spectra(estimation._window(decomp, half)),
-                    prior, grid.phi_points // 2, grid.theta_points // 2)[0]
+                    estimation._PriorPart(prior, grid.phi_points // 2, half),
+                    grid.theta_points // 2)[0]
                 assert abs(res.mse_coarse - ref) <= 1e-12 * ref, \
                     (prior.kind, probe, eta)
 
@@ -557,6 +535,7 @@ def test_folded_inverse_matches_the_full_transform(g_phi, g_theta,
     edge[[0, 128]] = 2.0 ** -0.5
     for prior in [UNIFORM, PhasePrior.wrapped_gaussian(1.0, 0.5),
                   PhasePrior.uniform(center=3.0, width=1.0)]:
+        part = estimation._PriorPart(prior, g_phi, lattice)
         for probe, eta in [(ProbeSpec.binomial_phase(5), 0.7),
                            (ProbeSpec.coherent(1.0), 0.5),
                            (ProbeSpec.coherent(8.0), 1.0),
@@ -564,12 +543,11 @@ def test_folded_inverse_matches_the_full_transform(g_phi, g_theta,
                            (ProbeSpec(edge), 1.0)]:
             spec = estimation._spectra(
                 estimation._window(chi_decompose(probe, eta), lattice))
-            mse, info, est = estimation._core(spec, prior, g_phi,
-                                              g_theta)[:3]
+            mse, info, est = estimation._core(spec, part, g_theta)
             with monkeypatch.context() as m:
                 m.setattr(estimation, "_fold", full_fold)
-                ref_mse, ref_info, ref_est = estimation._core(
-                    spec, prior, g_phi, g_theta)[:3]
+                ref_mse, ref_info, ref_est = estimation._core(spec, part,
+                                                              g_theta)
             case = (prior.kind, probe, eta)
             assert abs(mse - ref_mse) <= 1e-13 * ref_mse, case
             assert abs(info - ref_info) <= 1e-13 * max(ref_info, 1.0), case
@@ -649,9 +627,9 @@ def test_stacked_passes_hold_at_most_the_cap(grid, passes, monkeypatch):
     sizes = []
     real = estimation._core
 
-    def counted(spec, prior, g_phi, g_theta):
+    def counted(spec, part, g_theta):
         sizes.append(spec.shape[0] * 2 * (spec.shape[-1] - 1))
-        return real(spec, prior, g_phi, g_theta)
+        return real(spec, part, g_theta)
 
     monkeypatch.setattr(estimation, "_core", counted)
     decomps = [chi_decompose(ProbeSpec.coherent(1.0), eta)
