@@ -46,8 +46,9 @@ def _check_eta(eta):
     return eta
 
 
-# ln k! for k <= 128, every size a probe cutoff allows
-_LOG_FACTORIAL = np.array([math.lgamma(k + 1) for k in range(129)])
+# ln k! for k <= 256: every size a probe cutoff allows, and every l + m
+# of fock's branch table
+_LOG_FACTORIAL = np.array([math.lgamma(k + 1) for k in range(257)])
 
 
 def binomial_loss_matrix(n_max, eta):

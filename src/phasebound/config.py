@@ -22,9 +22,10 @@ _FAMILIES = {"coherent", "number", "flat-superposition", "binomial-phase",
              "amplitudes"}
 
 
-def _require(cond, msg):
+def _require(cond, template, *args):
+    # format the message only when it is raised: a valid config builds none
     if not cond:
-        raise ValidationError(msg)
+        raise ValidationError(template.format(*args))
 
 
 def _is_number(value, kinds=(int, float)):
@@ -36,7 +37,9 @@ def _build_prior(spec):
     _require(isinstance(spec, dict) and "kind" in spec,
              "prior must be an object with a 'kind'")
     kind = spec["kind"]
-    _require(kind in _PRIOR_KINDS, f"unknown prior kind {kind!r}")
+    # a JSON list or object is unhashable: test for a string first
+    _require(isinstance(kind, str) and kind in _PRIOR_KINDS,
+             "unknown prior kind {!r}", kind)
     if kind == "uniform":
         return PhasePrior.uniform(
             center=_prior_number(spec.get("center", math.pi), "center"),
@@ -49,24 +52,24 @@ def _build_prior(spec):
     _require("values" in spec, "tabulated prior needs 'values'")
     values = spec["values"]
     _require(isinstance(values, list),
-             f"tabulated prior values must be a list, got {values!r}")
+             "tabulated prior values must be a list, got {!r}", values)
     return PhasePrior.tabulated([_prior_number(v, "value") for v in values])
 
 
 def _prior_number(value, what):
     _require(_is_number(value),
-             f"prior {what} must be a number, got {value!r}")
+             "prior {} must be a number, got {!r}", what, value)
     return value
 
 
 def _amplitudes(raw):
-    _require(isinstance(raw, list), f"amplitudes must be a list, got {raw!r}")
+    _require(isinstance(raw, list), "amplitudes must be a list, got {!r}", raw)
     out = []
     for entry in raw:
         pair = entry if isinstance(entry, list) else [entry, 0.0]
         _require(len(pair) == 2 and all(_is_number(x) for x in pair),
-                 f"each amplitude must be a number or a [re, im] pair of "
-                 f"numbers, got {entry!r}")
+                 "each amplitude must be a number or a [re, im] pair of "
+                 "numbers, got {!r}", entry)
         out.append(complex(pair[0], pair[1]))
     return out
 
@@ -74,12 +77,14 @@ def _amplitudes(raw):
 def _size(spec, key):
     value = spec.get(key)
     _require(value is None or _is_number(value),
-             f"probe {key} must be a number, got {value!r}")
+             "probe {} must be a number, got {!r}", key, value)
     return value
 
 
 def _int_like(x, what):
-    _require(abs(x - round(x)) < 1e-9, f"{what} must be an integer, got {x}")
+    # 2 * mean_photons + 1 overflows to inf from mean_photons ~ 9e307 on
+    _require(math.isfinite(x), "{} must be finite, got {}", what, x)
+    _require(abs(x - round(x)) < 1e-9, "{} must be an integer, got {}", what, x)
     return int(round(x))
 
 
@@ -87,7 +92,8 @@ def _build_probe(spec, mean_photons=None):
     _require(isinstance(spec, dict) and "family" in spec,
              "each probe must be an object with a 'family'")
     family = spec["family"]
-    _require(family in _FAMILIES, f"unknown probe family {family!r}")
+    _require(isinstance(family, str) and family in _FAMILIES,
+             "unknown probe family {!r}", family)
     if family == "amplitudes":
         _require("amplitudes" in spec, "amplitude probes need 'amplitudes'")
         return ProbeSpec(_amplitudes(spec["amplitudes"]))
@@ -109,7 +115,7 @@ def _build_probe(spec, mean_photons=None):
     d = _size(spec, "d")
     if d is None:
         _require(mean_photons is not None,
-                 f"{family} probe needs 'd' or a mean_photons list")
+                 "{} probe needs 'd' or a mean_photons list", family)
         d = _int_like(2.0 * mean_photons + 1.0, f"{family} level count")
     if family == "flat-superposition":
         return ProbeSpec.flat_superposition(d)
@@ -137,7 +143,8 @@ class ScenarioConfig:
         known = {"prior", "probes", "eta", "mean_photons", "grid", "rd",
                  "seed", "samples"}
         extra = set(raw) - known
-        _require(not extra, f"unknown config keys: {sorted(extra)}")
+        if extra:
+            raise ValidationError(f"unknown config keys: {sorted(extra)}")
 
         prior = _build_prior(raw.get("prior", {"kind": "uniform"}))
 
@@ -147,7 +154,7 @@ class ScenarioConfig:
         _require(len(etas) > 0, "eta list must be non-empty")
         for eta in etas:
             _require(_is_number(eta) and 0.0 <= eta <= 1.0,
-                     f"eta must lie in [0, 1], got {eta}")
+                     "eta must lie in [0, 1], got {}", eta)
 
         ns_list = raw.get("mean_photons")
         if ns_list is not None:
@@ -156,11 +163,14 @@ class ScenarioConfig:
             _require(len(ns_list) > 0, "mean_photons list must be non-empty")
             for n in ns_list:
                 _require(_is_number(n) and 0.0 <= n < math.inf,
-                         f"mean_photons entries must be finite and >= 0, "
-                         f"got {n}")
+                         "mean_photons entries must be finite and >= 0, "
+                         "got {}", n)
 
+        specs = raw.get("probes", [])
+        _require(isinstance(specs, list), "probes must be a list, got {!r}",
+                 specs)
         probes = []
-        for spec in raw.get("probes", []):
+        for spec in specs:
             sized = isinstance(spec, dict) and (
                 "alpha" in spec or "n" in spec or "d" in spec
                 or spec.get("family") == "amplitudes")
@@ -175,7 +185,7 @@ class ScenarioConfig:
         points = [grid_spec.get(key, 2048)
                   for key in ("phi_points", "theta_points")]
         _require(all(_is_number(n, int) for n in points),
-                 f"grid points must be integers, got {grid_spec!r}")
+                 "grid points must be integers, got {!r}", grid_spec)
         grid = SimGrid(*points)
 
         rd = raw.get("rd", {})
@@ -183,23 +193,23 @@ class ScenarioConfig:
         rd_grid_size = rd.get("grid_size", 128)
         _require(_is_number(rd_grid_size, int)
                  and 16 <= rd_grid_size <= RD_GRID_CAP,
-                 f"rd grid_size must be an integer in [16, {RD_GRID_CAP}], "
-                 f"got {rd_grid_size!r}")
+                 "rd grid_size must be an integer in [16, {}], got {!r}",
+                 RD_GRID_CAP, rd_grid_size)
         rd_slopes = rd.get("slopes", [0.0, 0.25, 0.5])
         _require(isinstance(rd_slopes, list) and len(rd_slopes) > 0,
                  "rd slopes must be a non-empty list")
         for s in rd_slopes:
             _require(_is_number(s) and math.isfinite(s)
                      and s >= 0.0,
-                     f"rd slopes must be finite and >= 0, got {s!r}")
+                     "rd slopes must be finite and >= 0, got {!r}", s)
 
         seed = raw.get("seed", 0)
         _require(_is_number(seed, int) and seed >= 0,
-                 f"seed must be a nonnegative integer, got {seed}")
+                 "seed must be a nonnegative integer, got {}", seed)
         samples = raw.get("samples", 100000)
         _require(_is_number(samples, int) and 10000 <= samples <= SAMPLES_CAP,
-                 f"samples must be an integer in [10000, {SAMPLES_CAP}], "
-                 f"got {samples}")
+                 "samples must be an integer in [10000, {}], got {}",
+                 SAMPLES_CAP, samples)
 
         return cls(prior=prior, probes=probes, etas=list(etas), grid=grid,
                    rd_grid_size=rd_grid_size, rd_slopes=list(rd_slopes),

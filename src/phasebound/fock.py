@@ -10,7 +10,11 @@ l, with one block over the surviving count m per loss count.
 chi_decompose builds every branch at once, one array V[l, m] =
 c_{l+m} sqrt(B_eta(l+m, l)) per (probe, eta), and its ChiDecomposition
 is the only input of both readers: holevo_quantity here and
-estimation.bayesian_mmse, whose window reads V^dagger V.
+estimation.bayesian_mmse, whose window reads V^dagger V. The factors
+sqrt(B_eta(l+m, l)) come from one module-level table of ln C(l+m, l),
+LOG_BINOM, and multiply a Hankel view of the amplitudes, so no loss
+matrix is built; capacity.binomial_loss_matrix stays the independent
+kernel that the loss distribution and the tests read.
 
 The Holevo quantity builds no state: the spectrum of each averaged block
 follows from the branch magnitudes |V_l| and the prior's Fourier
@@ -20,11 +24,13 @@ only by the test oracle, tests/fock_states.py.
 Entropies are in nats.
 """
 
+import cmath
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from .capacity import binomial_loss_matrix, shannon_entropy
+from .capacity import _LOG_FACTORIAL, _check_eta, shannon_entropy
 from .errors import NumericalError, ValidationError
 
 __all__ = ["ProbeSpec", "ChiDecomposition", "chi_decompose", "populations",
@@ -32,6 +38,12 @@ __all__ = ["ProbeSpec", "ChiDecomposition", "chi_decompose", "populations",
 
 CUTOFF_CAP = 128
 TAIL_MASS = 1e-12
+
+# LOG_BINOM[l, m] = ln C(l+m, l) for l, m <= CUTOFF_CAP, summed in
+# capacity.binomial_loss_matrix's order, so its branches keep every bit
+_K = np.arange(CUTOFF_CAP + 1)
+LOG_BINOM = ((_LOG_FACTORIAL[_K[:, None] + _K] - _LOG_FACTORIAL[_K, None])
+             - _LOG_FACTORIAL[_K])
 
 
 class ProbeSpec:
@@ -62,6 +74,9 @@ class ProbeSpec:
     @classmethod
     def coherent(cls, alpha):
         """Coherent state |alpha>, truncated where the Poisson tail < 1e-12."""
+        if cmath.isnan(complex(alpha)):
+            # a NaN passes the cap check below and reaches the amplitudes
+            raise ValidationError(f"coherent alpha must be a number, got {alpha}")
         alpha = complex(alpha)
         if abs(alpha) > CUTOFF_CAP:
             # far past the cap; checked before |alpha|^2 can overflow
@@ -148,15 +163,29 @@ class ChiDecomposition:
 def chi_decompose(probe, eta):
     """Split the probe by loss count; see ChiDecomposition.
 
-    Every branch comes from one gather of the binomial loss matrix, which
-    raises ValidationError for an eta outside [0, 1].
+    The factor sqrt(B_eta(l+m, l)) is exp of LOG_BINOM[l, m] + m ln eta
+    + l ln(1-eta), the loss matrix's sum in its order; eta 0 and 1 take
+    its exact 0/1 entries. It multiplies a Hankel view H[l, m] = c_{l+m}
+    of the zero-padded amplitudes, so no kernel is built and no gather
+    runs. An eta outside [0, 1] raises ValidationError.
     """
-    kern = binomial_loss_matrix(probe.cutoff, eta)   # kern[n, l]
-    l = np.arange(probe.cutoff + 1)[:, None]
-    n = l + l.T                                      # n = l + m
+    eta = _check_eta(eta)
+    size = probe.cutoff + 1
+    if eta in (0.0, 1.0):
+        # eta = 0 loses every photon (m = 0), eta = 1 loses none (l = 0)
+        root = np.zeros((size, size))
+        if eta == 1.0:
+            root[0] = 1.0
+        else:
+            root[:, 0] = 1.0
+    else:
+        m = np.arange(size)
+        root = np.sqrt(np.exp(LOG_BINOM[:size, :size] + m * np.log(eta)
+                              + m[:, None] * np.log1p(-eta)))
     # zero amplitudes past the cutoff null the corner l + m > cutoff
     amps = np.append(probe.amplitudes, np.zeros(probe.cutoff))
-    branches = amps[n] * np.sqrt(kern[np.minimum(n, probe.cutoff), l])
+    hankel = as_strided(amps, (size, size), amps.strides * 2, writeable=False)
+    branches = hankel * root
     weights = (np.abs(branches) ** 2).sum(axis=1)
     keep = weights >= 1e-14
     return ChiDecomposition(probe, eta, np.flatnonzero(keep).tolist(),

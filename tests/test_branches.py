@@ -5,7 +5,8 @@ the populations and the Holevo blocks read that one array. The oracles
 below take the branches one loss count at a time: a slice of the loss
 matrix per branch, one np.correlate per branch for the window
 coefficients, and q-scaled unit vectors for the populations and the
-Holevo blocks.
+Holevo blocks. A whole-array oracle, the full loss matrix gathered at
+[l + m, l], pins the branches bit for bit.
 """
 
 import math
@@ -37,6 +38,23 @@ def loop_decompose(probe, eta):
             weights.append(q)
             vectors.append(v / np.sqrt(q))
     return counts, np.array(weights), vectors
+
+
+def gather_decompose(probe, eta):
+    """(loss counts, weights, branches) gathered from the loss matrix.
+
+    The whole (cutoff+1)^2 kernel K[n, l] is built, then read at
+    [min(l + m, cutoff), l]; zero amplitudes past the cutoff null the
+    corner l + m > cutoff.
+    """
+    kern = binomial_loss_matrix(probe.cutoff, eta)
+    l = np.arange(probe.cutoff + 1)[:, None]
+    n = l + l.T
+    amps = np.append(probe.amplitudes, np.zeros(probe.cutoff))
+    branches = amps[n] * np.sqrt(kern[np.minimum(n, probe.cutoff), l])
+    weights = (np.abs(branches) ** 2).sum(axis=1)
+    keep = weights >= 1e-14
+    return np.flatnonzero(keep).tolist(), weights[keep], branches[keep]
 
 
 def correlate_coefficients(weights, vectors, cutoff):
@@ -97,6 +115,27 @@ PROBES = {
 }
 PROBES.update({f"random-{c}": (lambda c=c: random_probe(
     np.random.default_rng(300 + c), c)) for c in [0, 1, 14, 86, 128]})
+
+
+GATHER_PROBES = dict(PROBES, **{
+    "number-128": lambda: ProbeSpec.number(128),
+    "flat-129": lambda: ProbeSpec.flat_superposition(129),
+    "random-128b": lambda: random_probe(np.random.default_rng(7), 128)})
+
+
+@pytest.mark.parametrize("name", sorted(GATHER_PROBES))
+def test_branch_array_is_bit_identical_to_kernel_gather(name):
+    probe = GATHER_PROBES[name]()
+    for eta in [0.0, 1e-300, 1e-12, 0.3, 0.9, 1.0 - 1e-16, 1.0]:
+        case = (name, eta)
+        decomp = chi_decompose(probe, eta)
+        counts, weights, branches = gather_decompose(probe, eta)
+        assert decomp.loss_counts == counts, case
+        assert np.array_equal(decomp.weights, weights), case
+        assert np.array_equal(decomp.branches, branches), case
+        # array_equal counts -0.0 == 0.0; the signs must match too
+        assert np.array_equal(np.signbit(decomp.branches.view(float)),
+                              np.signbit(branches.view(float))), case
 
 
 @pytest.mark.parametrize("name", sorted(PROBES))

@@ -434,6 +434,18 @@ def test_float_overflows_exit_cleanly(tmp_path, capsys):
         assert math.isfinite(value) and value >= 0.0, (name, value)
 
 
+@pytest.mark.parametrize("family", ["flat-superposition", "binomial-phase"])
+def test_ladder_size_overflow_exits_2(tmp_path, capsys, family):
+    # 2 * N_S + 1 is inf from a finite N_S ~ 9e307 on: past the cap, so a
+    # validation error, not a numerical one
+    cfg = write_config(tmp_path, {"mean_photons": [9e307], "eta": [0.5],
+                                  "probes": [{"family": family}]})
+    assert main(["bounds", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {family} level count must be finite, got inf\n"
+
+
 def test_overflow_error_exits_3(tmp_path, capsys, monkeypatch):
     # an OverflowError anywhere is a numerical error, not a traceback
     def overflow(*args):

@@ -136,3 +136,144 @@ def test_prior_kinds_roundtrip():
     cfg = ScenarioConfig.from_dict({
         "prior": {"kind": "uniform", "center": 1.0, "width": 2.0}})
     assert cfg.prior.max_density() == pytest.approx(0.5)
+
+
+NAN, INF = float("nan"), float("inf")
+AMPS = "each amplitude must be a number or a [re, im] pair of numbers, got "
+
+
+@pytest.mark.parametrize("raw, message", [
+    ([1, 2], "config must be a JSON object"),
+    ({"banana": 1, "apple": 2}, "unknown config keys: ['apple', 'banana']"),
+    ({"prior": {"center": 1.0}}, "prior must be an object with a 'kind'"),
+    ({"prior": 3}, "prior must be an object with a 'kind'"),
+    ({"prior": {"kind": "beta"}}, "unknown prior kind 'beta'"),
+    # an unhashable kind or family is rejected, not a TypeError
+    ({"prior": {"kind": ["uniform"]}}, "unknown prior kind ['uniform']"),
+    ({"prior": {"kind": "wrapped_gaussian", "mean": 1.0}},
+     "wrapped_gaussian prior needs 'mean' and 'sigma'"),
+    ({"prior": {"kind": "tabulated"}}, "tabulated prior needs 'values'"),
+    ({"prior": {"kind": "tabulated", "values": "flat"}},
+     "tabulated prior values must be a list, got 'flat'"),
+    ({"prior": {"kind": "uniform", "center": "pi"}},
+     "prior center must be a number, got 'pi'"),
+    ({"prior": {"kind": "uniform", "width": True}},
+     "prior width must be a number, got True"),
+    ({"prior": {"kind": "wrapped_gaussian", "mean": None, "sigma": 0.5}},
+     "prior mean must be a number, got None"),
+    ({"prior": {"kind": "wrapped_gaussian", "mean": 1.0, "sigma": [0.5]}},
+     "prior sigma must be a number, got [0.5]"),
+    ({"prior": {"kind": "tabulated", "values": [1, "x"]}},
+     "prior value must be a number, got 'x'"),
+    ({"probes": [{"family": "amplitudes", "amplitudes": "ab"}]},
+     "amplitudes must be a list, got 'ab'"),
+    ({"probes": [{"family": "amplitudes", "amplitudes": [1.0, [0.0, 1.0, 2.0]]}]},
+     AMPS + "[0.0, 1.0, 2.0]"),
+    ({"probes": [{"family": "amplitudes", "amplitudes": [["1", 0]]}]},
+     AMPS + "['1', 0]"),
+    ({"probes": [{"family": "amplitudes", "amplitudes": [True]}]}, AMPS + "True"),
+    ({"probes": [{"family": "coherent", "alpha": "x"}]},
+     "probe alpha must be a number, got 'x'"),
+    ({"probes": [{"family": "number", "n": [3]}]},
+     "probe n must be a number, got [3]"),
+    # 2 * mean_photons + 1 overflows to inf
+    ({"mean_photons": [9e307], "probes": [{"family": "flat-superposition"}]},
+     "flat-superposition level count must be finite, got inf"),
+    ({"mean_photons": [1.3], "probes": [{"family": "number"}]},
+     "number probe size must be an integer, got 1.3"),
+    ({"mean_photons": [0.7], "probes": [{"family": "binomial-phase"}]},
+     "binomial-phase level count must be an integer, got 2.4"),
+    ({"probes": {"family": "coherent", "alpha": 1.0}},
+     "probes must be a list, got {'family': 'coherent', 'alpha': 1.0}"),
+    ({"probes": 5}, "probes must be a list, got 5"),
+    ({"probes": [5]}, "each probe must be an object with a 'family'"),
+    ({"probes": [{"alpha": 1.0}]}, "each probe must be an object with a 'family'"),
+    ({"probes": [{"family": "squeezed"}]}, "unknown probe family 'squeezed'"),
+    ({"probes": [{"family": {"name": "coherent"}}]},
+     "unknown probe family {'name': 'coherent'}"),
+    ({"probes": [{"family": "amplitudes"}]}, "amplitude probes need 'amplitudes'"),
+    ({"probes": [{"family": "coherent"}]},
+     "coherent probe needs 'alpha' or a mean_photons list"),
+    ({"probes": [{"family": "number"}]},
+     "number probe needs 'n' or a mean_photons list"),
+    ({"probes": [{"family": "flat-superposition"}]},
+     "flat-superposition probe needs 'd' or a mean_photons list"),
+    ({"probes": [{"family": "binomial-phase", "d": None}]},
+     "binomial-phase probe needs 'd' or a mean_photons list"),
+    # a NaN alpha is named before it reaches the amplitudes
+    ({"probes": [{"family": "coherent", "alpha": NAN}]},
+     "coherent alpha must be a number, got nan"),
+    ({"eta": []}, "eta list must be non-empty"),
+    ({"eta": [0.5, 1.2]}, "eta must lie in [0, 1], got 1.2"),
+    ({"eta": NAN}, "eta must lie in [0, 1], got nan"),
+    ({"eta": "high"}, "eta must lie in [0, 1], got high"),
+    ({"mean_photons": []}, "mean_photons list must be non-empty"),
+    ({"mean_photons": [1.0, -1.0]},
+     "mean_photons entries must be finite and >= 0, got -1.0"),
+    ({"mean_photons": INF}, "mean_photons entries must be finite and >= 0, got inf"),
+    ({"mean_photons": [True]},
+     "mean_photons entries must be finite and >= 0, got True"),
+    ({"grid": [256, 256]}, "grid must be an object"),
+    ({"grid": {"phi_points": 256.0}},
+     "grid points must be integers, got {'phi_points': 256.0}"),
+    ({"rd": 64}, "rd must be an object"),
+    ({"rd": {"grid_size": 15}},
+     "rd grid_size must be an integer in [16, 4096], got 15"),
+    ({"rd": {"grid_size": 100.5}},
+     "rd grid_size must be an integer in [16, 4096], got 100.5"),
+    ({"rd": {"slopes": []}}, "rd slopes must be a non-empty list"),
+    ({"rd": {"slopes": 0.5}}, "rd slopes must be a non-empty list"),
+    ({"rd": {"slopes": [0.0, -1.0]}}, "rd slopes must be finite and >= 0, got -1.0"),
+    ({"rd": {"slopes": [INF]}}, "rd slopes must be finite and >= 0, got inf"),
+    ({"seed": -3}, "seed must be a nonnegative integer, got -3"),
+    ({"seed": 1.5}, "seed must be a nonnegative integer, got 1.5"),
+    ({"samples": 100},
+     "samples must be an integer in [10000, 10000000], got 100"),
+    ({"samples": 1.5e5},
+     "samples must be an integer in [10000, 10000000], got 150000.0"),
+])
+def test_error_messages_verbatim(raw, message):
+    with pytest.raises(ValidationError) as caught:
+        ScenarioConfig.from_dict(raw)
+    assert str(caught.value) == message
+
+
+def test_malformed_json_message_verbatim(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"eta": [0.5,]}')
+    with pytest.raises(ValidationError) as caught:
+        ScenarioConfig.from_file(str(path))
+    assert str(caught.value) == ("malformed config JSON at line 1 column 14: "
+                                 "Expecting value")
+
+
+class Unprintable(list):
+    """A list whose repr fails: formatting a message that names it fails."""
+
+    def __repr__(self):
+        raise AssertionError("formatted an error message for a valid config")
+
+    __str__ = __repr__
+
+
+class UnprintableDict(dict):
+    __repr__ = __str__ = Unprintable.__repr__
+
+
+def test_valid_config_formats_no_message():
+    # every field a message would name, on a config that is valid
+    cfg = ScenarioConfig.from_dict(UnprintableDict({
+        "prior": UnprintableDict({"kind": "tabulated",
+                                  "values": Unprintable([0.5 / math.pi] * 4)}),
+        "probes": Unprintable([
+            UnprintableDict({"family": "amplitudes", "amplitudes": Unprintable(
+                [Unprintable([0.6, 0.0]), Unprintable([0.0, 0.8])])}),
+            UnprintableDict({"family": "binomial-phase"})]),
+        "eta": Unprintable([0.5, 1.0]),
+        "mean_photons": Unprintable([1.5]),
+        "grid": UnprintableDict({"phi_points": 256, "theta_points": 256}),
+        "rd": UnprintableDict({"grid_size": 16,
+                               "slopes": Unprintable([0.0, 0.5])}),
+    }))
+    assert [p.cutoff for p in cfg.probes] == [1, 3]
+    assert cfg.etas == [0.5, 1.0]

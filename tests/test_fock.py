@@ -158,6 +158,17 @@ def test_probe_sizes_capped_before_allocation():
     assert ProbeSpec.binomial_phase(129).cutoff == 128
 
 
+def test_coherent_rejects_nan_alpha_by_name():
+    # NaN passes the cap check; it is named before any amplitude exists
+    for alpha in [float("nan"), complex(1.0, float("nan"))]:
+        with pytest.raises(ValidationError,
+                           match=r"^coherent alpha must be a number, got"):
+            ProbeSpec.coherent(alpha)
+    # an infinite alpha keeps the cap's message
+    with pytest.raises(ValidationError, match=r"alpha=inf needs cutoff beyond"):
+        ProbeSpec.coherent(float("inf"))
+
+
 def test_chi_decompose_weights():
     single = chi_decompose(ProbeSpec.number(1), 0.7)
     assert single.loss_counts == [0, 1]

@@ -158,36 +158,50 @@ def test_prior_variance_ceiling_is_the_discretized_prior():
 
 
 def test_each_scenario_is_evaluated_once(monkeypatch):
-    calls = {}
+    calls, stack, kernels = {}, [], []
 
     def counted(module, name):
         real = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
-            return real(*args, **kwargs)
+            stack.append(name)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                stack.pop()
 
         monkeypatch.setattr(module, name, wrapper)
 
     for module, name in [(phasebound.fock, "holevo_quantity"),
                          (phasebound.fock, "chi_decompose"),
-                         (phasebound.fock, "binomial_loss_matrix"),
                          (phasebound.estimation, "bayesian_mmse_all"),
                          (phasebound.estimation, "_window"),
                          (phasebound.estimation, "_core")]:
         counted(module, name)
+    kernel = phasebound.capacity.binomial_loss_matrix
+
+    def loss_matrix(*args, **kwargs):
+        kernels.append(list(stack))   # the counted calls open around it
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(phasebound.capacity, "binomial_loss_matrix",
+                        loss_matrix)
     probes = [{"family": "amplitudes", "amplitudes": HALF},
               {"family": "flat-superposition", "d": 3}]
     report = light_battery(probes=probes, eta=[0.5, 1.0])
     assert report.passed
     scenarios = len(probes) * 2
-    # one decomposition (one loss matrix), one Holevo evaluation and one
-    # window per scenario; the MMSE runs share one stacked pass (one fine
-    # and one half-grid core); the Monte Carlo check evaluates no grid
+    # one decomposition, one Holevo evaluation and one window per
+    # scenario; the MMSE runs share one stacked pass (one fine and one
+    # half-grid core); the Monte Carlo check evaluates no grid
     assert calls == {"chi_decompose": scenarios, "holevo_quantity": scenarios,
-                     "binomial_loss_matrix": scenarios,
                      "bayesian_mmse_all": 1, "_window": scenarios,
                      "_core": 2}
+    # a decomposition builds no loss matrix: fock reads its log-binomial
+    # table and binds no kernel; the capacity checks still build theirs
+    assert not hasattr(phasebound.fock, "binomial_loss_matrix")
+    assert kernels and not any("chi_decompose" in open_ for open_ in kernels)
 
 
 def test_uncertified_rate_point_is_caught(monkeypatch):
