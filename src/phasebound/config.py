@@ -1,9 +1,11 @@
 """Scenario configuration for the command line tools.
 
 A scenario is JSON: a prior, a probe list, a transmittance list, grid
-sizes, and sampling controls. Probe families may fix their own size
-(coherent alpha, number n, superposition d) or leave it out and let a
-mean_photons list materialize one probe per target size.
+sizes, and sampling controls. The keys of every object are in one table
+(`_SECTIONS`, `_PRIORS`, `_PROBES`); any other key, at any depth, is an
+error. Probe families may fix their own size (coherent alpha, number n,
+superposition d) or leave it out, or null, and let a mean_photons list
+materialize one probe per target size.
 """
 
 import json
@@ -17,15 +19,37 @@ from .rate_distortion import RD_GRID_CAP
 
 __all__ = ["ScenarioConfig"]
 
-_PRIOR_KINDS = {"uniform", "wrapped_gaussian", "tabulated"}
-_FAMILIES = {"coherent", "number", "flat-superposition", "binomial-phase",
-             "amplitudes"}
+# each section's keys and their defaults
+_SECTIONS = {
+    "config": {"prior": {"kind": "uniform"}, "probes": [], "eta": [1.0],
+               "mean_photons": None, "grid": {}, "rd": {}, "seed": 0,
+               "samples": 100000},
+    "grid": {"phi_points": 2048, "theta_points": 2048},
+    "rd": {"grid_size": 128, "slopes": [0.0, 0.25, 0.5]},
+}
+# each prior kind's number keys and defaults; None marks a required key
+_PRIORS = {
+    "uniform": {"center": math.pi, "width": 2.0 * math.pi},
+    "wrapped_gaussian": {"mean": None, "sigma": None},
+    "tabulated": {"values": None},   # a list of numbers
+}
 
 
 def _require(cond, template, *args):
     # format the message only when it is raised: a valid config builds none
     if not cond:
         raise ValidationError(template.format(*args))
+
+
+def _known(spec, keys, where):
+    extra = sorted(spec.keys() - keys)
+    _require(not extra, "unknown {} keys: {}", where, extra)
+
+
+def _section(spec, name):
+    _require(isinstance(spec, dict), "{} must be an object", name)
+    _known(spec, _SECTIONS[name], name)
+    return {**_SECTIONS[name], **spec}
 
 
 def _is_number(value, kinds=(int, float)):
@@ -38,22 +62,22 @@ def _build_prior(spec):
              "prior must be an object with a 'kind'")
     kind = spec["kind"]
     # a JSON list or object is unhashable: test for a string first
-    _require(isinstance(kind, str) and kind in _PRIOR_KINDS,
+    _require(isinstance(kind, str) and kind in _PRIORS,
              "unknown prior kind {!r}", kind)
-    if kind == "uniform":
-        return PhasePrior.uniform(
-            center=_prior_number(spec.get("center", math.pi), "center"),
-            width=_prior_number(spec.get("width", 2.0 * math.pi), "width"))
-    if kind == "wrapped_gaussian":
-        _require("mean" in spec and "sigma" in spec,
-                 "wrapped_gaussian prior needs 'mean' and 'sigma'")
-        return PhasePrior.wrapped_gaussian(_prior_number(spec["mean"], "mean"),
-                                           _prior_number(spec["sigma"], "sigma"))
-    _require("values" in spec, "tabulated prior needs 'values'")
-    values = spec["values"]
-    _require(isinstance(values, list),
-             "tabulated prior values must be a list, got {!r}", values)
-    return PhasePrior.tabulated([_prior_number(v, "value") for v in values])
+    defaults = _PRIORS[kind]
+    _known(spec, defaults.keys() | {"kind"}, f"{kind} prior")
+    required = [key for key, value in defaults.items() if value is None]
+    if not all(key in spec for key in required):
+        raise ValidationError(f"{kind} prior needs "
+                              + " and ".join(map(repr, required)))
+    if kind == "tabulated":
+        values = spec["values"]
+        _require(isinstance(values, list),
+                 "tabulated prior values must be a list, got {!r}", values)
+        return PhasePrior.tabulated([_prior_number(v, "value") for v in values])
+    return getattr(PhasePrior, kind)(**{
+        key: _prior_number(spec.get(key, default), key)
+        for key, default in defaults.items()})
 
 
 def _prior_number(value, what):
@@ -71,14 +95,7 @@ def _amplitudes(raw):
                  "each amplitude must be a number or a [re, im] pair of "
                  "numbers, got {!r}", entry)
         out.append(complex(pair[0], pair[1]))
-    return out
-
-
-def _size(spec, key):
-    value = spec.get(key)
-    _require(value is None or _is_number(value),
-             "probe {} must be a number, got {!r}", key, value)
-    return value
+    return ProbeSpec(out)
 
 
 def _int_like(x, what):
@@ -88,38 +105,42 @@ def _int_like(x, what):
     return int(round(x))
 
 
-def _build_probe(spec, mean_photons=None):
+# each probe family: its size key, its constructor, and its size for a
+# mean photon number n (None: the size key is required)
+_PROBES = {
+    "coherent": ("alpha", ProbeSpec.coherent, math.sqrt),
+    "number": ("n", ProbeSpec.number,
+               lambda n: _int_like(n, "number probe size")),
+    # the flat and binomial ladders both average (d - 1) / 2 photons
+    "flat-superposition": ("d", ProbeSpec.flat_superposition, lambda n:
+                           _int_like(2.0 * n + 1.0,
+                                     "flat-superposition level count")),
+    "binomial-phase": ("d", ProbeSpec.binomial_phase, lambda n:
+                       _int_like(2.0 * n + 1.0, "binomial-phase level count")),
+    "amplitudes": ("amplitudes", _amplitudes, None),
+}
+
+
+def _build_probes(spec, ns_list):
+    """One probe, or one per mean_photons entry if its size is left out."""
     _require(isinstance(spec, dict) and "family" in spec,
              "each probe must be an object with a 'family'")
     family = spec["family"]
-    _require(isinstance(family, str) and family in _FAMILIES,
+    _require(isinstance(family, str) and family in _PROBES,
              "unknown probe family {!r}", family)
-    if family == "amplitudes":
-        _require("amplitudes" in spec, "amplitude probes need 'amplitudes'")
-        return ProbeSpec(_amplitudes(spec["amplitudes"]))
-    if family == "coherent":
-        alpha = _size(spec, "alpha")
-        if alpha is not None:
-            return ProbeSpec.coherent(alpha)
-        _require(mean_photons is not None,
-                 "coherent probe needs 'alpha' or a mean_photons list")
-        return ProbeSpec.coherent(math.sqrt(mean_photons))
-    if family == "number":
-        n = _size(spec, "n")
-        if n is None:
-            _require(mean_photons is not None,
-                     "number probe needs 'n' or a mean_photons list")
-            n = _int_like(mean_photons, "number probe size")
-        return ProbeSpec.number(n)
-    # the flat and binomial ladders both average (d - 1) / 2 photons
-    d = _size(spec, "d")
-    if d is None:
-        _require(mean_photons is not None,
-                 "{} probe needs 'd' or a mean_photons list", family)
-        d = _int_like(2.0 * mean_photons + 1.0, f"{family} level count")
-    if family == "flat-superposition":
-        return ProbeSpec.flat_superposition(d)
-    return ProbeSpec.binomial_phase(d)
+    key, make, rule = _PROBES[family]
+    _known(spec, {"family", key}, f"{family} probe")
+    if rule is None:
+        _require(key in spec, "amplitude probes need 'amplitudes'")
+        return [make(spec[key])]
+    size = spec.get(key)
+    if size is None:
+        _require(ns_list is not None,
+                 "{} probe needs {!r} or a mean_photons list", family, key)
+        return [make(rule(n)) for n in ns_list]
+    _require(_is_number(size),
+             "probe {} must be a number, got {!r}", key, size)
+    return [make(size)]
 
 
 class ScenarioConfig:
@@ -140,73 +161,52 @@ class ScenarioConfig:
     @classmethod
     def from_dict(cls, raw):
         _require(isinstance(raw, dict), "config must be a JSON object")
-        known = {"prior", "probes", "eta", "mean_photons", "grid", "rd",
-                 "seed", "samples"}
-        extra = set(raw) - known
-        if extra:
-            raise ValidationError(f"unknown config keys: {sorted(extra)}")
+        raw = _section(raw, "config")
+        prior = _build_prior(raw["prior"])
 
-        prior = _build_prior(raw.get("prior", {"kind": "uniform"}))
-
-        etas = raw.get("eta", [1.0])
-        if not isinstance(etas, list):
-            etas = [etas]
+        etas = raw["eta"] if isinstance(raw["eta"], list) else [raw["eta"]]
         _require(len(etas) > 0, "eta list must be non-empty")
         for eta in etas:
             _require(_is_number(eta) and 0.0 <= eta <= 1.0,
                      "eta must lie in [0, 1], got {}", eta)
 
-        ns_list = raw.get("mean_photons")
+        # of the top-level keys, only mean_photons reads null as absent
+        ns_list = raw["mean_photons"]
         if ns_list is not None:
-            if not isinstance(ns_list, list):
-                ns_list = [ns_list]
+            ns_list = ns_list if isinstance(ns_list, list) else [ns_list]
             _require(len(ns_list) > 0, "mean_photons list must be non-empty")
             for n in ns_list:
                 _require(_is_number(n) and 0.0 <= n < math.inf,
                          "mean_photons entries must be finite and >= 0, "
                          "got {}", n)
 
-        specs = raw.get("probes", [])
-        _require(isinstance(specs, list), "probes must be a list, got {!r}",
-                 specs)
-        probes = []
-        for spec in specs:
-            sized = isinstance(spec, dict) and (
-                "alpha" in spec or "n" in spec or "d" in spec
-                or spec.get("family") == "amplitudes")
-            if sized or ns_list is None:
-                probes.append(_build_probe(spec))
-            else:
-                probes.extend(_build_probe(spec, mean_photons=n)
-                              for n in ns_list)
+        _require(isinstance(raw["probes"], list),
+                 "probes must be a list, got {!r}", raw["probes"])
+        probes = [probe for spec in raw["probes"]
+                  for probe in _build_probes(spec, ns_list)]
 
-        grid_spec = raw.get("grid", {})
-        _require(isinstance(grid_spec, dict), "grid must be an object")
-        points = [grid_spec.get(key, 2048)
-                  for key in ("phi_points", "theta_points")]
-        _require(all(_is_number(n, int) for n in points),
-                 "grid points must be integers, got {!r}", grid_spec)
-        grid = SimGrid(*points)
+        grid = _section(raw["grid"], "grid")
+        _require(all(_is_number(n, int) for n in grid.values()),
+                 "grid points must be integers, got {!r}", raw["grid"])
+        grid = SimGrid(**grid)
 
-        rd = raw.get("rd", {})
-        _require(isinstance(rd, dict), "rd must be an object")
-        rd_grid_size = rd.get("grid_size", 128)
+        rd = _section(raw["rd"], "rd")
+        rd_grid_size = rd["grid_size"]
         _require(_is_number(rd_grid_size, int)
                  and 16 <= rd_grid_size <= RD_GRID_CAP,
                  "rd grid_size must be an integer in [16, {}], got {!r}",
                  RD_GRID_CAP, rd_grid_size)
-        rd_slopes = rd.get("slopes", [0.0, 0.25, 0.5])
+        rd_slopes = rd["slopes"]
         _require(isinstance(rd_slopes, list) and len(rd_slopes) > 0,
                  "rd slopes must be a non-empty list")
         for s in rd_slopes:
-            _require(_is_number(s) and math.isfinite(s)
-                     and s >= 0.0,
+            _require(_is_number(s) and 0.0 <= s < math.inf,
                      "rd slopes must be finite and >= 0, got {!r}", s)
 
-        seed = raw.get("seed", 0)
+        seed = raw["seed"]
         _require(_is_number(seed, int) and seed >= 0,
                  "seed must be a nonnegative integer, got {}", seed)
-        samples = raw.get("samples", 100000)
+        samples = raw["samples"]
         _require(_is_number(samples, int) and 10000 <= samples <= SAMPLES_CAP,
                  "samples must be an integer in [10000, {}], got {}",
                  SAMPLES_CAP, samples)

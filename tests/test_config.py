@@ -1,4 +1,7 @@
+import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +55,12 @@ def test_mean_photons_materializes_unsized_families():
     })
     assert len(cfg.probes) == 1
     assert cfg.photon_targets() == [1.0, 4.0]
+    # a null size is a size left out: the probe is expanded
+    cfg = ScenarioConfig.from_dict({
+        "mean_photons": [1.0, 4.0],
+        "probes": [{"family": "coherent", "alpha": None}],
+    })
+    assert [p.mean_photons for p in cfg.probes] == pytest.approx([1.0, 4.0])
 
 
 def test_ladder_families_need_integer_sizes():
@@ -231,6 +240,47 @@ AMPS = "each amplitude must be a number or a [re, im] pair of numbers, got "
      "samples must be an integer in [10000, 10000000], got 100"),
     ({"samples": 1.5e5},
      "samples must be an integer in [10000, 10000000], got 150000.0"),
+    # a key that its object's table does not name, at any depth
+    ({"grid": {"phi_point": 256}}, "unknown grid keys: ['phi_point']"),
+    ({"rd": {"grid_sise": 16, "slope": []}},
+     "unknown rd keys: ['grid_sise', 'slope']"),
+    ({"prior": {"kind": "uniform", "centre": 1.0}},
+     "unknown uniform prior keys: ['centre']"),
+    ({"prior": {"kind": "wrapped_gaussian", "mean": 1.0, "sigma": 0.5,
+                "width": 1.0}},
+     "unknown wrapped_gaussian prior keys: ['width']"),
+    ({"prior": {"kind": "tabulated", "values": [1.0, 1.0], "grid_size": 2}},
+     "unknown tabulated prior keys: ['grid_size']"),
+    ({"probes": [{"family": "coherent", "n": 2}]},
+     "unknown coherent probe keys: ['n']"),
+    ({"probes": [{"family": "number", "d": 3}]},
+     "unknown number probe keys: ['d']"),
+    ({"probes": [{"family": "flat-superposition", "n": 3}]},
+     "unknown flat-superposition probe keys: ['n']"),
+    ({"probes": [{"family": "binomial-phase", "alpha": 1.0}]},
+     "unknown binomial-phase probe keys: ['alpha']"),
+    ({"probes": [{"family": "amplitudes", "amplitudes": [1.0], "d": 1}]},
+     "unknown amplitudes probe keys: ['d']"),
+    # a misspelled size key is rejected, not read as a size left out
+    ({"grid": {"phi_point": 256}, "rd": {"grid_sise": 16},
+      "probes": [{"family": "coherent", "alpah": 2.0}], "mean_photons": [1.0]},
+     "unknown coherent probe keys: ['alpah']"),
+    ({"mean_photons": [1.0], "probes": [{"family": "number", "alpha": 2.0}]},
+     "unknown number probe keys: ['alpha']"),
+    # an explicit null is a value, not a key left out
+    ({"eta": None}, "eta must lie in [0, 1], got None"),
+    ({"seed": None}, "seed must be a nonnegative integer, got None"),
+    ({"samples": None},
+     "samples must be an integer in [10000, 10000000], got None"),
+    ({"rd": {"grid_size": None}},
+     "rd grid_size must be an integer in [16, 4096], got None"),
+    ({"rd": {"slopes": None}}, "rd slopes must be a non-empty list"),
+    ({"grid": {"phi_points": None}},
+     "grid points must be integers, got {'phi_points': None}"),
+    ({"prior": {"kind": "uniform", "width": None}},
+     "prior width must be a number, got None"),
+    ({"probes": [{"family": "amplitudes", "amplitudes": None}]},
+     "amplitudes must be a list, got None"),
 ])
 def test_error_messages_verbatim(raw, message):
     with pytest.raises(ValidationError) as caught:
@@ -277,3 +327,42 @@ def test_valid_config_formats_no_message():
     }))
     assert [p.cutoff for p in cfg.probes] == [1, 3]
     assert cfg.etas == [0.5, 1.0]
+
+
+def test_every_optional_key_parses():
+    # the counterpart of the test above: every optional key, set
+    cfg = ScenarioConfig.from_dict({
+        "prior": {"kind": "uniform", "center": 1.0, "width": 2.0},
+        "probes": [{"family": "coherent", "alpha": 1.0},
+                   {"family": "number", "n": 2},
+                   {"family": "flat-superposition", "d": 3},
+                   {"family": "binomial-phase", "d": 5},
+                   {"family": "amplitudes", "amplitudes": [0.6, [0.0, 0.8]]}],
+        "eta": [0.5, 1.0],
+        "mean_photons": [1.0, 2.0],
+        "grid": {"phi_points": 256, "theta_points": 512},
+        "rd": {"grid_size": 32, "slopes": [0.0, 2.0]},
+        "seed": 3,
+        "samples": 20000,
+    })
+    assert cfg.prior.kind == "uniform"
+    assert cfg.prior.params == {"center": 1.0, "width": 2.0}
+    assert [p.mean_photons for p in cfg.probes] == pytest.approx(
+        [1.0, 2.0, 1.0, 2.0, 0.64], abs=1e-9)
+    assert cfg.etas == [0.5, 1.0]
+    assert cfg.photon_targets() == [1.0, 2.0]
+    assert (cfg.grid.phi_points, cfg.grid.theta_points) == (256, 512)
+    assert cfg.rd_grid_size == 32
+    assert cfg.rd_slopes == [0.0, 2.0]
+    assert cfg.seed == 3
+    assert cfg.samples == 20000
+
+
+def test_readme_scenarios_parse():
+    # every scenario the README shows parses, so none holds a stray key
+    text = (Path(__file__).parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", text, re.S)
+    assert blocks
+    for block in blocks:
+        ScenarioConfig.from_dict(json.loads(block))
