@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+import threading
 
 from . import bounds as bounds_mod
 from . import capacity as capacity_mod
@@ -44,23 +45,37 @@ def _csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def _parallel(fn, args, threads):
-    """[fn(*a) for a in args], in that order whatever the thread count."""
-    if threads <= 1 or len(args) <= 1:
-        return [fn(*a) for a in args]
-    # imported here: concurrent.futures pulls in logging and queue, which
-    # a single-threaded run never needs
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda a: fn(*a), args))
-
-
 def _sliced(fn, items, threads):
-    """fn(items[i:j], i) on one contiguous slice per thread, concatenated:
-    a slice runs its MMSE scenarios in one bayesian_mmse_all call."""
+    """fn(items[i:j], i) on one contiguous slice per thread, concatenated.
+
+    `items` is non-empty. Slice 0 runs on the calling thread and each
+    later slice on a worker thread of its own, so at most threads - 1
+    workers start. Every worker is joined before the first failing
+    slice's exception is raised again here.
+    """
     size = -(-len(items) // threads)
-    return sum(_parallel(fn, [(items[i:i + size], i) for i in
-                              range(0, len(items), size)], threads), [])
+    slices = [(items[i:i + size], i) for i in range(0, len(items), size)]
+    done = [None] * len(slices)
+
+    def run(k):
+        try:
+            done[k] = fn(*slices[k]), None
+        except BaseException as exc:   # raised again on the calling thread
+            done[k] = None, exc
+
+    workers = [threading.Thread(target=run, args=(k,))
+               for k in range(1, len(slices))]
+    for worker in workers:
+        worker.start()
+    run(0)
+    for worker in workers:
+        worker.join()
+    out = []
+    for rows, exc in done:
+        if exc is not None:
+            raise exc
+        out += rows
+    return out
 
 
 def _cmd_capacity(cfg, threads):
@@ -69,15 +84,13 @@ def _cmd_capacity(cfg, threads):
         raise ValidationError(
             "capacity table needs probes or a mean_photons list")
 
-    def row(ns, eta):
-        c = capacity_mod.unrestricted_capacity(ns)
-        cp = capacity_mod.capacity_upper_bound_lossy(ns, eta) \
-            if 0.0 < eta < 1.0 else None
-        return (float(ns), float(eta), c, cp)
+    def rows(pairs, _):
+        return [(float(ns), float(eta), capacity_mod.unrestricted_capacity(ns),
+                 capacity_mod.capacity_upper_bound_lossy(ns, eta)
+                 if 0.0 < eta < 1.0 else None) for ns, eta in pairs]
 
-    rows = _parallel(row, [(ns, eta) for ns in targets for eta in cfg.etas],
-                     threads)
-    return _csv(("N_S", "eta", "C_unrestricted", "C_ph_upper"), rows), 0
+    return _csv(("N_S", "eta", "C_unrestricted", "C_ph_upper"), _sliced(
+        rows, [(ns, eta) for ns in targets for eta in cfg.etas], threads)), 0
 
 
 _BOUNDS_HEADER = ("N_S", "eta", "Q", "h_limit", "hall_wiseman", "lossy_sql",
@@ -92,34 +105,39 @@ def _cmd_bounds(cfg, threads):
 
     q = prior.entropy_power()
 
-    def row(ns, eta, probe=None):
-        report = bounds_mod.build_report(
-            prior, ns, eta=eta,
-            photon_variance=None if probe is None else probe.photon_variance)
-        cells = (float(ns), float(eta), q, *report.values())
-        if probe is None:
-            return cells + (None, None, None)
-        decomp = fock.chi_decompose(probe, eta)
-        return cells + (fock.holevo_quantity(decomp, prior), decomp)
+    def report(ns, eta, photon_variance=None):
+        return (float(ns), float(eta), q, *bounds_mod.build_report(
+            prior, ns, eta=eta, photon_variance=photon_variance).values())
 
     if not cfg.probes:
-        return _csv(_BOUNDS_HEADER, _parallel(row, [
-            (ns, eta) for ns in cfg.mean_photons for eta in cfg.etas],
+        return _csv(_BOUNDS_HEADER, _sliced(
+            lambda pairs, _: [report(ns, eta) + (None, None, None)
+                              for ns, eta in pairs],
+            [(ns, eta) for ns in cfg.mean_photons for eta in cfg.etas],
             threads)), 0
-    pairs = [(p, eta) for p in cfg.probes for eta in cfg.etas]
-    rows = _parallel(row, [(p.mean_photons, eta, p) for p, eta in pairs],
-                     threads)
-    sims = _sliced(lambda chunk, _: estimation.bayesian_mmse_all(
-        [r[-1] for r in chunk], prior, cfg.grid), rows, threads)
-    for (probe, eta), sim in zip(pairs, sims):
+    # the shared work, done here before any worker starts: every
+    # decomposition and both prior parts
+    scenarios = [(p, eta, fock.chi_decompose(p, eta)) for p in cfg.probes
+                 for eta in cfg.etas]
+    parts = estimation.prior_parts(prior, cfg.grid)
+
+    def rows(chunk, _):
+        cells = [report(p.mean_photons, eta, p.photon_variance)
+                 + (fock.holevo_quantity(d, prior),) for p, eta, d in chunk]
+        sims = estimation.bayesian_mmse_all(
+            [d for _, _, d in chunk], prior, cfg.grid, parts)
+        return list(zip(cells, sims))
+
+    out = _sliced(rows, scenarios, threads)
+    for (probe, eta, _), (_, sim) in zip(scenarios, out):
         if not sim.converged:
             drift = abs(sim.mse - sim.mse_coarse)
             why = "holds none of the prior's mass" if math.isnan(drift) else \
                 f"moves it by {drift!r}, beyond {estimation.CONVERGED_TOL}"
             print(f"warning: bounds mse_sim for {probe!r} at eta {eta!r} is "
                   f"not converged: the half grid {why}", file=sys.stderr)
-    return _csv(_BOUNDS_HEADER, [r[:-1] + (sim.mutual_information, sim.mse)
-                                 for r, sim in zip(rows, sims)]), 0
+    return _csv(_BOUNDS_HEADER, [cells + (sim.mutual_information, sim.mse)
+                                 for cells, sim in out]), 0
 
 
 def _cmd_rd_curve(cfg, threads):
@@ -138,13 +156,20 @@ def _cmd_rd_curve(cfg, threads):
 def _cmd_simulate(cfg, threads):
     if not cfg.probes:
         raise ValidationError("simulate needs at least one probe")
+    # the shared work, done here before any worker starts: every
+    # decomposition, both prior parts and the masses' guide table, which
+    # every slice's draws read (built on this first read)
+    scenarios = [(p, eta, fock.chi_decompose(p, eta)) for p in cfg.probes
+                 for eta in cfg.etas]
+    parts = estimation.prior_parts(cfg.prior, cfg.grid)
+    parts[0].table
 
-    def scenarios(pairs, start):
+    def entries(chunk, start):
         sims = estimation.bayesian_mmse_all(
-            [fock.chi_decompose(probe, eta) for probe, eta in pairs],
-            cfg.prior, cfg.grid)
+            [d for _, _, d in chunk], cfg.prior, cfg.grid, parts)
         out = []
-        for index, ((probe, eta), sim) in enumerate(zip(pairs, sims), start):
+        for index, ((probe, eta, _), sim) in enumerate(zip(chunk, sims),
+                                                        start):
             mc = estimation.monte_carlo_mse(sim, samples=cfg.samples,
                                             seed=cfg.seed + index)
             out.append({"probe": probe.descriptor(), "eta": float(eta),
@@ -155,8 +180,7 @@ def _cmd_simulate(cfg, threads):
                         "mc_stderr": float(mc.stderr)})
         return out
 
-    results = _sliced(scenarios, [(probe, eta) for probe in cfg.probes
-                                  for eta in cfg.etas], threads)
+    results = _sliced(entries, scenarios, threads)
     if len(results) == 1:
         payload = dict(results[0])
         del payload["probe"], payload["eta"]

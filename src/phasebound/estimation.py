@@ -20,13 +20,14 @@ the fine and half-grid runs. The input is the loss decomposition the
 Holevo quantity reads too (fock.chi_decompose).
 
 The convolution core is (prior part) x (window part), and a command runs
-many (probe, eta) scenarios under one prior and grid. So
-`bayesian_mmse_all` builds the fine and the half-grid prior part
-(`_PriorPart`) once per call, and runs the windows stacked: `_spectra`,
-`_fold` and `_core` take (..., rows, bins) arrays, and each stack of at
-most STACK_POINTS lattice points takes one forward transform and one
-fine and one half-grid `_core`; a grid at or above that runs one
-scenario per stack.
+many (probe, eta) scenarios under one prior and grid. So the fine and
+the half-grid prior part (`_PriorPart`, built by `prior_parts`) are
+built once: by `bayesian_mmse_all` per call, or by its caller, which
+hands the read-only pair to every call, on any thread. The windows run
+stacked: `_spectra`, `_fold` and `_core` take (..., rows, bins) arrays,
+and each stack of at most STACK_POINTS lattice points takes one forward
+transform and one fine and one half-grid `_core`; a grid at or above
+that runs one scenario per stack.
 
 The estimator is the posterior mean, optimal for the non-periodic squared
 error used throughout. All grid sums are plain Riemann sums on open
@@ -44,7 +45,8 @@ from .priors import TWO_PI
 from .rate_distortion import discretize_prior
 
 __all__ = ["SimGrid", "SimulationResult", "MonteCarloResult",
-           "bayesian_mmse", "bayesian_mmse_all", "monte_carlo_mse"]
+           "bayesian_mmse", "bayesian_mmse_all", "monte_carlo_mse",
+           "prior_parts"]
 
 CONVERGED_TOL = 1e-4     # fine-vs-half-grid MSE drift for the converged flag
 LATTICE_CAP = 2 ** 22    # largest grid size; a run peaks near 24 floats/point
@@ -154,9 +156,9 @@ class _PriorPart:
     The masses w, their mean, the last grid angle, sum w ln w, the rfft
     spectra of the spread rows [w, w dphi, w dphi^2, w ln w] (dphi about
     the mean; phi_i sits on lattice point i * lattice // g_phi) and the
-    masses' guide table. Built once per `bayesian_mmse_all` call; the
-    arrays are read-only, since every (probe, eta) scenario of the call
-    shares them.
+    masses' guide table. Built once per command or `bayesian_mmse_all`
+    call (`prior_parts`); the arrays are read-only, since every (probe,
+    eta) scenario shares them, on every thread.
     """
 
     def __init__(self, prior, g_phi, lattice):
@@ -177,9 +179,9 @@ class _PriorPart:
 
     @property
     def table(self):
-        """The masses' guide table, built on first read, by the first
-        Monte Carlo draw: only the fine grid's masses are drawn from.
-        Unguarded: threads that race here each build an equal table."""
+        """The masses' guide table, built on first read: only the fine
+        grid's masses are drawn from. Unguarded, so a caller that draws
+        on several threads reads it once before they start."""
         if self._table is None:
             self._table = _GuideTable(self.masses)
         return self._table
@@ -254,9 +256,9 @@ class SimulationResult:
     `estimator` holds the posterior mean at theta_j = 2 pi j / g_theta.
     `window` (g on the lattice) and `masses` (the prior on the phase
     grid) are the fine grid's joint, kept for Monte Carlo draws.
-    `prior_part` is the fine grid's _PriorPart, shared by every result of
-    one `bayesian_mmse_all` call; its masses' guide table is built on the
-    first draw, so a result that is never sampled builds none.
+    `prior_part` is the fine grid's _PriorPart, shared by every result
+    built on it; its masses' guide table is built on its first read, so
+    a result that is never sampled builds none.
     """
 
     def __init__(self, mse, mse_coarse, mutual_information, converged,
@@ -290,23 +292,37 @@ def bayesian_mmse(decomp, prior, grid=None):
     return bayesian_mmse_all([decomp], prior, grid)[0]
 
 
-def bayesian_mmse_all(decomps, prior, grid=None):
+def prior_parts(prior, grid=None):
+    """The fine and the half-grid _PriorPart of `prior` on `grid`.
+
+    The half part is None when the prior's mass sits on odd phase points
+    only. Both are read-only, so one pair may serve any number of
+    `bayesian_mmse_all` calls on the same prior and grid, on any thread.
+    """
+    grid = grid or SimGrid()
+    lattice = max(grid.phi_points, grid.theta_points)
+    part = _PriorPart(prior, grid.phi_points, lattice)
+    try:
+        half = _PriorPart(prior, grid.phi_points // 2, lattice // 2)
+    except ValidationError:
+        half = None   # the prior's mass is on odd phase points
+    return part, half
+
+
+def bayesian_mmse_all(decomps, prior, grid=None, parts=None):
     """Posterior-mean MSE of the canonical measurement, per decomposition.
 
     Each is a probe's ChiDecomposition at the channel's eta. converged
     means a half-grid rerun (the fine spectra folded) moves the fine,
     primary MSE by at most 1e-4; a prior the half grid misses gets
-    mse_coarse = nan and converged = False.
+    mse_coarse = nan and converged = False. `parts` is
+    prior_parts(prior, grid), built here when not given.
     """
     grid = grid or SimGrid()
     g_phi, g_theta = grid.phi_points, grid.theta_points
     lattice = max(g_phi, g_theta)
     size = max(STACK_POINTS // lattice, 1)
-    part = _PriorPart(prior, g_phi, lattice)
-    try:
-        half = _PriorPart(prior, g_phi // 2, lattice // 2)
-    except ValidationError:
-        half = None   # the prior's mass is on odd phase points
+    part, half = parts or prior_parts(prior, grid)
     out = []
     for k in range(0, len(decomps), size):
         g = np.array([_window(d, lattice) for d in decomps[k:k + size]])
@@ -328,8 +344,8 @@ def monte_carlo_mse(sim, samples=100000, seed=0):
     already built and scores its estimator table. Each coordinate is an
     exact inverse-CDF draw, the index np.searchsorted(np.cumsum(p), u)
     found through a guide table: the masses' table is the one kept with
-    `sim`'s prior part, built by the first draw from it, and the window's
-    is built here. Exact for square grids; with phi finer than theta the
+    `sim`'s prior part, built on its first read, and the window's is
+    built here. Exact for square grids; with phi finer than theta the
     outcome snaps to the nearest theta point.
     `samples` must be an integer in [10000, SAMPLES_CAP].
     """

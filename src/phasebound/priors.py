@@ -86,11 +86,25 @@ class PhasePrior:
 
     def density(self, phi):
         """P(phi), vectorized; phi is taken modulo 2*pi."""
-        phi = np.asarray(phi, dtype=float) % TWO_PI
+        return self._density(np.asarray(phi, dtype=float) % TWO_PI)
+
+    def grid_density(self, n):
+        """Density on the open uniform grid of n points (wraps periodically)."""
+        return self._density(np.arange(n) * (TWO_PI / n), on_grid=True)
+
+    def _density(self, phi, on_grid=False):
+        # P at phi in [0, 2*pi]. Grid points lie below 2*pi, where adding
+        # 2*pi to a negative phi - start equals (phi - start) % TWO_PI bit
+        # for bit; density()'s remainder rounds phi = -1e-17 up to 2*pi
+        # exactly, where only the remainder puts it back in the window
         if self.kind == "uniform":
-            start = (self.params["center"] - self.params["width"] / 2.0) % TWO_PI
-            inside = (phi - start) % TWO_PI < self.params["width"]
-            return np.where(inside, 1.0 / self.params["width"], 0.0)
+            width = self.params["width"]
+            x = phi - (self.params["center"] - width / 2.0) % TWO_PI
+            if on_grid:
+                np.add(x, TWO_PI, out=x, where=x < 0.0)
+            else:
+                x %= TWO_PI
+            return np.where(x < width, 1.0 / width, 0.0)
         if self.kind == "wrapped_gaussian":
             mu, sig = self.params["mean"], self.params["sigma"]
             out = np.zeros_like(phi)
@@ -102,10 +116,6 @@ class PhasePrior:
         grid = np.arange(k + 1) * (TWO_PI / k)
         vals = np.concatenate([self._values, self._values[:1]])
         return np.interp(phi, grid, vals)
-
-    def grid_density(self, n):
-        """Density on the open uniform grid of n points (wraps periodically)."""
-        return self.density(np.arange(n) * (TWO_PI / n))
 
     # ---- functionals ----------------------------------------------------
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 import warnings
 
@@ -13,7 +14,7 @@ import phasebound.bounds
 import phasebound.estimation
 import phasebound.fock
 from phasebound.cli import main
-from phasebound.errors import NumericalError
+from phasebound.errors import NumericalError, ValidationError
 from phasebound.verification import DEFAULT_BATTERY
 
 
@@ -164,8 +165,8 @@ def test_commands_never_import_scipy(tmp_path, command):
 
 
 def test_cli_import_leaves_the_thread_pool_unloaded():
-    # concurrent.futures (and the logging it pulls in) loads only when a
-    # command runs on more than one thread
+    # --threads starts plain threads: importing the CLI loads neither
+    # concurrent.futures nor the logging it pulls in
     script = ("import json, sys, phasebound.cli\n"
               "print(json.dumps([m in sys.modules for m in "
               "('concurrent.futures', 'logging')]))\n")
@@ -196,11 +197,8 @@ def test_simulate_builds_the_prior_side_once(tmp_path, capsys, monkeypatch):
     assert sorted(calls) == [128, 256]
 
 
-def test_simulate_builds_the_prior_side_once_on_two_threads(tmp_path, capsys,
-                                                           monkeypatch):
-    # each thread's slice of scenarios builds the fine and the half-grid
-    # prior part once, and the masses' table on its first draw. Each
-    # build sleeps, so the two threads' builds overlap.
+def count_prior_builds(monkeypatch):
+    """The grid sizes discretized and the masses' guide tables built."""
     calls, tables = [], []
     real = phasebound.estimation.discretize_prior
     real_table = phasebound.estimation._GuideTable
@@ -218,13 +216,96 @@ def test_simulate_builds_the_prior_side_once_on_two_threads(tmp_path, capsys,
 
     monkeypatch.setattr(phasebound.estimation, "discretize_prior", counted)
     monkeypatch.setattr(phasebound.estimation, "_GuideTable", counted_table)
+    return calls, tables
+
+
+def test_simulate_builds_the_prior_side_once_on_two_threads(tmp_path, capsys,
+                                                           monkeypatch):
+    # the calling thread builds the fine and the half-grid prior part and
+    # the masses' table before the worker starts, and both slices share
+    # them. Each build sleeps, so builds on two threads would overlap.
+    calls, tables = count_prior_builds(monkeypatch)
     probes = SMALL["probes"] + [{"family": "coherent", "alpha": 1.0}]
     cfg = write_config(tmp_path, dict(SMALL, probes=probes,
                                       eta=[1.0, 0.5, 0.0]))
     assert main(["simulate", "--config", cfg, "--threads", "2"]) == 0
     assert len(json.loads(capsys.readouterr().out)["results"]) == 6
-    assert sorted(calls) == [128, 128, 256, 256]
-    assert tables == [256, 256]
+    assert sorted(calls) == [128, 256]
+    assert tables == [256]
+
+
+def test_bounds_builds_the_prior_side_once_on_two_threads(tmp_path, capsys,
+                                                         monkeypatch):
+    # as for simulate, but bounds never draws: no guide table
+    calls, tables = count_prior_builds(monkeypatch)
+    probes = SMALL["probes"] + [{"family": "coherent", "alpha": 1.0}]
+    cfg = write_config(tmp_path, dict(SMALL, probes=probes,
+                                      eta=[1.0, 0.5, 0.0]))
+    assert main(["bounds", "--config", cfg, "--threads", "2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 6
+    assert sorted(calls) == [128, 256]
+    assert tables == []
+
+
+@pytest.mark.parametrize("command", ["bounds", "simulate"])
+@pytest.mark.parametrize("error,code,prefix", [
+    (NumericalError, 3, "numerical error: "), (ValidationError, 2, "error: ")])
+def test_worker_failure_exits_with_its_code(command, error, code, prefix,
+                                            tmp_path, capsys, monkeypatch):
+    # a fault raised only in the second slice, on the worker thread,
+    # reaches main on the calling thread with its exit code and message
+    raised = []
+    cfg = write_config(tmp_path, dict(SMALL, eta=[1.0, 0.5], seed=7))
+    if command == "simulate":
+        module, name = phasebound.estimation, "monte_carlo_mse"
+        real = module.monte_carlo_mse
+
+        def fault(sim, samples=100000, seed=0):
+            if seed == 8:   # the scenario at index 1
+                raised.append(threading.current_thread())
+                raise error("second slice failed")
+            return real(sim, samples=samples, seed=seed)
+    else:
+        module, name = phasebound.fock, "holevo_quantity"
+        real = module.holevo_quantity
+
+        def fault(decomp, prior):
+            if decomp.eta == 0.5:
+                raised.append(threading.current_thread())
+                raise error("second slice failed")
+            return real(decomp, prior)
+
+    monkeypatch.setattr(module, name, fault)
+    assert main([command, "--config", cfg, "--threads", "1"]) == code
+    assert raised == [threading.main_thread()]
+    assert capsys.readouterr() == ("", f"{prefix}second slice failed\n")
+    raised.clear()
+    assert main([command, "--config", cfg, "--threads", "2"]) == code
+    assert len(raised) == 1 and raised[0] is not threading.main_thread()
+    assert capsys.readouterr() == ("", f"{prefix}second slice failed\n")
+
+
+def test_threads_beyond_the_scenarios_start_one_worker_each(tmp_path,
+                                                             monkeypatch):
+    # 2 scenarios at --threads 64 make 2 slices: the calling thread runs
+    # the first and one worker the second. The counter refuses a second
+    # worker, so this test never starts more than one thread.
+    started = []
+    real_start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread)
+        assert len(started) == 1, "a second worker thread was started"
+        real_start(thread)
+
+    cfg = write_config(tmp_path, dict(SMALL, eta=[1.0, 0.5]))
+    one, many = (str(tmp_path / name) for name in ("one.json", "many.json"))
+    assert main(["simulate", "--config", cfg, "--out", one]) == 0
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    assert main(["simulate", "--config", cfg, "--out", many,
+                 "--threads", "64"]) == 0
+    assert len(started) == 1
+    assert open(one, "rb").read() == open(many, "rb").read()
 
 
 def test_rd_curve_sorted(tmp_path, capsys):
@@ -282,6 +363,23 @@ def test_outputs_byte_identical(tmp_path):
     blob = open(a, "rb").read()
     assert blob == open(b, "rb").read()
     assert blob == open(c, "rb").read()  # worker count cannot leak in
+
+
+@pytest.mark.parametrize("command", ["bounds", "capacity"])
+def test_tables_bytes_independent_of_threads(command, tmp_path, capsys):
+    # five (probe, eta) scenarios: slices of 3 + 2 on 2 threads and
+    # 2 + 2 + 1 on 3; the unconverged warnings on stderr match too
+    cfg = write_config(tmp_path, dict(
+        SMALL, probes=[{"family": "coherent", "alpha": 1.0}],
+        eta=[1.0, 0.75, 0.5, 0.25, 0.0]))
+    blobs = []
+    for threads in "123":
+        out = str(tmp_path / f"{command}{threads}.csv")
+        assert main([command, "--config", cfg, "--out", out,
+                     "--threads", threads]) == 0
+        blobs.append((open(out, "rb").read(), capsys.readouterr()))
+    assert len(blobs[0][0].splitlines()) == 1 + 5
+    assert blobs[0] == blobs[1] == blobs[2]
 
 
 def test_simulate_bytes_independent_of_threads(tmp_path):
@@ -460,7 +558,7 @@ def test_overflow_error_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_numerical_errors_map_to_exit_3(tmp_path, capsys, monkeypatch):
-    def explode(decomps, prior, grid=None):
+    def explode(decomps, prior, grid=None, parts=None):
         raise NumericalError("negative eigenvalue -1e-3")
 
     monkeypatch.setattr(phasebound.estimation, "bayesian_mmse_all", explode)

@@ -71,6 +71,41 @@ def test_uniform_window_wrapping_through_zero():
     assert abs(p.variance() - v) < 1e-2
 
 
+def test_uniform_grid_density_matches_the_remainder_form():
+    # the grid points lie in [0, 2*pi), so grid_density skips the
+    # remainders that density() takes; the window test must keep every bit
+    rng = np.random.default_rng(22)
+    windows = [(rng.uniform(-20.0, 20.0), rng.uniform(1e-3, TWO_PI))
+               for _ in range(2000)]
+    # windows that wrap through 0, and the full circle at any centre
+    windows += [(rng.uniform(-0.5, 0.5), rng.uniform(1.0, TWO_PI))
+                for _ in range(300)]
+    windows += [(rng.uniform(-20.0, 20.0), TWO_PI) for _ in range(300)]
+    # edges on grid points: phi - start is exactly 0 at the first one
+    windows += [(TWO_PI * (j / 16 + m / 32), TWO_PI * m / 16)
+                for j in range(16) for m in range(1, 17)]
+    wrapped = 0
+    for k, (center, width) in enumerate(windows):
+        n = (16, 256, 2 ** 15)[k % 3]
+        p = PhasePrior.uniform(center, width)
+        start = (p.params["center"] - width / 2.0) % TWO_PI
+        wrapped += start + width > TWO_PI
+        phi = np.arange(n) * (TWO_PI / n)
+        expected = np.where((phi % TWO_PI - start) % TWO_PI < width,
+                            1.0 / width, 0.0)
+        got = p.grid_density(n)
+        assert got.tobytes() == expected.tobytes(), (center, width, n)
+    assert wrapped > 500
+
+
+def test_density_wraps_a_tiny_negative_phase_into_the_window():
+    # -1e-17 % (2*pi) rounds to 2*pi exactly; the second remainder in
+    # density() brings it back inside the full circle
+    assert np.array(-1e-17) % TWO_PI == TWO_PI
+    assert PhasePrior.uniform().density(np.array([-1e-17])).tolist() == \
+        [1.0 / TWO_PI]
+
+
 def test_uniform_entropy_matches_tabulated_grid():
     # aligned window: edges sit on grid points, so the two agree to fp noise
     k = 4096

@@ -81,13 +81,13 @@ def test_corrupted_entropy_gain_is_caught(monkeypatch):
 def test_corrupted_simulator_is_caught(monkeypatch):
     real = phasebound.estimation.bayesian_mmse_all
 
-    def too_good(decomps, prior, grid=None):
+    def too_good(decomps, prior, grid=None, parts=None):
         return [SimulationResult(mse=1e-6, mse_coarse=1e-6,
                                  mutual_information=sim.mutual_information,
                                  converged=True, estimator=sim.estimator,
                                  grid=sim.grid, window=sim.window,
                                  prior_part=sim.prior_part)
-                for sim in real(decomps, prior, grid)]
+                for sim in real(decomps, prior, grid, parts)]
 
     monkeypatch.setattr(phasebound.estimation, "bayesian_mmse_all", too_good)
     report = light_battery()
