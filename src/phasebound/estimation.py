@@ -17,7 +17,10 @@ theta points are every (L / g_theta)-th lattice point, so each row
 takes one inverse FFT of length g_theta; the half lattice holds the
 fine one's even points, so one window and one forward transform serve
 the fine and half-grid runs. The input is the loss decomposition the
-Holevo quantity reads too (fock.chi_decompose).
+Holevo quantity reads too (fock.chi_decompose_all). The window is a
+trigonometric polynomial of degree cutoff: its coefficients go straight
+into the half spectrum that one hfft reads, and are folded bin by bin
+only on a lattice of at most 2 * cutoff points, where lags alias.
 
 The convolution core is (prior part) x (window part), and a command runs
 many (probe, eta) scenarios under one prior and grid. So the fine and
@@ -78,9 +81,12 @@ def _window(decomp, lattice):
 
     g(u) = (1/2pi) sum_{|d| <= cutoff} C_d e^{-i d u}, C_{-d} = conj(C_d),
     whose coefficients C_d = sum_m rho_S(0)[m+d, m] are the superdiagonal
-    sums of V^dagger V, V the branch array: one product, one gather.
-    Folding C_d into bin d mod lattice makes the sum one FFT of that
-    length, exact even when the lattice is shorter than 2 * cutoff + 1.
+    sums of V^dagger V, V the branch array: one product, one view. The
+    sum is one hfft of the half spectrum, bins 0..lattice/2. When the
+    lattice exceeds 2 * cutoff, [C_0, C_1..C_cutoff] are written into it
+    directly: the negative lags fold into bins past lattice/2, which hfft
+    never reads. Otherwise lags alias, and C_d is folded into bin d mod
+    lattice, exact even when the lattice is shorter than 2 * cutoff + 1.
     Negative dips beyond 1e-10 mean the coefficients were not those of a
     state and raise; smaller ones are clipped.
     """
@@ -91,13 +97,21 @@ def _window(decomp, lattice):
     # a read-only view of gram[m, m + d] at [m, d], all in bounds; the
     # zero columns past the cutoff hold the lags d > cutoff - m
     s0, s1 = gram.strides
-    diags = np.lib.stride_tricks.as_strided(
-        gram, (cutoff + 1, cutoff + 1), (s0 + s1, s1), writeable=False).sum(0)
-    two_sided = np.concatenate([diags[:0:-1].conj(), [diags[0].real],
-                                diags[1:]])
-    bins = np.zeros(lattice, dtype=complex)
-    np.add.at(bins, np.arange(-cutoff, cutoff + 1) % lattice, two_sided)
-    vals = np.fft.hfft(bins[:lattice // 2 + 1], lattice) / TWO_PI
+    view = np.ndarray((cutoff + 1, cutoff + 1), complex, gram,
+                      strides=(s0 + s1, s1))
+    view.flags.writeable = False
+    diags = view.sum(0)
+    if lattice > 2 * cutoff:
+        half = np.zeros(lattice // 2 + 1, dtype=complex)
+        half[0] = diags[0].real
+        half[1:cutoff + 1] = diags[1:]
+    else:
+        two_sided = np.concatenate([diags[:0:-1].conj(), [diags[0].real],
+                                    diags[1:]])
+        bins = np.zeros(lattice, dtype=complex)
+        np.add.at(bins, np.arange(-cutoff, cutoff + 1) % lattice, two_sided)
+        half = bins[:lattice // 2 + 1]
+    vals = np.fft.hfft(half, lattice) / TWO_PI
     if vals.min() < -1e-10:
         raise NumericalError(
             f"outcome density dips to {vals.min()}; not a valid state")

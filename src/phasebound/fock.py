@@ -7,14 +7,16 @@ loss distribution itself. Every state of the ensemble (rho_phi, its
 prior average and the dephased average) is therefore block-diagonal in
 l, with one block over the surviving count m per loss count.
 
-chi_decompose builds every branch at once, one array V[l, m] =
-c_{l+m} sqrt(B_eta(l+m, l)) per (probe, eta), and its ChiDecomposition
-is the only input of both readers: holevo_quantity here and
-estimation.bayesian_mmse, whose window reads V^dagger V. The factors
-sqrt(B_eta(l+m, l)) come from one module-level table of ln C(l+m, l),
-LOG_BINOM, and multiply a Hankel view of the amplitudes, so no loss
-matrix is built; capacity.binomial_loss_matrix stays the independent
-kernel that the loss distribution and the tests read.
+chi_decompose_all builds every branch of a command's scenarios at once,
+one array V[l, m] = c_{l+m} sqrt(B_eta(l+m, l)) per (probe, eta), and
+its ChiDecompositions are the only input of both readers:
+holevo_quantity here and estimation.bayesian_mmse, whose window reads
+V^dagger V. The factors sqrt(B_eta(l+m, l)) come from one module-level
+table of ln C(l+m, l), LOG_BINOM: one table of them per eta serves
+every probe, sliced to its cutoff, and multiplies a Hankel view of its
+amplitudes, so no loss matrix is built; chi_decompose is the one-probe
+case. capacity.binomial_loss_matrix stays the independent kernel that
+the loss distribution and the tests read.
 
 The Holevo quantity builds no state: the spectrum of each averaged block
 follows from the branch magnitudes |V_l| and the prior's Fourier
@@ -28,13 +30,12 @@ import cmath
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .capacity import _LOG_FACTORIAL, _check_eta, shannon_entropy
 from .errors import NumericalError, ValidationError
 
-__all__ = ["ProbeSpec", "ChiDecomposition", "chi_decompose", "populations",
-           "holevo_quantity"]
+__all__ = ["ProbeSpec", "ChiDecomposition", "chi_decompose",
+           "chi_decompose_all", "populations", "holevo_quantity"]
 
 CUTOFF_CAP = 128
 TAIL_MASS = 1e-12
@@ -161,35 +162,55 @@ class ChiDecomposition:
 
 
 def chi_decompose(probe, eta):
-    """Split the probe by loss count; see ChiDecomposition.
+    """Split the probe by loss count; see chi_decompose_all."""
+    return chi_decompose_all([probe], [eta])[0]
+
+
+def chi_decompose_all(probes, etas):
+    """The ChiDecomposition of every (probe, eta), probe-major.
 
     The factor sqrt(B_eta(l+m, l)) is exp of LOG_BINOM[l, m] + m ln eta
     + l ln(1-eta), the loss matrix's sum in its order; eta 0 and 1 take
-    its exact 0/1 entries. It multiplies a Hankel view H[l, m] = c_{l+m}
+    its exact 0/1 entries. Each eta builds one table of factors at the
+    largest cutoff, and each probe reads its leading [:s, :s] block: the
+    table is elementwise, so a block keeps the bits of a table of its
+    own size. It multiplies a read-only Hankel view H[l, m] = c_{l+m}
     of the zero-padded amplitudes, so no kernel is built and no gather
-    runs. An eta outside [0, 1] raises ValidationError.
+    runs. An eta outside [0, 1] raises ValidationError before any work.
     """
-    eta = _check_eta(eta)
-    size = probe.cutoff + 1
-    if eta in (0.0, 1.0):
-        # eta = 0 loses every photon (m = 0), eta = 1 loses none (l = 0)
-        root = np.zeros((size, size))
-        if eta == 1.0:
-            root[0] = 1.0
+    etas = [_check_eta(eta) for eta in etas]
+    hankels = []
+    for probe in probes:
+        size = probe.cutoff + 1
+        # zero amplitudes past the cutoff null the corner l + m > cutoff
+        amps = np.append(probe.amplitudes, np.zeros(probe.cutoff))
+        hankel = np.ndarray((size, size), complex, amps,
+                            strides=amps.strides * 2)
+        hankel.flags.writeable = False
+        hankels.append(hankel)
+    top = max((h.shape[0] for h in hankels), default=0)
+    out = [None] * (len(probes) * len(etas))
+    for j, eta in enumerate(etas):
+        if eta in (0.0, 1.0):
+            # eta = 0 loses every photon (m = 0), eta = 1 loses none (l = 0)
+            root = np.zeros((top, top))
+            if eta == 1.0:
+                root[0] = 1.0
+            else:
+                root[:, 0] = 1.0
         else:
-            root[:, 0] = 1.0
-    else:
-        m = np.arange(size)
-        root = np.sqrt(np.exp(LOG_BINOM[:size, :size] + m * np.log(eta)
-                              + m[:, None] * np.log1p(-eta)))
-    # zero amplitudes past the cutoff null the corner l + m > cutoff
-    amps = np.append(probe.amplitudes, np.zeros(probe.cutoff))
-    hankel = as_strided(amps, (size, size), amps.strides * 2, writeable=False)
-    branches = hankel * root
-    weights = (np.abs(branches) ** 2).sum(axis=1)
-    keep = weights >= 1e-14
-    return ChiDecomposition(probe, eta, np.flatnonzero(keep).tolist(),
-                            weights[keep], branches[keep])
+            m = np.arange(top)
+            root = np.sqrt(np.exp(LOG_BINOM[:top, :top] + m * np.log(eta)
+                                  + m[:, None] * np.log1p(-eta)))
+        for i, (probe, hankel) in enumerate(zip(probes, hankels)):
+            size = hankel.shape[0]
+            branches = hankel * root[:size, :size]
+            weights = (np.abs(branches) ** 2).sum(axis=1)
+            keep = weights >= 1e-14
+            out[i * len(etas) + j] = ChiDecomposition(
+                probe, eta, np.flatnonzero(keep).tolist(), weights[keep],
+                branches[keep])
+    return out
 
 
 def _toeplitz_table(f):

@@ -207,7 +207,7 @@ def _check_branch_orthonormality(decomps):
 def _scenarios(probes, etas, prior, grid):
     """(probe, eta, decomposition, Holevo quantity, MMSE run) per pair."""
     pairs = [(probe, eta) for probe in probes for eta in etas]
-    decomps = [fock.chi_decompose(probe, eta) for probe, eta in pairs]
+    decomps = fock.chi_decompose_all(probes, etas)
     sims = estimation.bayesian_mmse_all(decomps, prior, grid)
     return [(p, eta, d, fock.holevo_quantity(d, prior), sim)
             for (p, eta), d, sim in zip(pairs, decomps, sims)]
@@ -240,13 +240,20 @@ def _check_holevo_chain(scenarios):
 
 def _check_mse_floor(scenarios, prior):
     check = CheckResult("simulated-mse-between-bounds-and-prior")
+    q = prior.entropy_power()
+    # guessing the mean is always admissible; the simulator's prior is
+    # its masses on the phase grid, off the continuous one by O(1/K).
+    # Every run of one bayesian_mmse_all call shares those masses.
+    w = scenarios[0][4].masses
+    phi = np.arange(w.size) * (TWO_PI / w.size)
+    spread = w @ (phi - w @ phi) ** 2
     for probe, eta, _, chi, sim in scenarios:
         tag = f"{_name(probe)} eta={eta}"
         info = sim.mutual_information
         check.track(chi - info + 1e-6,
                     f"{tag}: measured information {info:.6f} exceeds the "
                     f"Holevo quantity {chi:.6f}")
-        floor = prior.entropy_power() * np.exp(-2.0 * info)
+        floor = q * np.exp(-2.0 * info)
         check.track(sim.mse - floor + 1e-6,
                     f"{tag}: simulated MSE {sim.mse:.6f} beats the "
                     f"information floor {floor:.6f}")
@@ -259,11 +266,6 @@ def _check_mse_floor(scenarios, prior):
                 check.track(sim.mse - value + 1e-6,
                             f"{tag}: simulated MSE {sim.mse:.6f} beats the "
                             f"{name} bound {value:.6f}")
-        # guessing the mean is always admissible; the simulator's prior is
-        # its masses on the phase grid, off the continuous one by O(1/K)
-        w = sim.masses
-        phi = np.arange(w.size) * (TWO_PI / w.size)
-        spread = w @ (phi - w @ phi) ** 2
         check.track(spread - sim.mse + 1e-6,
                     f"{tag}: simulated MSE {sim.mse:.6f} above the prior "
                     f"variance {spread:.6f} on the phase grid")
@@ -271,6 +273,12 @@ def _check_mse_floor(scenarios, prior):
 
 
 def _check_monte_carlo(scenario, seed, samples):
+    """Monte Carlo draws against the quadrature MSE of one scenario.
+
+    The draws come from the same window, prior masses and estimator
+    table as the quadrature, so the check tests only the quadrature sum
+    over that joint, not the window or the estimator themselves.
+    """
     check = CheckResult("monte-carlo-matches-quadrature")
     probe, eta, _, _, sim = scenario
     mc = estimation.monte_carlo_mse(sim, samples=samples, seed=seed)
@@ -305,7 +313,7 @@ def run_verification(cfg=None):
     ]
     scenarios = _scenarios(probes, cfg.etas, prior, cfg.grid)
     lossy = [s[2] for s in scenarios if 0.0 < s[1] < 1.0] or \
-        [fock.chi_decompose(probe, 0.5) for probe in probes]
+        fock.chi_decompose_all(probes, [0.5])
     results += [
         _check_branch_orthonormality(lossy),
         _check_holevo_chain(scenarios),

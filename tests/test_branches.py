@@ -1,21 +1,25 @@
 """The loss-branch array against per-branch oracles.
 
-chi_decompose builds every branch of a probe at once, and the window,
-the populations and the Holevo blocks read that one array. The oracles
-below take the branches one loss count at a time: a slice of the loss
-matrix per branch, one np.correlate per branch for the window
-coefficients, and q-scaled unit vectors for the populations and the
-Holevo blocks. A whole-array oracle, the full loss matrix gathered at
-[l + m, l], pins the branches bit for bit.
+chi_decompose_all builds every branch of a command's scenarios at once,
+and the window, the populations and the Holevo blocks read that one
+array. The oracles below take the branches one loss count at a time: a
+slice of the loss matrix per branch, one np.correlate per branch for the
+window coefficients, and q-scaled unit vectors for the populations and
+the Holevo blocks. Three whole-array oracles pin bits: the full loss
+matrix gathered at [l + m, l] and a factor table of each scenario's own
+size pin the branches, and the window's fold of every lag into its bin
+pins the window.
 """
 
 import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided
 
 from phasebound import estimation, fock
 from phasebound.capacity import binomial_loss_matrix, shannon_entropy
+from phasebound.errors import ValidationError
 from phasebound.fock import ProbeSpec, chi_decompose, holevo_quantity, populations
 from phasebound.priors import PhasePrior
 
@@ -55,6 +59,57 @@ def gather_decompose(probe, eta):
     weights = (np.abs(branches) ** 2).sum(axis=1)
     keep = weights >= 1e-14
     return np.flatnonzero(keep).tolist(), weights[keep], branches[keep]
+
+
+def scenario_decompose(probe, eta):
+    """(loss counts, weights, branches) of one (probe, eta) on its own.
+
+    A factor table of the probe's own size, sqrt(exp(LOG_BINOM + m ln eta
+    + l ln(1-eta))) or the exact 0/1 table at eta 0 and 1, multiplies an
+    as_strided Hankel view of the zero-padded amplitudes.
+    """
+    size = probe.cutoff + 1
+    if eta in (0.0, 1.0):
+        root = np.zeros((size, size))
+        if eta == 1.0:
+            root[0] = 1.0
+        else:
+            root[:, 0] = 1.0
+    else:
+        m = np.arange(size)
+        root = np.sqrt(np.exp(fock.LOG_BINOM[:size, :size] + m * np.log(eta)
+                              + m[:, None] * np.log1p(-eta)))
+    amps = np.append(probe.amplitudes, np.zeros(probe.cutoff))
+    hankel = as_strided(amps, (size, size), amps.strides * 2, writeable=False)
+    branches = hankel * root
+    weights = (np.abs(branches) ** 2).sum(axis=1)
+    keep = weights >= 1e-14
+    return np.flatnonzero(keep).tolist(), weights[keep], branches[keep]
+
+
+def folded_window(decomp, lattice):
+    """g with every lag folded: C_d added into bin d mod lattice by
+    np.add.at over the whole lattice, whatever the cutoff."""
+    cutoff = decomp.probe.cutoff
+    v = decomp.branches
+    gram = np.zeros((cutoff + 1, 2 * cutoff + 1), dtype=complex)
+    gram[:, :cutoff + 1] = v.conj().T @ v
+    s0, s1 = gram.strides
+    diags = as_strided(gram, (cutoff + 1, cutoff + 1), (s0 + s1, s1),
+                       writeable=False).sum(0)
+    two_sided = np.concatenate([diags[:0:-1].conj(), [diags[0].real],
+                                diags[1:]])
+    bins = np.zeros(lattice, dtype=complex)
+    np.add.at(bins, np.arange(-cutoff, cutoff + 1) % lattice, two_sided)
+    vals = np.fft.hfft(bins[:lattice // 2 + 1], lattice) / (2.0 * math.pi)
+    return np.clip(vals, 0.0, None)
+
+
+def assert_same_bits(got, ref, case):
+    assert np.array_equal(got, ref), case
+    # array_equal counts -0.0 == 0.0; the signs must match too
+    assert np.array_equal(np.signbit(np.asarray(got).view(float)),
+                          np.signbit(np.asarray(ref).view(float))), case
 
 
 def correlate_coefficients(weights, vectors, cutoff):
@@ -132,10 +187,57 @@ def test_branch_array_is_bit_identical_to_kernel_gather(name):
         counts, weights, branches = gather_decompose(probe, eta)
         assert decomp.loss_counts == counts, case
         assert np.array_equal(decomp.weights, weights), case
-        assert np.array_equal(decomp.branches, branches), case
-        # array_equal counts -0.0 == 0.0; the signs must match too
-        assert np.array_equal(np.signbit(decomp.branches.view(float)),
-                              np.signbit(branches.view(float))), case
+        assert_same_bits(decomp.branches, branches, case)
+
+
+# one probe per cutoff, the largest not first: every other probe reads a
+# block of the cutoff-128 table
+ALL_CUTOFFS = [3, 128, 0, 61]
+ALL_ETAS = [0.0, 0.3, 0.9, 1.0]
+
+
+def all_probes():
+    return [random_probe(np.random.default_rng(500 + c), c)
+            for c in ALL_CUTOFFS]
+
+
+def test_decompose_all_is_bit_identical_to_each_scenario_alone():
+    probes = all_probes()
+    decomps = fock.chi_decompose_all(probes, ALL_ETAS)
+    assert len(decomps) == len(probes) * len(ALL_ETAS)
+    for k, decomp in enumerate(decomps):
+        # probe-major: every eta of the first probe, then the next probe
+        probe, eta = probes[k // len(ALL_ETAS)], ALL_ETAS[k % len(ALL_ETAS)]
+        case = (probe.cutoff, eta)
+        assert decomp.probe is probe and decomp.eta == eta, case
+        counts, weights, branches = scenario_decompose(probe, eta)
+        assert decomp.loss_counts == counts, case
+        assert_same_bits(decomp.weights, weights, case)
+        assert_same_bits(decomp.branches, branches, case)
+        single = chi_decompose(probe, eta)
+        assert single.loss_counts == counts, case
+        assert_same_bits(single.branches, branches, case)
+
+
+def test_decompose_all_edges():
+    assert fock.chi_decompose_all([], [0.5]) == []
+    assert fock.chi_decompose_all(all_probes(), []) == []
+    # a bad eta raises before any probe is read: these are not probes
+    for bad in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValidationError,
+                           match=r"^transmittance must lie in \[0, 1\], got "):
+            fock.chi_decompose_all([object(), None], [0.5, bad])
+
+
+def test_window_is_bit_identical_to_folding_every_lag():
+    # lattices above 2 * cutoff write the half spectrum directly; the
+    # others (such as 256 at cutoff 128) alias lags and fold them
+    decomps = fock.chi_decompose_all(all_probes(), ALL_ETAS)
+    for decomp in decomps:
+        for lattice in (4, 8, 256, 512):
+            case = (decomp.probe.cutoff, decomp.eta, lattice)
+            assert_same_bits(estimation._window(decomp, lattice),
+                             folded_window(decomp, lattice), case)
 
 
 @pytest.mark.parametrize("name", sorted(PROBES))

@@ -87,7 +87,7 @@ def test_bounds_probe_rows(tmp_path, capsys):
 
 def test_bounds_evaluates_each_scenario_once(tmp_path, capsys,
                                              monkeypatch):
-    calls = {}
+    calls, scenarios = {}, []
 
     def counted(module, name):
         real = getattr(module, name)
@@ -100,13 +100,25 @@ def test_bounds_evaluates_each_scenario_once(tmp_path, capsys,
 
     counted(phasebound.fock, "chi_decompose")
     counted(phasebound.estimation, "_window")
+    real_all = phasebound.fock.chi_decompose_all
+
+    def decompose_all(probes, etas):
+        calls["chi_decompose_all"] = calls.get("chi_decompose_all", 0) + 1
+        scenarios.extend((p.descriptor()["family"], eta) for p in probes
+                         for eta in etas)
+        return real_all(probes, etas)
+
+    monkeypatch.setattr(phasebound.fock, "chi_decompose_all", decompose_all)
     probes = SMALL["probes"] + [{"family": "coherent", "alpha": 1.0}]
     cfg = write_config(tmp_path, dict(SMALL, probes=probes,
                                       eta=[1.0, 0.5, 0.0]))
     assert main(["bounds", "--config", cfg]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 3
-    # one decomposition shared by chi and the MMSE run, one window each
-    assert calls == {"chi_decompose": 6, "_window": 6}
+    # one call decomposes every scenario, each shared by chi and the
+    # MMSE run, with one window each
+    assert calls == {"chi_decompose_all": 1, "_window": 6}
+    assert scenarios == [(family, eta) for family in ("amplitudes", "coherent")
+                         for eta in (1.0, 0.5, 0.0)]
 
 
 def test_bounds_builds_no_guide_table(tmp_path, capsys, monkeypatch):

@@ -3,10 +3,12 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from phasebound.config import ScenarioConfig
 from phasebound.errors import ValidationError
+from phasebound.fock import ProbeSpec
 
 
 def test_empty_config_defaults():
@@ -281,11 +283,39 @@ AMPS = "each amplitude must be a number or a [re, im] pair of numbers, got "
      "prior width must be a number, got None"),
     ({"probes": [{"family": "amplitudes", "amplitudes": None}]},
      "amplitudes must be a list, got None"),
+    # a pair with a bool, three parts, a nested list or a null part, and
+    # a null entry, each named as given
+    ({"probes": [{"family": "amplitudes", "amplitudes": [[True, 0]]}]},
+     AMPS + "[True, 0]"),
+    ({"probes": [{"family": "amplitudes", "amplitudes": [[0.6, False]]}]},
+     AMPS + "[0.6, False]"),
+    ({"probes": [{"family": "amplitudes", "amplitudes": [[0.1, 0.2, 0.3]]}]},
+     AMPS + "[0.1, 0.2, 0.3]"),
+    ({"probes": [{"family": "amplitudes", "amplitudes": [[[1], 0]]}]},
+     AMPS + "[[1], 0]"),
+    ({"probes": [{"family": "amplitudes", "amplitudes": [[1, None]]}]},
+     AMPS + "[1, None]"),
+    ({"probes": [{"family": "amplitudes", "amplitudes": [1.0, None]}]},
+     AMPS + "None"),
 ])
 def test_error_messages_verbatim(raw, message):
     with pytest.raises(ValidationError) as caught:
         ScenarioConfig.from_dict(raw)
     assert str(caught.value) == message
+
+
+def test_amplitude_entries_of_every_numeric_form():
+    # int, float and mixed [re, im] pairs and bare numbers all give
+    # complex(re, im), negative zeros included
+    entries = [[0, 0.6], [-0.48, 0], [0.0, -0.0], -0.0, 0.64, [0, 0], 0]
+    cfg = ScenarioConfig.from_dict({"probes": [
+        {"family": "amplitudes", "amplitudes": entries}]})
+    ref = ProbeSpec([0.6j, complex(-0.48, 0), complex(0.0, -0.0),
+                     complex(-0.0, 0.0), complex(0.64, 0.0), 0j, 0j])
+    got = cfg.probes[0].amplitudes
+    assert np.array_equal(got, ref.amplitudes)
+    assert np.array_equal(np.signbit(got.view(float)),
+                          np.signbit(ref.amplitudes.view(float)))
 
 
 def test_malformed_json_message_verbatim(tmp_path):

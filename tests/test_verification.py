@@ -78,6 +78,33 @@ def test_corrupted_entropy_gain_is_caught(monkeypatch):
                            for line in details)
 
 
+def test_corrupted_shannon_inversion_is_caught(monkeypatch):
+    # D(R) read through its module, 0.1% high, no longer inverts R(D)
+    real = phasebound.rate_distortion.shannon_lb_distortion
+    monkeypatch.setattr(phasebound.rate_distortion, "shannon_lb_distortion",
+                        lambda q, rate: real(q, rate) * 1.001)
+    report = light_battery()
+    assert [r.name for r in report.failures()] == ["shannon-bound-inversion"]
+    assert any(line.startswith("FAIL shannon-bound-inversion margin=-")
+               for line in report.lines())
+
+
+def test_corrupted_capacity_ceiling_is_caught(monkeypatch):
+    # the lossy capacity ceiling, halved, falls below the dephasing chain
+    # of a four-photon probe at eta 0.5 (2.15 nats, halved, against
+    # 1.70); the lossless scenario reads another capacity
+    real = phasebound.capacity.capacity_upper_bound_lossy
+    monkeypatch.setattr(phasebound.capacity, "capacity_upper_bound_lossy",
+                        lambda ns, eta: real(ns, eta) * 0.5)
+    report = light_battery(probes=[{"family": "coherent", "alpha": 2.0}],
+                           eta=[0.5, 1.0])
+    assert [r.name for r in report.failures()] == ["holevo-capacity-chain"]
+    details = [line for line in report.lines() if line.startswith("  ")]
+    assert len(details) == 1
+    assert "eta=0.5: chain value 1.704883 above the capacity ceiling " \
+        "1.076054" in details[0]
+
+
 def test_corrupted_simulator_is_caught(monkeypatch):
     real = phasebound.estimation.bayesian_mmse_all
 
@@ -158,7 +185,7 @@ def test_prior_variance_ceiling_is_the_discretized_prior():
 
 
 def test_each_scenario_is_evaluated_once(monkeypatch):
-    calls, stack, kernels = {}, [], []
+    calls, stack, kernels, decomposed = {}, [], [], []
 
     def counted(module, name):
         real = getattr(module, name)
@@ -167,14 +194,18 @@ def test_each_scenario_is_evaluated_once(monkeypatch):
             calls[name] = calls.get(name, 0) + 1
             stack.append(name)
             try:
-                return real(*args, **kwargs)
+                out = real(*args, **kwargs)
             finally:
                 stack.pop()
+            if name == "chi_decompose_all":
+                decomposed.append(out)
+            return out
 
         monkeypatch.setattr(module, name, wrapper)
 
     for module, name in [(phasebound.fock, "holevo_quantity"),
                          (phasebound.fock, "chi_decompose"),
+                         (phasebound.fock, "chi_decompose_all"),
                          (phasebound.estimation, "bayesian_mmse_all"),
                          (phasebound.estimation, "_window"),
                          (phasebound.estimation, "_core")]:
@@ -192,16 +223,19 @@ def test_each_scenario_is_evaluated_once(monkeypatch):
     report = light_battery(probes=probes, eta=[0.5, 1.0])
     assert report.passed
     scenarios = len(probes) * 2
-    # one decomposition, one Holevo evaluation and one window per
-    # scenario; the MMSE runs share one stacked pass (one fine and one
-    # half-grid core); the Monte Carlo check evaluates no grid
-    assert calls == {"chi_decompose": scenarios, "holevo_quantity": scenarios,
+    # one call decomposes every scenario, and no single-probe call runs;
+    # one Holevo evaluation and one window per scenario; the MMSE runs
+    # share one stacked pass (one fine and one half-grid core); the Monte
+    # Carlo check evaluates no grid
+    assert calls == {"chi_decompose_all": 1, "holevo_quantity": scenarios,
                      "bayesian_mmse_all": 1, "_window": scenarios,
                      "_core": 2}
+    assert len(decomposed) == 1 and len(decomposed[0]) == scenarios
     # a decomposition builds no loss matrix: fock reads its log-binomial
     # table and binds no kernel; the capacity checks still build theirs
     assert not hasattr(phasebound.fock, "binomial_loss_matrix")
-    assert kernels and not any("chi_decompose" in open_ for open_ in kernels)
+    assert kernels and not any("chi_decompose_all" in open_
+                               for open_ in kernels)
 
 
 def test_uncertified_rate_point_is_caught(monkeypatch):
@@ -221,14 +255,18 @@ def test_validation_of_inputs():
 
 
 def test_scenario_without_probes_borrows_the_battery(monkeypatch):
-    seen = []
-    real = phasebound.fock.chi_decompose
+    seen, single = [], []
+    real = phasebound.fock.chi_decompose_all
 
-    def recorded(probe, eta):
-        seen.append(probe.descriptor())
-        return real(probe, eta)
+    def recorded(probes, etas):
+        seen.append(([probe.descriptor() for probe in probes], list(etas)))
+        return real(probes, etas)
 
-    monkeypatch.setattr(phasebound.fock, "chi_decompose", recorded)
+    monkeypatch.setattr(phasebound.fock, "chi_decompose_all", recorded)
+    monkeypatch.setattr(phasebound.fock, "chi_decompose",
+                        lambda *args: single.append(args))
     assert light_battery(probes=[], eta=[0.5]).passed
     battery = ScenarioConfig.from_dict(DEFAULT_BATTERY).probes
-    assert seen == [probe.descriptor() for probe in battery]
+    # one call carries every borrowed probe at the scenario's eta
+    assert seen == [([probe.descriptor() for probe in battery], [0.5])]
+    assert single == []
