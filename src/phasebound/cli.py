@@ -78,14 +78,6 @@ def _sliced(fn, items, threads):
     return out
 
 
-def _decomposed(cfg):
-    """(probe, eta, decomposition) per scenario, probe-major, from one
-    fock.chi_decompose_all call."""
-    pairs = [(p, eta) for p in cfg.probes for eta in cfg.etas]
-    return [pair + (d,) for pair, d in
-            zip(pairs, fock.chi_decompose_all(cfg.probes, cfg.etas))]
-
-
 def _cmd_capacity(cfg, threads):
     targets = cfg.photon_targets()
     if not targets:
@@ -125,7 +117,7 @@ def _cmd_bounds(cfg, threads):
             threads)), 0
     # the shared work, done here before any worker starts: every
     # decomposition and both prior parts
-    scenarios = _decomposed(cfg)
+    scenarios = fock.chi_decompose_all(cfg.probes, cfg.etas)
     parts = estimation.prior_parts(prior, cfg.grid)
 
     def rows(chunk, _):
@@ -166,7 +158,7 @@ def _cmd_simulate(cfg, threads):
     # the shared work, done here before any worker starts: every
     # decomposition, both prior parts and the masses' guide table, which
     # every slice's draws read (built on this first read)
-    scenarios = _decomposed(cfg)
+    scenarios = fock.chi_decompose_all(cfg.probes, cfg.etas)
     parts = estimation.prior_parts(cfg.prior, cfg.grid)
     parts[0].table
 

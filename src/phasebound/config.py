@@ -90,13 +90,6 @@ def _amplitudes(raw):
     _require(isinstance(raw, list), "amplitudes must be a list, got {!r}", raw)
     out = []
     for entry in raw:
-        # the common entry, a [re, im] pair of JSON numbers, is taken as
-        # is; a bool's type is neither int nor float, so it falls through
-        if (type(entry) is list and len(entry) == 2
-                and type(entry[0]) in (int, float)
-                and type(entry[1]) in (int, float)):
-            out.append(complex(entry[0], entry[1]))
-            continue
         pair = entry if isinstance(entry, list) else [entry, 0.0]
         _require(len(pair) == 2 and all(_is_number(x) for x in pair),
                  "each amplitude must be a number or a [re, im] pair of "

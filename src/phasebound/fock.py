@@ -8,10 +8,10 @@ prior average and the dephased average) is therefore block-diagonal in
 l, with one block over the surviving count m per loss count.
 
 chi_decompose_all builds every branch of a command's scenarios at once,
-one array V[l, m] = c_{l+m} sqrt(B_eta(l+m, l)) per (probe, eta), and
-its ChiDecompositions are the only input of both readers:
-holevo_quantity here and estimation.bayesian_mmse, whose window reads
-V^dagger V. The factors sqrt(B_eta(l+m, l)) come from one module-level
+one array V[l, m] = c_{l+m} sqrt(B_eta(l+m, l)) per (probe, eta),
+returned beside its scenario; its ChiDecompositions are the only input
+of both readers: holevo_quantity here and estimation.bayesian_mmse,
+whose window reads V^dagger V. The factors sqrt(B_eta(l+m, l)) come from one module-level
 table of ln C(l+m, l), LOG_BINOM: one table of them per eta serves
 every probe, sliced to its cutoff, and multiplies a Hankel view of its
 amplitudes, so no loss matrix is built; chi_decompose is the one-probe
@@ -163,11 +163,13 @@ class ChiDecomposition:
 
 def chi_decompose(probe, eta):
     """Split the probe by loss count; see chi_decompose_all."""
-    return chi_decompose_all([probe], [eta])[0]
+    return chi_decompose_all([probe], [eta])[0][2]
 
 
 def chi_decompose_all(probes, etas):
-    """The ChiDecomposition of every (probe, eta), probe-major.
+    """(probe, eta, ChiDecomposition) of every scenario, probe-major.
+
+    Each eta is returned as given; its decomposition holds it as a float.
 
     The factor sqrt(B_eta(l+m, l)) is exp of LOG_BINOM[l, m] + m ln eta
     + l ln(1-eta), the loss matrix's sum in its order; eta 0 and 1 take
@@ -178,7 +180,7 @@ def chi_decompose_all(probes, etas):
     of the zero-padded amplitudes, so no kernel is built and no gather
     runs. An eta outside [0, 1] raises ValidationError before any work.
     """
-    etas = [_check_eta(eta) for eta in etas]
+    checked = [_check_eta(eta) for eta in etas]
     hankels = []
     for probe in probes:
         size = probe.cutoff + 1
@@ -190,7 +192,7 @@ def chi_decompose_all(probes, etas):
         hankels.append(hankel)
     top = max((h.shape[0] for h in hankels), default=0)
     out = [None] * (len(probes) * len(etas))
-    for j, eta in enumerate(etas):
+    for j, (given, eta) in enumerate(zip(etas, checked)):
         if eta in (0.0, 1.0):
             # eta = 0 loses every photon (m = 0), eta = 1 loses none (l = 0)
             root = np.zeros((top, top))
@@ -207,9 +209,9 @@ def chi_decompose_all(probes, etas):
             branches = hankel * root[:size, :size]
             weights = (np.abs(branches) ** 2).sum(axis=1)
             keep = weights >= 1e-14
-            out[i * len(etas) + j] = ChiDecomposition(
+            out[i * len(etas) + j] = (probe, given, ChiDecomposition(
                 probe, eta, np.flatnonzero(keep).tolist(), weights[keep],
-                branches[keep])
+                branches[keep]))
     return out
 
 

@@ -206,11 +206,11 @@ def _check_branch_orthonormality(decomps):
 
 def _scenarios(probes, etas, prior, grid):
     """(probe, eta, decomposition, Holevo quantity, MMSE run) per pair."""
-    pairs = [(probe, eta) for probe in probes for eta in etas]
-    decomps = fock.chi_decompose_all(probes, etas)
-    sims = estimation.bayesian_mmse_all(decomps, prior, grid)
+    scenarios = fock.chi_decompose_all(probes, etas)
+    sims = estimation.bayesian_mmse_all([d for _, _, d in scenarios], prior,
+                                        grid)
     return [(p, eta, d, fock.holevo_quantity(d, prior), sim)
-            for (p, eta), d, sim in zip(pairs, decomps, sims)]
+            for (p, eta, d), sim in zip(scenarios, sims)]
 
 
 def _check_holevo_chain(scenarios):
@@ -313,7 +313,7 @@ def run_verification(cfg=None):
     ]
     scenarios = _scenarios(probes, cfg.etas, prior, cfg.grid)
     lossy = [s[2] for s in scenarios if 0.0 < s[1] < 1.0] or \
-        fock.chi_decompose_all(probes, [0.5])
+        [d for _, _, d in fock.chi_decompose_all(probes, [0.5])]
     results += [
         _check_branch_orthonormality(lossy),
         _check_holevo_chain(scenarios),

@@ -203,11 +203,11 @@ def all_probes():
 
 def test_decompose_all_is_bit_identical_to_each_scenario_alone():
     probes = all_probes()
-    decomps = fock.chi_decompose_all(probes, ALL_ETAS)
-    assert len(decomps) == len(probes) * len(ALL_ETAS)
-    for k, decomp in enumerate(decomps):
-        # probe-major: every eta of the first probe, then the next probe
-        probe, eta = probes[k // len(ALL_ETAS)], ALL_ETAS[k % len(ALL_ETAS)]
+    scenarios = fock.chi_decompose_all(probes, ALL_ETAS)
+    # probe-major: every eta of the first probe, then the next probe
+    assert [(p, eta) for p, eta, _ in scenarios] == \
+        [(p, eta) for p in probes for eta in ALL_ETAS]
+    for probe, eta, decomp in scenarios:
         case = (probe.cutoff, eta)
         assert decomp.probe is probe and decomp.eta == eta, case
         counts, weights, branches = scenario_decompose(probe, eta)
@@ -222,6 +222,9 @@ def test_decompose_all_is_bit_identical_to_each_scenario_alone():
 def test_decompose_all_edges():
     assert fock.chi_decompose_all([], [0.5]) == []
     assert fock.chi_decompose_all(all_probes(), []) == []
+    # each eta comes back as given, and its decomposition holds a float
+    ((_, given, decomp),) = fock.chi_decompose_all([ProbeSpec.number(2)], [1])
+    assert type(given) is int and type(decomp.eta) is float
     # a bad eta raises before any probe is read: these are not probes
     for bad in (-0.1, 1.5, math.nan):
         with pytest.raises(ValidationError,
@@ -232,8 +235,7 @@ def test_decompose_all_edges():
 def test_window_is_bit_identical_to_folding_every_lag():
     # lattices above 2 * cutoff write the half spectrum directly; the
     # others (such as 256 at cutoff 128) alias lags and fold them
-    decomps = fock.chi_decompose_all(all_probes(), ALL_ETAS)
-    for decomp in decomps:
+    for _, _, decomp in fock.chi_decompose_all(all_probes(), ALL_ETAS):
         for lattice in (4, 8, 256, 512):
             case = (decomp.probe.cutoff, decomp.eta, lattice)
             assert_same_bits(estimation._window(decomp, lattice),
