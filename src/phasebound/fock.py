@@ -11,12 +11,13 @@ chi_decompose_all builds every branch of a command's scenarios at once,
 one array V[l, m] = c_{l+m} sqrt(B_eta(l+m, l)) per (probe, eta),
 returned beside its scenario; its ChiDecompositions are the only input
 of both readers: holevo_quantity here and estimation.bayesian_mmse,
-whose window reads V^dagger V. The factors sqrt(B_eta(l+m, l)) come from one module-level
-table of ln C(l+m, l), LOG_BINOM: one table of them per eta serves
-every probe, sliced to its cutoff, and multiplies a Hankel view of its
-amplitudes, so no loss matrix is built; chi_decompose is the one-probe
-case. capacity.binomial_loss_matrix stays the independent kernel that
-the loss distribution and the tests read.
+whose window reads V^dagger V. The factors sqrt(B_eta(l+m, l)) come
+from one module-level table of ln C(l+m, l), LOG_BINOM: one table of
+them per eta serves every probe, sliced to its cutoff, and multiplies a
+Hankel view of its amplitudes, so no loss matrix is built;
+chi_decompose is the one-probe case. capacity.binomial_loss_matrix
+stays the independent kernel that the loss distribution and the tests
+read.
 
 The Holevo quantity builds no state: the spectrum of each averaged block
 follows from the branch magnitudes |V_l| and the prior's Fourier
