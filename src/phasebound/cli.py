@@ -79,18 +79,16 @@ def _sliced(fn, items, threads):
 
 
 def _cmd_capacity(cfg, threads):
+    del threads  # each row is two closed forms in Python, which hold the GIL
     targets = cfg.photon_targets()
     if not targets:
         raise ValidationError(
             "capacity table needs probes or a mean_photons list")
-
-    def rows(pairs, _):
-        return [(float(ns), float(eta), capacity_mod.unrestricted_capacity(ns),
-                 capacity_mod.capacity_upper_bound_lossy(ns, eta)
-                 if 0.0 < eta < 1.0 else None) for ns, eta in pairs]
-
-    return _csv(("N_S", "eta", "C_unrestricted", "C_ph_upper"), _sliced(
-        rows, [(ns, eta) for ns in targets for eta in cfg.etas], threads)), 0
+    rows = [(float(ns), float(eta), capacity_mod.unrestricted_capacity(ns),
+             capacity_mod.capacity_upper_bound_lossy(ns, eta)
+             if 0.0 < eta < 1.0 else None)
+            for ns in targets for eta in cfg.etas]
+    return _csv(("N_S", "eta", "C_unrestricted", "C_ph_upper"), rows), 0
 
 
 _BOUNDS_HEADER = ("N_S", "eta", "Q", "h_limit", "hall_wiseman", "lossy_sql",
@@ -117,24 +115,22 @@ def _cmd_bounds(cfg, threads):
             threads)), 0
     # the shared work, done here before any worker starts: every
     # decomposition and both prior parts
-    scenarios = fock.chi_decompose_all(cfg.probes, cfg.etas)
+    decomps = fock.chi_decompose_all(cfg.probes, cfg.etas)
     parts = estimation.prior_parts(prior, cfg.grid)
 
     def rows(chunk, _):
-        cells = [report(p.mean_photons, eta, p.photon_variance)
-                 + (fock.holevo_quantity(d, prior),) for p, eta, d in chunk]
-        sims = estimation.bayesian_mmse_all(
-            [d for _, _, d in chunk], prior, cfg.grid, parts)
-        return list(zip(cells, sims))
+        cells = [report(d.probe.mean_photons, d.eta, d.probe.photon_variance)
+                 + (fock.holevo_quantity(d, prior),) for d in chunk]
+        return list(zip(cells, estimation.bayesian_mmse_all(chunk, parts)))
 
-    out = _sliced(rows, scenarios, threads)
-    for (probe, eta, _), (_, sim) in zip(scenarios, out):
+    out = _sliced(rows, decomps, threads)
+    for d, (_, sim) in zip(decomps, out):
         if not sim.converged:
             drift = abs(sim.mse - sim.mse_coarse)
             why = "holds none of the prior's mass" if math.isnan(drift) else \
                 f"moves it by {drift!r}, beyond {estimation.CONVERGED_TOL}"
-            print(f"warning: bounds mse_sim for {probe!r} at eta {eta!r} is "
-                  f"not converged: the half grid {why}", file=sys.stderr)
+            print(f"warning: bounds mse_sim for {d.probe!r} at eta {d.eta!r} "
+                  f"is not converged: the half grid {why}", file=sys.stderr)
     return _csv(_BOUNDS_HEADER, [cells + (sim.mutual_information, sim.mse)
                                  for cells, sim in out]), 0
 
@@ -158,19 +154,17 @@ def _cmd_simulate(cfg, threads):
     # the shared work, done here before any worker starts: every
     # decomposition, both prior parts and the masses' guide table, which
     # every slice's draws read (built on this first read)
-    scenarios = fock.chi_decompose_all(cfg.probes, cfg.etas)
-    parts = estimation.prior_parts(cfg.prior, cfg.grid)
-    parts[0].table
+    decomps = fock.chi_decompose_all(cfg.probes, cfg.etas)
+    _, fine, _ = parts = estimation.prior_parts(cfg.prior, cfg.grid)
+    fine.table
 
     def entries(chunk, start):
-        sims = estimation.bayesian_mmse_all(
-            [d for _, _, d in chunk], cfg.prior, cfg.grid, parts)
+        sims = estimation.bayesian_mmse_all(chunk, parts)
         out = []
-        for index, ((probe, eta, _), sim) in enumerate(zip(chunk, sims),
-                                                        start):
+        for index, (d, sim) in enumerate(zip(chunk, sims), start):
             mc = estimation.monte_carlo_mse(sim, samples=cfg.samples,
                                             seed=cfg.seed + index)
-            out.append({"probe": probe.descriptor(), "eta": float(eta),
+            out.append({"probe": d.probe.descriptor(), "eta": float(d.eta),
                         "mse": float(sim.mse),
                         "mutual_information": float(sim.mutual_information),
                         "converged": bool(sim.converged),
@@ -178,7 +172,7 @@ def _cmd_simulate(cfg, threads):
                         "mc_stderr": float(mc.stderr)})
         return out
 
-    results = _sliced(entries, scenarios, threads)
+    results = _sliced(entries, decomps, threads)
     if len(results) == 1:
         payload = dict(results[0])
         del payload["probe"], payload["eta"]

@@ -19,14 +19,14 @@ fine one's even points, so one window and one forward transform serve
 the fine and half-grid runs. The input is the loss decomposition the
 Holevo quantity reads too (fock.chi_decompose_all). The window is a
 trigonometric polynomial of degree cutoff: its coefficients go straight
-into the half spectrum that one hfft reads, and are folded bin by bin
-only on a lattice of at most 2 * cutoff points, where lags alias.
+into the half spectrum that one hfft reads, on a lattice of at least
+2 * cutoff points.
 
 The convolution core is (prior part) x (window part), and a command runs
-many (probe, eta) scenarios under one prior and grid. So the fine and
-the half-grid prior part (`_PriorPart`, built by `prior_parts`) are
-built once: by `bayesian_mmse_all` per call, or by its caller, which
-hands the read-only pair to every call, on any thread. The windows run
+many (probe, eta) scenarios under one prior and grid. So `prior_parts`
+builds the fine and the half-grid prior part (`_PriorPart`) once, and
+hands them with their grid, read-only, to every `bayesian_mmse_all`
+call, on any thread. The windows run
 stacked: `_spectra`, `_fold` and `_core` take (..., rows, bins) arrays,
 and each stack of at most STACK_POINTS lattice points takes one forward
 transform and one fine and one half-grid `_core`; a grid at or above
@@ -82,13 +82,14 @@ def _window(decomp, lattice):
     g(u) = (1/2pi) sum_{|d| <= cutoff} C_d e^{-i d u}, C_{-d} = conj(C_d),
     whose coefficients C_d = sum_m rho_S(0)[m+d, m] are the superdiagonal
     sums of V^dagger V, V the branch array: one product, one view. The
-    sum is one hfft of the half spectrum, bins 0..lattice/2. When the
-    lattice exceeds 2 * cutoff, [C_0, C_1..C_cutoff] are written into it
-    directly: the negative lags fold into bins past lattice/2, which hfft
-    never reads. Otherwise lags alias, and C_d is folded into bin d mod
-    lattice, exact even when the lattice is shorter than 2 * cutoff + 1.
-    Negative dips beyond 1e-10 mean the coefficients were not those of a
-    state and raise; smaller ones are clipped.
+    sum is one hfft of the half spectrum, bins 0..lattice/2, which takes
+    [C_0, C_1..C_cutoff] directly: the negative lags fold into bins past
+    lattice/2, which hfft never reads, except C_{-cutoff} at lattice
+    2 * cutoff, which joins C_cutoff in the Nyquist bin. The lattice must
+    be at least 2 * cutoff: every lattice a run builds a window on has at
+    least 256 = 2 * CUTOFF_CAP points. Negative dips beyond 1e-10 mean
+    the coefficients were not those of a state and raise; smaller ones
+    are clipped.
     """
     cutoff = decomp.probe.cutoff
     v = decomp.branches
@@ -101,16 +102,11 @@ def _window(decomp, lattice):
                       strides=(s0 + s1, s1))
     view.flags.writeable = False
     diags = view.sum(0)
-    if lattice > 2 * cutoff:
-        half = np.zeros(lattice // 2 + 1, dtype=complex)
-        half[0] = diags[0].real
-        half[1:cutoff + 1] = diags[1:]
-    else:
-        two_sided = np.concatenate([diags[:0:-1].conj(), [diags[0].real],
-                                    diags[1:]])
-        bins = np.zeros(lattice, dtype=complex)
-        np.add.at(bins, np.arange(-cutoff, cutoff + 1) % lattice, two_sided)
-        half = bins[:lattice // 2 + 1]
+    half = np.zeros(lattice // 2 + 1, dtype=complex)
+    half[0] = diags[0].real
+    half[1:cutoff + 1] = diags[1:]
+    if lattice == 2 * cutoff:
+        half[cutoff] = 2 * diags[cutoff].real
     vals = np.fft.hfft(half, lattice) / TWO_PI
     if vals.min() < -1e-10:
         raise NumericalError(
@@ -170,9 +166,9 @@ class _PriorPart:
     The masses w, their mean, the last grid angle, sum w ln w, the rfft
     spectra of the spread rows [w, w dphi, w dphi^2, w ln w] (dphi about
     the mean; phi_i sits on lattice point i * lattice // g_phi) and the
-    masses' guide table. Built once per command or `bayesian_mmse_all`
-    call (`prior_parts`); the arrays are read-only, since every (probe,
-    eta) scenario shares them, on every thread.
+    masses' guide table. Built once per command or `bayesian_mmse` call
+    (`prior_parts`); the arrays are read-only, since every (probe, eta)
+    scenario shares them, on every thread.
     """
 
     def __init__(self, prior, g_phi, lattice):
@@ -303,40 +299,39 @@ class MonteCarloResult:
 
 def bayesian_mmse(decomp, prior, grid=None):
     """The SimulationResult of one decomposition; see bayesian_mmse_all."""
-    return bayesian_mmse_all([decomp], prior, grid)[0]
+    parts = prior_parts(prior, grid or SimGrid())
+    return bayesian_mmse_all([decomp], parts)[0]
 
 
-def prior_parts(prior, grid=None):
-    """The fine and the half-grid _PriorPart of `prior` on `grid`.
+def prior_parts(prior, grid):
+    """`grid` with the fine and the half-grid _PriorPart of `prior` on it.
 
     The half part is None when the prior's mass sits on odd phase points
-    only. Both are read-only, so one pair may serve any number of
-    `bayesian_mmse_all` calls on the same prior and grid, on any thread.
+    only. Both are read-only, so one triple may serve any number of
+    `bayesian_mmse_all` calls, on any thread.
     """
-    grid = grid or SimGrid()
     lattice = max(grid.phi_points, grid.theta_points)
     part = _PriorPart(prior, grid.phi_points, lattice)
     try:
         half = _PriorPart(prior, grid.phi_points // 2, lattice // 2)
     except ValidationError:
         half = None   # the prior's mass is on odd phase points
-    return part, half
+    return grid, part, half
 
 
-def bayesian_mmse_all(decomps, prior, grid=None, parts=None):
+def bayesian_mmse_all(decomps, parts):
     """Posterior-mean MSE of the canonical measurement, per decomposition.
 
-    Each is a probe's ChiDecomposition at the channel's eta. converged
-    means a half-grid rerun (the fine spectra folded) moves the fine,
-    primary MSE by at most 1e-4; a prior the half grid misses gets
-    mse_coarse = nan and converged = False. `parts` is
-    prior_parts(prior, grid), built here when not given.
+    Each is a probe's ChiDecomposition at the channel's eta; `parts` is
+    prior_parts(prior, grid). converged means a half-grid rerun (the
+    fine spectra folded) moves the fine, primary MSE by at most 1e-4; a
+    prior the half grid misses gets mse_coarse = nan and converged =
+    False.
     """
-    grid = grid or SimGrid()
-    g_phi, g_theta = grid.phi_points, grid.theta_points
-    lattice = max(g_phi, g_theta)
+    grid, part, half = parts
+    g_theta = grid.theta_points
+    lattice = max(grid.phi_points, g_theta)
     size = max(STACK_POINTS // lattice, 1)
-    part, half = parts or prior_parts(prior, grid)
     out = []
     for k in range(0, len(decomps), size):
         g = np.array([_window(d, lattice) for d in decomps[k:k + size]])

@@ -8,8 +8,8 @@ prior average and the dephased average) is therefore block-diagonal in
 l, with one block over the surviving count m per loss count.
 
 chi_decompose_all builds every branch of a command's scenarios at once,
-one array V[l, m] = c_{l+m} sqrt(B_eta(l+m, l)) per (probe, eta),
-returned beside its scenario; its ChiDecompositions are the only input
+one array V[l, m] = c_{l+m} sqrt(B_eta(l+m, l)) per (probe, eta), held
+in a ChiDecomposition with its probe and eta; these are the only input
 of both readers: holevo_quantity here and estimation.bayesian_mmse,
 whose window reads V^dagger V. The factors sqrt(B_eta(l+m, l)) come
 from one module-level table of ln C(l+m, l), LOG_BINOM: one table of
@@ -153,7 +153,7 @@ class ChiDecomposition:
 
     def __init__(self, probe, eta, loss_counts, weights, branches):
         self.probe = probe
-        self.eta = float(eta)
+        self.eta = eta
         self.loss_counts = list(loss_counts)
         self.weights = np.asarray(weights, dtype=float)
         self.branches = branches
@@ -164,13 +164,13 @@ class ChiDecomposition:
 
 def chi_decompose(probe, eta):
     """Split the probe by loss count; see chi_decompose_all."""
-    return chi_decompose_all([probe], [eta])[0][2]
+    return chi_decompose_all([probe], [eta])[0]
 
 
 def chi_decompose_all(probes, etas):
-    """(probe, eta, ChiDecomposition) of every scenario, probe-major.
+    """The ChiDecomposition of every (probe, eta) scenario, probe-major.
 
-    Each eta is returned as given; its decomposition holds it as a float.
+    Each holds its eta as given; the branches are computed from its float.
 
     The factor sqrt(B_eta(l+m, l)) is exp of LOG_BINOM[l, m] + m ln eta
     + l ln(1-eta), the loss matrix's sum in its order; eta 0 and 1 take
@@ -210,9 +210,9 @@ def chi_decompose_all(probes, etas):
             branches = hankel * root[:size, :size]
             weights = (np.abs(branches) ** 2).sum(axis=1)
             keep = weights >= 1e-14
-            out[i * len(etas) + j] = (probe, given, ChiDecomposition(
-                probe, eta, np.flatnonzero(keep).tolist(), weights[keep],
-                branches[keep]))
+            out[i * len(etas) + j] = ChiDecomposition(
+                probe, given, np.flatnonzero(keep).tolist(), weights[keep],
+                branches[keep])
     return out
 
 

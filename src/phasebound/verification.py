@@ -205,17 +205,18 @@ def _check_branch_orthonormality(decomps):
 
 
 def _scenarios(probes, etas, prior, grid):
-    """(probe, eta, decomposition, Holevo quantity, MMSE run) per pair."""
-    scenarios = fock.chi_decompose_all(probes, etas)
-    sims = estimation.bayesian_mmse_all([d for _, _, d in scenarios], prior,
-                                        grid)
-    return [(p, eta, d, fock.holevo_quantity(d, prior), sim)
-            for (p, eta, d), sim in zip(scenarios, sims)]
+    """(decomposition, Holevo quantity, MMSE run) per (probe, eta) pair."""
+    decomps = fock.chi_decompose_all(probes, etas)
+    sims = estimation.bayesian_mmse_all(
+        decomps, estimation.prior_parts(prior, grid))
+    return [(d, fock.holevo_quantity(d, prior), sim)
+            for d, sim in zip(decomps, sims)]
 
 
 def _check_holevo_chain(scenarios):
     check = CheckResult("holevo-capacity-chain")
-    for probe, eta, decomp, chi, _ in scenarios:
+    for decomp, chi, _ in scenarios:
+        probe, eta = decomp.probe, decomp.eta
         tag = f"{_name(probe)} eta={eta}"
         check.track(chi + 1e-10,
                     f"{tag}: Holevo quantity negative ({chi:.3e})")
@@ -244,10 +245,12 @@ def _check_mse_floor(scenarios, prior):
     # guessing the mean is always admissible; the simulator's prior is
     # its masses on the phase grid, off the continuous one by O(1/K).
     # Every run of one bayesian_mmse_all call shares those masses.
-    w = scenarios[0][4].masses
+    _, _, first = scenarios[0]
+    w = first.masses
     phi = np.arange(w.size) * (TWO_PI / w.size)
     spread = w @ (phi - w @ phi) ** 2
-    for probe, eta, _, chi, sim in scenarios:
+    for decomp, chi, sim in scenarios:
+        probe, eta = decomp.probe, decomp.eta
         tag = f"{_name(probe)} eta={eta}"
         info = sim.mutual_information
         check.track(chi - info + 1e-6,
@@ -280,13 +283,13 @@ def _check_monte_carlo(scenario, seed, samples):
     over that joint, not the window or the estimator themselves.
     """
     check = CheckResult("monte-carlo-matches-quadrature")
-    probe, eta, _, _, sim = scenario
+    decomp, _, sim = scenario
     mc = estimation.monte_carlo_mse(sim, samples=samples, seed=seed)
     diff = abs(mc.mean - sim.mse)
     check.track(4.0 * mc.stderr - diff,
-                f"{_name(probe)} eta={eta}: Monte Carlo mean {mc.mean:.6f} "
-                f"is {diff / mc.stderr:.1f} sigma from the quadrature MSE "
-                f"{sim.mse:.6f}")
+                f"{_name(decomp.probe)} eta={decomp.eta}: Monte Carlo mean "
+                f"{mc.mean:.6f} is {diff / mc.stderr:.1f} sigma from the "
+                f"quadrature MSE {sim.mse:.6f}")
     rerun = estimation.monte_carlo_mse(sim, samples=samples, seed=seed)
     same = rerun.mean == mc.mean and rerun.stderr == mc.stderr
     check.track(np.inf if same else -1.0,
@@ -312,8 +315,8 @@ def run_verification(cfg=None):
         _check_rate_distortion(prior, cfg.rd_grid_size, cfg.rd_slopes),
     ]
     scenarios = _scenarios(probes, cfg.etas, prior, cfg.grid)
-    lossy = [s[2] for s in scenarios if 0.0 < s[1] < 1.0] or \
-        [d for _, _, d in fock.chi_decompose_all(probes, [0.5])]
+    lossy = [d for d, _, _ in scenarios if 0.0 < d.eta < 1.0] or \
+        fock.chi_decompose_all(probes, [0.5])
     results += [
         _check_branch_orthonormality(lossy),
         _check_holevo_chain(scenarios),

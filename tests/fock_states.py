@@ -9,16 +9,24 @@ entropy of each, all from the unit branch vectors u_l (`vectors`).
 Every state is block-diagonal in the loss count l and kept as that list
 of blocks, each over the surviving count m. The averaging table comes
 from scipy.linalg.toeplitz, not from the engine's own table.
+
+The simulator's outcome window has its oracle here too: `folded_window`
+folds every lag of the window's coefficients into its lattice bin, on
+any lattice, where the simulator writes them into the half spectrum on
+lattices of at least 2 * cutoff points only.
 """
 
+import math
+
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import toeplitz
 
 from phasebound.errors import ValidationError
 from phasebound.fock import _spectral_entropy
 
 __all__ = ["vectors", "DensityMatrix", "modulated_state", "average_state",
-           "phase_randomize", "von_neumann_entropy"]
+           "phase_randomize", "von_neumann_entropy", "folded_window"]
 
 
 def vectors(decomp):
@@ -90,3 +98,21 @@ def von_neumann_entropy(rho):
     """
     return _spectral_entropy(
         np.concatenate([np.linalg.eigvalsh(b) for b in rho.blocks]))
+
+
+def folded_window(decomp, lattice):
+    """g with every lag folded: C_d added into bin d mod lattice by
+    np.add.at over the whole lattice, whatever the cutoff."""
+    cutoff = decomp.probe.cutoff
+    v = decomp.branches
+    gram = np.zeros((cutoff + 1, 2 * cutoff + 1), dtype=complex)
+    gram[:, :cutoff + 1] = v.conj().T @ v
+    s0, s1 = gram.strides
+    diags = as_strided(gram, (cutoff + 1, cutoff + 1), (s0 + s1, s1),
+                       writeable=False).sum(0)
+    two_sided = np.concatenate([diags[:0:-1].conj(), [diags[0].real],
+                                diags[1:]])
+    bins = np.zeros(lattice, dtype=complex)
+    np.add.at(bins, np.arange(-cutoff, cutoff + 1) % lattice, two_sided)
+    vals = np.fft.hfft(bins[:lattice // 2 + 1], lattice) / (2.0 * math.pi)
+    return np.clip(vals, 0.0, None)

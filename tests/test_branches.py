@@ -24,6 +24,7 @@ from phasebound.fock import ProbeSpec, chi_decompose, holevo_quantity, populatio
 from phasebound.priors import PhasePrior
 
 import fock_states
+from fock_states import folded_window
 from test_fock import random_probe, vonmises_prior
 
 ETAS = [0.0, 1e-12, 0.3, 0.9, 1.0]
@@ -85,24 +86,6 @@ def scenario_decompose(probe, eta):
     weights = (np.abs(branches) ** 2).sum(axis=1)
     keep = weights >= 1e-14
     return np.flatnonzero(keep).tolist(), weights[keep], branches[keep]
-
-
-def folded_window(decomp, lattice):
-    """g with every lag folded: C_d added into bin d mod lattice by
-    np.add.at over the whole lattice, whatever the cutoff."""
-    cutoff = decomp.probe.cutoff
-    v = decomp.branches
-    gram = np.zeros((cutoff + 1, 2 * cutoff + 1), dtype=complex)
-    gram[:, :cutoff + 1] = v.conj().T @ v
-    s0, s1 = gram.strides
-    diags = as_strided(gram, (cutoff + 1, cutoff + 1), (s0 + s1, s1),
-                       writeable=False).sum(0)
-    two_sided = np.concatenate([diags[:0:-1].conj(), [diags[0].real],
-                                diags[1:]])
-    bins = np.zeros(lattice, dtype=complex)
-    np.add.at(bins, np.arange(-cutoff, cutoff + 1) % lattice, two_sided)
-    vals = np.fft.hfft(bins[:lattice // 2 + 1], lattice) / (2.0 * math.pi)
-    return np.clip(vals, 0.0, None)
 
 
 def assert_same_bits(got, ref, case):
@@ -203,11 +186,11 @@ def all_probes():
 
 def test_decompose_all_is_bit_identical_to_each_scenario_alone():
     probes = all_probes()
-    scenarios = fock.chi_decompose_all(probes, ALL_ETAS)
+    decomps = fock.chi_decompose_all(probes, ALL_ETAS)
     # probe-major: every eta of the first probe, then the next probe
-    assert [(p, eta) for p, eta, _ in scenarios] == \
-        [(p, eta) for p in probes for eta in ALL_ETAS]
-    for probe, eta, decomp in scenarios:
+    pairs = [(p, eta) for p in probes for eta in ALL_ETAS]
+    assert [(d.probe, d.eta) for d in decomps] == pairs
+    for (probe, eta), decomp in zip(pairs, decomps):
         case = (probe.cutoff, eta)
         assert decomp.probe is probe and decomp.eta == eta, case
         counts, weights, branches = scenario_decompose(probe, eta)
@@ -222,9 +205,12 @@ def test_decompose_all_is_bit_identical_to_each_scenario_alone():
 def test_decompose_all_edges():
     assert fock.chi_decompose_all([], [0.5]) == []
     assert fock.chi_decompose_all(all_probes(), []) == []
-    # each eta comes back as given, and its decomposition holds a float
-    ((_, given, decomp),) = fock.chi_decompose_all([ProbeSpec.number(2)], [1])
-    assert type(given) is int and type(decomp.eta) is float
+    # each decomposition holds its eta as given; the branches come from
+    # its float
+    (decomp,) = fock.chi_decompose_all([ProbeSpec.number(2)], [1])
+    assert type(decomp.eta) is int and decomp.eta == 1
+    assert_same_bits(decomp.branches,
+                     chi_decompose(ProbeSpec.number(2), 1.0).branches, 1)
     # a bad eta raises before any probe is read: these are not probes
     for bad in (-0.1, 1.5, math.nan):
         with pytest.raises(ValidationError,
@@ -233,10 +219,13 @@ def test_decompose_all_edges():
 
 
 def test_window_is_bit_identical_to_folding_every_lag():
-    # lattices above 2 * cutoff write the half spectrum directly; the
-    # others (such as 256 at cutoff 128) alias lags and fold them
-    for _, _, decomp in fock.chi_decompose_all(all_probes(), ALL_ETAS):
-        for lattice in (4, 8, 256, 512):
+    # the window writes the half spectrum directly on lattices of at
+    # least 2 * cutoff points; at exactly 2 * cutoff (such as 256 at
+    # cutoff 128) C_cutoff and C_-cutoff share the Nyquist bin
+    for decomp in fock.chi_decompose_all(all_probes(), ALL_ETAS):
+        for lattice in (4, 8, 256, 512, 2048):
+            if lattice < 2 * decomp.probe.cutoff:
+                continue   # below the window's precondition
             case = (decomp.probe.cutoff, decomp.eta, lattice)
             assert_same_bits(estimation._window(decomp, lattice),
                              folded_window(decomp, lattice), case)

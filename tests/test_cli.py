@@ -158,6 +158,20 @@ def test_bounds_flags_unconverged_mse_sim(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_eta_prints_as_the_config_gives_it(tmp_path, capsys):
+    # an int eta stays an int in the bounds warnings, which print each
+    # decomposition's eta; simulate's JSON prints every eta as a float
+    cfg = write_config(tmp_path, dict(SMALL, eta=[1, 0.5]))
+    assert main(["bounds", "--config", cfg]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    assert " at eta 1 is not converged: " in lines[0]
+    assert " at eta 0.5 is not converged: " in lines[1]
+    assert main(["simulate", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert '      "eta": 1.0,\n' in out and '      "eta": 0.5,\n' in out
+
+
 @pytest.mark.parametrize("command", ["bounds", "capacity", "rd-curve",
                                      "simulate", "verify"])
 def test_commands_never_import_scipy(tmp_path, command):
@@ -570,7 +584,7 @@ def test_overflow_error_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_numerical_errors_map_to_exit_3(tmp_path, capsys, monkeypatch):
-    def explode(decomps, prior, grid=None, parts=None):
+    def explode(decomps, parts):
         raise NumericalError("negative eigenvalue -1e-3")
 
     monkeypatch.setattr(phasebound.estimation, "bayesian_mmse_all", explode)

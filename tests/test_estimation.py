@@ -10,7 +10,7 @@ from phasebound.estimation import SimGrid, bayesian_mmse, monte_carlo_mse
 from phasebound.fock import ProbeSpec, chi_decompose, holevo_quantity
 from phasebound.priors import PhasePrior
 
-from fock_states import modulated_state
+from fock_states import folded_window, modulated_state
 
 TWO_PI = 2.0 * math.pi
 PI2_3 = math.pi**2 / 3.0
@@ -139,11 +139,20 @@ def test_canonical_density_normalizes():
         canonical_phase_density(np.ones((2, 3)), theta)
 
 
+def window(decomp, lattice):
+    """_window where its precondition lattice >= 2 * cutoff holds, the
+    folded_window oracle below it."""
+    if lattice < 2 * decomp.probe.cutoff:
+        return folded_window(decomp, lattice)
+    return estimation._window(decomp, lattice)
+
+
 @pytest.mark.parametrize("lattice", [128, 256, 2 ** 15])
 def test_window_matches_direct_sum(lattice):
     # cutoffs 14, 60 and 128; a 128 lattice folds every coefficient past
-    # 64 onto a lower frequency, and 256 holds cutoff 128 at Nyquist. The
-    # lossless (|0> + |128>)/sqrt2 puts half its window in C_128.
+    # 64 onto a lower frequency (the folded_window oracle at cutoff 128),
+    # and 256 holds cutoff 128 at Nyquist. The lossless
+    # (|0> + |128>)/sqrt2 puts half its window in C_128.
     edge = np.zeros(129)
     edge[[0, 128]] = 2.0 ** -0.5
     for probe, eta in [(ProbeSpec.coherent(1.0), 0.6),
@@ -151,7 +160,7 @@ def test_window_matches_direct_sum(lattice):
                        (ProbeSpec.coherent(8.0), 0.6),
                        (ProbeSpec(edge), 1.0)]:
         decomp = chi_decompose(probe, eta)
-        g = estimation._window(decomp, lattice)
+        g = window(decomp, lattice)
         ref = canonical_phase_density(
             reduced_signal(modulated_state(decomp, 0.0)),
             np.arange(lattice) * (TWO_PI / lattice))
@@ -475,8 +484,9 @@ def test_convolution_core_matches_dense_oracle(g_phi, g_theta):
 def test_half_grid_reads_the_even_window_points(grid):
     # the half lattice is L/2, so the rerun on g[::2] must match a rerun
     # on a window built afresh at L/2. Only a window the half lattice
-    # under-resolves (coherent alpha=8, cutoff 128, on 128 points) tells
-    # the even points from the odd ones at this tolerance.
+    # under-resolves (coherent alpha=8, cutoff 128, on 128 points, below
+    # _window's precondition, so folded_window builds it) tells the even
+    # points from the odd ones at this tolerance.
     half = max(grid.phi_points, grid.theta_points) // 2
     rng = np.random.default_rng(8)
     c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
@@ -488,7 +498,7 @@ def test_half_grid_reads_the_even_window_points(grid):
                 decomp = chi_decompose(probe, eta)
                 res = bayesian_mmse(decomp, prior, grid)
                 ref = estimation._core(
-                    estimation._spectra(estimation._window(decomp, half)),
+                    estimation._spectra(window(decomp, half)),
                     estimation._PriorPart(prior, grid.phi_points // 2, half),
                     grid.theta_points // 2)[0]
                 assert abs(res.mse_coarse - ref) <= 1e-12 * ref, \
@@ -598,7 +608,8 @@ def test_stacked_runs_match_lone_runs_bit_for_bit(grid):
               ProbeSpec.binomial_phase(61)]
     decomps = [chi_decompose(p, eta) for p in probes for eta in (0.0, 0.3, 1.0)]
     for prior in priors:
-        stacked = estimation.bayesian_mmse_all(decomps, prior, grid)
+        stacked = estimation.bayesian_mmse_all(
+            decomps, estimation.prior_parts(prior, grid))
         assert len(stacked) == len(decomps)
         for decomp, got in zip(decomps, stacked):
             ref = bayesian_mmse(decomp, prior, grid)
@@ -634,7 +645,8 @@ def test_stacked_passes_hold_at_most_the_cap(grid, passes, monkeypatch):
     monkeypatch.setattr(estimation, "_core", counted)
     decomps = [chi_decompose(ProbeSpec.coherent(1.0), eta)
                for eta in (0.0, 0.25, 0.5, 0.75, 1.0)]
-    results = estimation.bayesian_mmse_all(decomps, UNIFORM, grid)
+    results = estimation.bayesian_mmse_all(
+        decomps, estimation.prior_parts(UNIFORM, grid))
     assert len(results) == 5 and len(sizes) == 2 * passes
     assert max(sizes) <= max(estimation.STACK_POINTS,
                              max(grid.phi_points, grid.theta_points))

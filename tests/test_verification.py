@@ -10,7 +10,8 @@ import phasebound.fock
 import phasebound.rate_distortion
 from phasebound.config import ScenarioConfig
 from phasebound.errors import ValidationError
-from phasebound.estimation import SimulationResult
+from phasebound.estimation import MonteCarloResult, SimulationResult
+from phasebound.priors import PhasePrior
 from phasebound.verification import (DEFAULT_BATTERY, CheckResult,
                                      _check_branch_orthonormality,
                                      run_verification)
@@ -105,16 +106,58 @@ def test_corrupted_capacity_ceiling_is_caught(monkeypatch):
         "1.076054" in details[0]
 
 
+def test_corrupted_prior_normalization_is_caught(monkeypatch):
+    # a density that integrates to 1 + 1e-6 is off by 100x the tolerance
+    real = PhasePrior.normalization
+    monkeypatch.setattr(PhasePrior, "normalization",
+                        lambda prior: real(prior) * (1.0 + 1e-6))
+    report = run_verification()
+    assert [r.name for r in report.failures()] == \
+        ["prior-entropy-power-and-normalization"]
+    assert "density integrates to 1.000001" in "\n".join(report.lines())
+
+
+def test_corrupted_capacity_curve_is_caught(monkeypatch):
+    # g(N) + 0.01 N^2 still rises, but its second difference turns
+    # positive: the concavity test reads the capacity through its module
+    real = phasebound.capacity.unrestricted_capacity
+    monkeypatch.setattr(phasebound.capacity, "unrestricted_capacity",
+                        lambda n: real(n) + 0.01 * n ** 2)
+    report = run_verification()
+    assert [r.name for r in report.failures()] == \
+        ["capacity-monotone-concave-and-stochastic"]
+    assert "  unrestricted capacity is not concave (margin -1.097e-03)" in \
+        report.lines()
+
+
+def test_corrupted_monte_carlo_is_caught(monkeypatch):
+    # a Monte Carlo mean 10 standard errors off the quadrature MSE; the
+    # rerun with the same seed still agrees with the first draw
+    real = phasebound.estimation.monte_carlo_mse
+
+    def shifted(sim, samples=100000, seed=0):
+        mc = real(sim, samples=samples, seed=seed)
+        return MonteCarloResult(mc.mean + 10.0 * mc.stderr, mc.stderr)
+
+    monkeypatch.setattr(phasebound.estimation, "monte_carlo_mse", shifted)
+    report = run_verification()
+    assert [r.name for r in report.failures()] == \
+        ["monte-carlo-matches-quadrature"]
+    details = [line for line in report.lines() if line.startswith("  ")]
+    assert len(details) == 1 and " sigma from the quadrature MSE " in \
+        details[0]
+
+
 def test_corrupted_simulator_is_caught(monkeypatch):
     real = phasebound.estimation.bayesian_mmse_all
 
-    def too_good(decomps, prior, grid=None, parts=None):
+    def too_good(decomps, parts):
         return [SimulationResult(mse=1e-6, mse_coarse=1e-6,
                                  mutual_information=sim.mutual_information,
                                  converged=True, estimator=sim.estimator,
                                  grid=sim.grid, window=sim.window,
                                  prior_part=sim.prior_part)
-                for sim in real(decomps, prior, grid, parts)]
+                for sim in real(decomps, parts)]
 
     monkeypatch.setattr(phasebound.estimation, "bayesian_mmse_all", too_good)
     report = light_battery()
