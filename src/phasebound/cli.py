@@ -108,11 +108,10 @@ def _cmd_bounds(cfg, threads):
             prior, ns, eta=eta, photon_variance=photon_variance).values())
 
     if not cfg.probes:
-        return _csv(_BOUNDS_HEADER, _sliced(
-            lambda pairs, _: [report(ns, eta) + (None, None, None)
-                              for ns, eta in pairs],
-            [(ns, eta) for ns in cfg.mean_photons for eta in cfg.etas],
-            threads)), 0
+        # no thread: each row is build_report in Python, which holds the GIL
+        return _csv(_BOUNDS_HEADER, [report(ns, eta) + (None, None, None)
+                                     for ns in cfg.mean_photons
+                                     for eta in cfg.etas]), 0
     # the shared work, done here before any worker starts: every
     # decomposition and both prior parts
     decomps = fock.chi_decompose_all(cfg.probes, cfg.etas)

@@ -9,15 +9,15 @@ l, with one block over the surviving count m per loss count.
 
 chi_decompose_all builds every branch of a command's scenarios at once,
 one array V[l, m] = c_{l+m} sqrt(B_eta(l+m, l)) per (probe, eta), held
-in a ChiDecomposition with its probe and eta; these are the only input
-of both readers: holevo_quantity here and estimation.bayesian_mmse,
-whose window reads V^dagger V. The factors sqrt(B_eta(l+m, l)) come
-from one module-level table of ln C(l+m, l), LOG_BINOM: one table of
-them per eta serves every probe, sliced to its cutoff, and multiplies a
-Hankel view of its amplitudes, so no loss matrix is built;
-chi_decompose is the one-probe case. capacity.binomial_loss_matrix
-stays the independent kernel that the loss distribution and the tests
-read.
+in a ChiDecomposition with its probe, eta and populations |V[l, m]|^2;
+these are the only input of both readers: holevo_quantity here and
+estimation.bayesian_mmse, whose window reads V^dagger V. The factors
+sqrt(B_eta(l+m, l)) come from one module-level table of ln C(l+m, l),
+LOG_BINOM: one table of them per eta serves every probe, sliced to its
+cutoff, and multiplies a Hankel view of its amplitudes, so no loss
+matrix is built; chi_decompose is the one-probe case.
+capacity.binomial_loss_matrix stays the independent kernel that the
+loss distribution and the tests read.
 
 The Holevo quantity builds no state: the spectrum of each averaged block
 follows from the branch magnitudes |V_l| and the prior's Fourier
@@ -36,7 +36,7 @@ from .capacity import _LOG_FACTORIAL, _check_eta, shannon_entropy
 from .errors import NumericalError, ValidationError
 
 __all__ = ["ProbeSpec", "ChiDecomposition", "chi_decompose",
-           "chi_decompose_all", "populations", "holevo_quantity"]
+           "chi_decompose_all", "holevo_quantity"]
 
 CUTOFF_CAP = 128
 TAIL_MASS = 1e-12
@@ -149,14 +149,20 @@ class ChiDecomposition:
     where l + m > cutoff. The weights q_l are its row sums of |.|^2; rows
     with q_l < 1e-14 are dropped. The environment's loss record l
     separates the branches, so the unit vectors u_l are orthonormal.
+
+    The populations q_l |u_l[m]|^2 are the entries of |branches|^2 with
+    l + m <= cutoff, in (l, m) order: the spectrum of the dephased average
+    (f(0) = 1 for every prior), and of rho_bar when f(1..cutoff) = 0.
     """
 
-    def __init__(self, probe, eta, loss_counts, weights, branches):
+    def __init__(self, probe, eta, loss_counts, weights, branches,
+                 populations):
         self.probe = probe
         self.eta = eta
         self.loss_counts = list(loss_counts)
         self.weights = np.asarray(weights, dtype=float)
         self.branches = branches
+        self.populations = populations
 
     def __len__(self):
         return len(self.loss_counts)
@@ -208,11 +214,13 @@ def chi_decompose_all(probes, etas):
         for i, (probe, hankel) in enumerate(zip(probes, hankels)):
             size = hankel.shape[0]
             branches = hankel * root[:size, :size]
-            weights = (np.abs(branches) ** 2).sum(axis=1)
+            power = np.abs(branches) ** 2
+            weights = power.sum(axis=1)
             keep = weights >= 1e-14
+            valid = keep[:, None] & (np.add.outer(_K[:size], _K[:size]) < size)
             out[i * len(etas) + j] = ChiDecomposition(
                 probe, given, np.flatnonzero(keep).tolist(), weights[keep],
-                branches[keep])
+                branches[keep], power[valid])
     return out
 
 
@@ -223,18 +231,6 @@ def _toeplitz_table(f):
     table = f[np.abs(lag)]
     table[lag < 0] = table[lag < 0].conj()
     return table
-
-
-def populations(decomp):
-    """Block diagonals q_l |u_l[m]|^2: the entries of |branches|^2 with
-    l + m <= cutoff, in (l, m) order.
-
-    They are the spectrum of the dephased average for every prior
-    (f(0) = 1), and of rho_bar itself when f(k) = 0 for every k >= 1.
-    """
-    size = decomp.probe.cutoff + 1
-    valid = np.add.outer(decomp.loss_counts, np.arange(size)) < size
-    return (np.abs(decomp.branches) ** 2)[valid]
 
 
 def _spectral_entropy(eigs):
@@ -265,7 +261,7 @@ def holevo_quantity(decomp, prior):
     f = prior.fourier_coefficients(decomp.probe.cutoff)
     h_loss = shannon_entropy(decomp.weights)
     if not f[1:].any():
-        return _spectral_entropy(populations(decomp)) - h_loss
+        return _spectral_entropy(decomp.populations) - h_loss
     centre = prior._centre()
     if centre is not None:
         f = (f * np.exp(-1j * np.arange(f.size) * centre)).real

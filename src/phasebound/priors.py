@@ -5,6 +5,10 @@ wrapped Gaussians, and tabulated densities on a uniform grid. All integrals
 run over a single period; entropies are in nats. Squared error downstream is
 the plain non-periodic (phi_hat - phi)^2, so the variance here treats the
 phase as a real variable on [0, 2*pi).
+
+The uniform window's functionals are closed forms; the other kinds sum,
+by the trapezoid rule, one density table built with the prior: the
+tabulated values, or the wrapped Gaussian on 4096 points.
 """
 
 import numpy as np
@@ -16,10 +20,10 @@ __all__ = ["PhasePrior", "TWO_PI"]
 
 TWO_PI = 2.0 * np.pi
 
-# grid used for numeric functionals of the analytic kinds
+# points of the wrapped Gaussian's density table
 _GRID = 4096
 
-# the wrapped Gaussian widths whose functionals the working grid and the
+# the wrapped Gaussian widths whose functionals the density table and the
 # +/-5 images get right to ~1e-12. Below: the grid sum aliases harmonic
 # 4096, of weight exp(-(4096 sigma)^2 / 2), 3e-15 at 2e-3 (the entropy's
 # integrand carries (4096 sigma)^2 times that). Above: the images reach
@@ -34,11 +38,7 @@ class PhasePrior:
     def __init__(self, kind, params, values=None):
         self.kind = kind
         self.params = dict(params)
-        if values is not None:
-            values = np.asarray(values, dtype=float)
-        # tabulated densities integrate on their own table
-        self.grid_size = _GRID if values is None else values.size
-        self._values = values
+        self._values = None if values is None else np.asarray(values, float)
 
     # ---- constructors -------------------------------------------------
 
@@ -62,7 +62,9 @@ class PhasePrior:
             raise ValidationError(
                 f"wrapped_gaussian needs sigma in [{SIGMA_MIN}, {SIGMA_MAX}],"
                 f" got {sigma}")
-        return cls("wrapped_gaussian", {"mean": mean % TWO_PI, "sigma": sigma})
+        prior = cls("wrapped_gaussian", dict(mean=mean % TWO_PI, sigma=sigma))
+        prior._values = prior.density(np.arange(_GRID) * (TWO_PI / _GRID))
+        return prior
 
     @classmethod
     def tabulated(cls, values):
@@ -119,20 +121,12 @@ class PhasePrior:
 
     # ---- functionals ----------------------------------------------------
 
-    def _numeric(self, f):
-        # periodic trapezoid rule on the working grid
-        n = self.grid_size
-        phi = np.arange(n) * (TWO_PI / n)
-        dens = self._values if self.kind == "tabulated" else self.density(phi)
-        return np.sum(f(phi, dens)) * (TWO_PI / n)
-
     def _moment_integral(self, f):
         # trapezoid on the closed interval [0, 2*pi]: f is not periodic, so
         # the seam carries f(2*pi) != f(0) even though the density wraps
-        n = self.grid_size
-        phi = np.arange(n) * (TWO_PI / n)
-        dens = self._values if self.kind == "tabulated" else self.density(phi)
-        vals = f(phi) * dens
+        dens = self._values
+        n = dens.size
+        vals = f(np.arange(n) * (TWO_PI / n)) * dens
         end = f(TWO_PI) * dens[0]
         return (TWO_PI / n) * (vals.sum() - 0.5 * (vals[0] - end))
 
@@ -140,7 +134,9 @@ class PhasePrior:
         """h = -int P ln P dphi in nats, with 0*ln(0) = 0."""
         if self.kind == "uniform":
             return float(np.log(self.params["width"]))
-        return float(-self._numeric(lambda phi, dens: _xlogy(dens, dens)))
+        # periodic trapezoid rule on the table
+        dens = self._values
+        return float(-np.sum(_xlogy(dens, dens)) * (TWO_PI / dens.size))
 
     def entropy_power(self):
         """Q = e^{2h}/(2*pi*e): variance of a Gaussian with the same entropy."""
@@ -225,7 +221,7 @@ class PhasePrior:
         """
         if self.kind == "uniform":
             return sum(b - a for a, b in self._window_pieces()) / self.params["width"]
-        return float(self._numeric(lambda phi, dens: dens))
+        return float(np.sum(self._values) * (TWO_PI / self._values.size))
 
     # ---- misc -----------------------------------------------------------
 

@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import as_strided
 from phasebound import estimation, fock
 from phasebound.capacity import binomial_loss_matrix, shannon_entropy
 from phasebound.errors import ValidationError
-from phasebound.fock import ProbeSpec, chi_decompose, holevo_quantity, populations
+from phasebound.fock import ProbeSpec, chi_decompose, holevo_quantity
 from phasebound.priors import PhasePrior
 
 import fock_states
@@ -218,6 +218,17 @@ def test_decompose_all_edges():
             fock.chi_decompose_all([object(), None], [0.5, bad])
 
 
+def test_populations_are_bit_identical_to_the_branch_squares():
+    # the populations are cut from the |V|^2 that gives the weights: the
+    # entries of the kept rows with l + m <= cutoff, in (l, m) order
+    for decomp in fock.chi_decompose_all(all_probes(), ALL_ETAS):
+        size = decomp.probe.cutoff + 1
+        valid = np.add.outer(decomp.loss_counts, np.arange(size)) < size
+        assert_same_bits(decomp.populations,
+                         (np.abs(decomp.branches) ** 2)[valid],
+                         (decomp.probe.cutoff, decomp.eta))
+
+
 def test_window_is_bit_identical_to_folding_every_lag():
     # the window writes the half spectrum directly on lattices of at
     # least 2 * cutoff points; at exactly 2 * cutoff (such as 256 at
@@ -248,7 +259,7 @@ def test_branch_array_matches_per_branch_oracles(name, monkeypatch):
         # q |u|^2 takes a sqrt, a division, a square and a product past
         # |V|^2, each rounding to half an ulp; squaring doubles the first
         # two. The floor covers subnormal populations, which keep fewer bits
-        pops = populations(decomp)
+        pops = decomp.populations
         ref = loop_populations(weights, vectors)
         assert pops.shape == ref.shape, case
         assert np.all(np.abs(pops - ref)

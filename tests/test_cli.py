@@ -334,6 +334,21 @@ def test_threads_beyond_the_scenarios_start_one_worker_each(tmp_path,
     assert open(one, "rb").read() == open(many, "rb").read()
 
 
+def test_analytic_bounds_start_no_thread(tmp_path, monkeypatch):
+    # rows without probes are build_report in Python, which holds the GIL
+    def refuse(thread):
+        raise AssertionError("bounds started a thread")
+
+    cfg = write_config(tmp_path, {"mean_photons": [0.5, 1.0, 4.0],
+                                  "eta": [1.0, 0.5]})
+    one, two = (str(tmp_path / name) for name in ("one.csv", "two.csv"))
+    assert main(["bounds", "--config", cfg, "--out", one]) == 0
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert main(["bounds", "--config", cfg, "--out", two,
+                 "--threads", "2"]) == 0
+    assert open(one, "rb").read() == open(two, "rb").read()
+
+
 def test_rd_curve_sorted(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(SMALL))
     assert main(["rd-curve", "--config", cfg]) == 0

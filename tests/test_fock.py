@@ -10,8 +10,7 @@ from phasebound.capacity import (binomial_loss_matrix, capacity_upper_bound_loss
                                  shannon_entropy, unrestricted_capacity)
 from phasebound.errors import NumericalError, ValidationError
 from phasebound import fock
-from phasebound.fock import (ProbeSpec, chi_decompose, holevo_quantity,
-                             populations)
+from phasebound.fock import ProbeSpec, chi_decompose, holevo_quantity
 from phasebound.priors import PhasePrior
 
 from fock_states import (DensityMatrix, average_state, modulated_state,
@@ -394,7 +393,7 @@ def test_holevo_full_circle_needs_no_eigendecomposition(monkeypatch):
     # entropy keeps: ~1e-11 nats at cutoff 128
     decomp = chi_decompose(random_probe(np.random.default_rng(5), 128), 0.7)
     chi = holevo_quantity(decomp, PhasePrior.uniform(center=0.4))
-    assert abs(chi - (shannon_entropy(populations(decomp))
+    assert abs(chi - (shannon_entropy(decomp.populations)
                       - shannon_entropy(decomp.weights))) < 1e-10
     with pytest.raises(AssertionError, match="eigvalsh"):
         holevo_quantity(d02, PhasePrior.uniform(width=6.0))

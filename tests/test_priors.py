@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from phasebound.capacity import _xlogy
 from phasebound.errors import ValidationError
 from phasebound.priors import SIGMA_MAX, SIGMA_MIN, PhasePrior, TWO_PI
 
@@ -162,6 +163,34 @@ def test_wrapped_gaussian_resolved_widths():
                   np.nextafter(SIGMA_MAX, np.inf), 6.0, 30.0):
         with pytest.raises(ValidationError, match="sigma in"):
             PhasePrior.wrapped_gaussian(0.000767, sigma)
+
+
+def quadrature(prior, f, n=4096):
+    """Periodic trapezoid sum of f(phi, P(phi)), P evaluated afresh."""
+    phi = np.arange(n) * (TWO_PI / n)
+    return np.sum(f(phi, prior.density(phi))) * (TWO_PI / n)
+
+
+def moment_quadrature(prior, f, n=4096):
+    """Trapezoid of f(phi) P(phi) on the closed [0, 2*pi], P afresh."""
+    phi = np.arange(n) * (TWO_PI / n)
+    dens = prior.density(phi)
+    vals = f(phi) * dens
+    return (TWO_PI / n) * (vals.sum() - 0.5 * (vals[0] - f(TWO_PI) * dens[0]))
+
+
+@pytest.mark.parametrize("mean, sigma", [(1.0, 0.5), (np.pi, SIGMA_MIN),
+                                         (0.000767, 0.05), (6.0, SIGMA_MAX)])
+def test_wrapped_gaussian_table_keeps_every_bit(mean, sigma):
+    # the table built with the prior against the density at every call
+    p = PhasePrior.wrapped_gaussian(mean, sigma)
+    h = float(-quadrature(p, lambda phi, dens: _xlogy(dens, dens)))
+    assert p.entropy_power() == float(np.exp(2.0 * h) / (TWO_PI * np.e))
+    assert p.normalization() == float(quadrature(p, lambda phi, dens: dens))
+    m = float(moment_quadrature(p, lambda phi: phi))
+    assert p.mean() == m
+    assert p.variance() == float(moment_quadrature(
+        p, lambda phi: (phi - m) ** 2))
 
 
 def test_tabulated_von_mises():

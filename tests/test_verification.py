@@ -106,6 +106,31 @@ def test_corrupted_capacity_ceiling_is_caught(monkeypatch):
         "1.076054" in details[0]
 
 
+def test_corrupted_holevo_quantity_is_caught(monkeypatch):
+    # no harmonic of the full circle survives, so chi must equal the
+    # dephasing chain: a chi 10% low breaks the equality, not only a bound
+    real = phasebound.fock.holevo_quantity
+    monkeypatch.setattr(phasebound.fock, "holevo_quantity",
+                        lambda decomp, prior: real(decomp, prior) * 0.9)
+    report = run_verification()
+    assert [r.name for r in report.failures()] == ["holevo-capacity-chain"]
+    details = [line for line in report.lines() if line.startswith("  ")]
+    assert len(details) == 6
+    assert all("is not the Holevo quantity" in line for line in details)
+
+
+def test_wrapped_gaussian_battery_passes():
+    # an off-circle prior: its density table, the chi <= chain route and
+    # the Holevo blocks with eigendecompositions
+    report = light_battery(
+        prior={"kind": "wrapped_gaussian", "mean": 1.0, "sigma": 0.5},
+        probes=[{"family": "coherent", "alpha": 1.0},
+                {"family": "flat-superposition", "d": 4}],
+        eta=[0.5, 1.0])
+    assert report.passed, report.lines()
+    assert report.lines()[-1] == "verify: OK"
+
+
 def test_corrupted_prior_normalization_is_caught(monkeypatch):
     # a density that integrates to 1 + 1e-6 is off by 100x the tolerance
     real = PhasePrior.normalization
@@ -183,15 +208,15 @@ def test_nan_margin_fails(monkeypatch):
 
 def test_nan_entries_of_a_margin_array_fail():
     check = CheckResult("c")
-    check.track(2.0, "fine")
-    check.track_all(np.array([[1.0, math.nan], [-1.0, 3.0]]),
-                    lambda i, j: f"entry {i},{j}")
-    check.track(0.5, "fine")
+    check.track(2.0, lambda: "fine")
+    check.track(np.array([[1.0, math.nan], [-1.0, 3.0]]),
+                lambda i, j: f"entry {i},{j}")
+    check.track(0.5, lambda: "fine")
     assert not check.passed and math.isnan(check.margin)
     assert check.details == ["entry 0,1 (margin +nan)",
                              "entry 1,0 (margin -1.000e+00)"]
     clean = CheckResult("c")
-    clean.track_all(np.array([3.0, 0.25]), lambda i: f"entry {i}")
+    clean.track(np.array([3.0, 0.25]), lambda i: f"entry {i}")
     assert clean.passed and clean.margin == 0.25 and clean.details == []
 
 
