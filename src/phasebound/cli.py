@@ -9,6 +9,10 @@ Exit codes: 0 success, 1 verify found a violated inequality, 2 bad
 input or configuration, 3 a numerical guard tripped. Output is plain
 text with repr-formatted floats and no timestamps, so repeated runs of
 the same scenario are byte-identical.
+
+The parser is built once, at import; `main` only parses, so it may be
+called repeatedly in one process. Help and usage text are formatted
+when printed, so `--help` follows the terminal width of that moment.
 """
 
 import argparse
@@ -195,27 +199,25 @@ _COMMANDS = {
 }
 
 
-def _build_parser():
-    # one flat parser: subparsers cost several times as much to build
-    parser = argparse.ArgumentParser(
-        prog="phasebound",
-        description="Bayesian phase estimation bounds and their "
-                    "numerical verification.",
-        epilog="commands:\n" + "".join(f"  {name:<10}{text}\n" for name,
-                                       (_, text) in _COMMANDS.items()),
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("command", choices=_COMMANDS,
-                        help="what to run; see the commands below")
-    parser.add_argument("--config", help="scenario JSON file")
-    parser.add_argument("--out", help="write output here instead of stdout")
-    parser.add_argument("--seed", type=int, help="override the scenario seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads (default: 1)")
-    return parser
+# one flat parser: subparsers cost several times as much to build
+_PARSER = argparse.ArgumentParser(
+    prog="phasebound",
+    description="Bayesian phase estimation bounds and their "
+                "numerical verification.",
+    epilog="commands:\n" + "".join(f"  {name:<10}{text}\n" for name,
+                                   (_, text) in _COMMANDS.items()),
+    formatter_class=argparse.RawDescriptionHelpFormatter)
+_PARSER.add_argument("command", choices=_COMMANDS,
+                     help="what to run; see the commands below")
+_PARSER.add_argument("--config", help="scenario JSON file")
+_PARSER.add_argument("--out", help="write output here instead of stdout")
+_PARSER.add_argument("--seed", type=int, help="override the scenario seed")
+_PARSER.add_argument("--threads", type=int, default=1,
+                     help="worker threads (default: 1)")
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.threads < 1:
             raise ValidationError(f"threads must be >= 1, got {args.threads}")

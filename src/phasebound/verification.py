@@ -118,6 +118,17 @@ def _check_capacity_shape():
                 lambda: "unrestricted capacity is not increasing")
     check.track(1e-12 - np.diff(c, 2).max(),
                 lambda: "unrestricted capacity is not concave")
+    # g(N) is the Shannon entropy of the thermal masses N^n / (N+1)^(n+1),
+    # here one zero-padded stack cut below 1e-18 (from n = 788 at N = 20)
+    ref = np.array([0.25, 1.0, 4.0, 16.0, 20.0])
+    top = ref[:, None] + 1.0
+    masses = (ref[:, None] / top) ** np.arange(800) / top
+    masses[masses < 1e-18] = 0.0
+    h = capacity.shannon_entropy(masses)
+    g = np.array([capacity.unrestricted_capacity(n) for n in ref])
+    check.track(1e-12 - np.abs(g - h), lambda k:
+                f"unrestricted capacity {g[k]:.6f} at N={ref[k]} is not the "
+                f"thermal entropy {h[k]:.6f}")
     for eta in (0.3, 0.7):
         kern = capacity.binomial_loss_matrix(40, eta)
         rows = float(np.abs(kern.sum(axis=1) - 1.0).max())

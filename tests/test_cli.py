@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -620,6 +621,42 @@ def test_help_lists_every_command(capsys):
                  "  simulate  run the measurement simulator, JSON output",
                  "  verify    cross-check bounds against the simulator"):
         assert line in out.splitlines()
+
+
+def test_help_wraps_at_the_width_of_each_call(capsys, monkeypatch):
+    # the parser is built at import, but its help is formatted when printed
+    texts = []
+    for columns in ("60", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        texts.append(capsys.readouterr().out)
+    narrow, wide = texts
+    assert narrow != wide
+    assert max(len(line) for line in narrow.splitlines()[:3]) <= 60
+    assert "[--threads THREADS]" not in narrow.splitlines()[0]
+    assert "[--threads THREADS]" in wide.splitlines()[0]
+
+
+def test_main_does_not_build_a_parser(tmp_path, capsys, monkeypatch):
+    # the parser is built once, at import: calls made after any further
+    # ArgumentParser would raise print the same bytes as before
+    calls = [["capacity", "--config", write_config(
+                 tmp_path, {"mean_photons": [1.0, 4.0], "eta": [1.0, 0.5]},
+                 "capacity.json")],
+             ["bounds", "--config", write_config(tmp_path, SMALL)]]
+    before = []
+    for argv in calls:
+        assert main(argv) == 0
+        before.append(capsys.readouterr())
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("main built an ArgumentParser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    for argv, printed in zip(calls, before):
+        assert main(argv) == 0
+        assert capsys.readouterr() == printed
 
 
 @pytest.mark.parametrize("argv,message", [

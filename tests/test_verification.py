@@ -155,6 +155,19 @@ def test_corrupted_capacity_curve_is_caught(monkeypatch):
         report.lines()
 
 
+def test_shifted_capacity_is_caught_by_the_thermal_entropy(monkeypatch):
+    # g(N) + 0.05 N stays increasing and concave, and it only raises the
+    # capacity ceilings; the thermal masses' entropy still reads g(N)
+    real = phasebound.capacity.unrestricted_capacity
+    monkeypatch.setattr(phasebound.capacity, "unrestricted_capacity",
+                        lambda n: real(n) + 0.05 * n)
+    report = run_verification()
+    assert [r.name for r in report.failures()] == \
+        ["capacity-monotone-concave-and-stochastic"]
+    assert "  unrestricted capacity 1.436294 at N=1.0 is not the thermal " \
+        "entropy 1.386294 (margin -5.000e-02)" in report.lines()
+
+
 def test_corrupted_monte_carlo_is_caught(monkeypatch):
     # a Monte Carlo mean 10 standard errors off the quadrature MSE; the
     # rerun with the same seed still agrees with the first draw
