@@ -3,7 +3,8 @@
 Every bound here chains the rate-distortion converse MSE >= Q e^{-2R}
 through a capacity ceiling on the information the probe can carry:
 
-  * iti_bound takes an explicit rate cap,
+  * iti_bound takes an explicit rate cap; it is rate_distortion's
+    Shannon lower bound D(R), shannon_lb_distortion,
   * h_limit_bound caps the lossless capacity by ln(N_S + 1) + 1,
   * hall_wiseman_bound is the same statement through the prior's peak
     density instead of its entropy power,
@@ -17,21 +18,19 @@ errors in squared radians.
 
 import math
 
-from .capacity import unrestricted_capacity
+from .capacity import _check_eta, _check_photons, unrestricted_capacity
 from .errors import ValidationError
 from .priors import TWO_PI
+from .rate_distortion import shannon_lb_distortion
 
 __all__ = ["iti_bound", "h_limit_bound", "hall_wiseman_bound",
            "lossy_sql_bound", "escher_bound", "build_report"]
 
 
 def iti_bound(entropy_power, rate_cap):
-    """Q e^{-2R}: MSE floor when the channel moves at most rate_cap nats."""
-    if entropy_power <= 0.0:
-        raise ValidationError("iti_bound needs entropy power > 0")
-    if rate_cap < 0.0:
-        raise ValidationError(f"rate cap must be >= 0, got {rate_cap}")
-    return entropy_power * math.exp(-2.0 * rate_cap)
+    """Q e^{-2R}, rate_distortion's Shannon lower bound D(R) at R = rate_cap:
+    the MSE floor when the channel moves at most rate_cap nats."""
+    return shannon_lb_distortion(entropy_power, rate_cap)
 
 
 def h_limit_bound(entropy_power, mean_photons):
@@ -40,10 +39,9 @@ def h_limit_bound(entropy_power, mean_photons):
     Uses the capacity cap C(N_S) <= ln(N_S + 1) + 1, which keeps the
     (N_S + 1)^{-2} scaling exact at every N_S.
     """
-    if entropy_power <= 0.0:
+    if not entropy_power > 0.0:
         raise ValidationError("h_limit_bound needs entropy power > 0")
-    if mean_photons < 0.0:
-        raise ValidationError(f"mean photon number must be >= 0, got {mean_photons}")
+    _check_photons(mean_photons)
     n1 = mean_photons + 1.0
     try:
         return entropy_power * math.exp(-2.0) / n1 ** 2
@@ -54,12 +52,11 @@ def h_limit_bound(entropy_power, mean_photons):
 def hall_wiseman_bound(max_density, mean_photons):
     """Heisenberg-limit floor phrased through the prior's peak density:
     1 / (2 pi e^3 P_max^2 (N_S + 1)^2)."""
-    if max_density < 1.0 / TWO_PI - 1e-12:
+    if not max_density >= 1.0 / TWO_PI - 1e-12:
         raise ValidationError(
             f"max density {max_density} is below 1/(2 pi); no circle density "
             "can peak that low")
-    if mean_photons < 0.0:
-        raise ValidationError(f"mean photon number must be >= 0, got {mean_photons}")
+    _check_photons(mean_photons)
     scale = TWO_PI * math.exp(3.0) * max_density**2
     n1 = mean_photons + 1.0
     try:
@@ -78,10 +75,9 @@ def lossy_sql_bound(entropy_power, mean_photons, eta):
     (the channel still leaks the 1/12 quantization term) but empty at
     eta = 1, which is rejected.
     """
-    if entropy_power <= 0.0:
+    if not entropy_power > 0.0:
         raise ValidationError("lossy_sql_bound needs entropy power > 0")
-    if mean_photons < 0.0:
-        raise ValidationError(f"mean photon number must be >= 0, got {mean_photons}")
+    _check_photons(mean_photons)
     if not 0.0 <= eta < 1.0:
         raise ValidationError(
             f"lossy_sql_bound needs 0 <= eta < 1, got {eta}")
@@ -99,7 +95,7 @@ def escher_bound(mean_photons, photon_variance, eta):
     Prior-independent, so it can undercut a wide prior's variance; it
     needs photon-number spread and some transmission to say anything.
     """
-    if mean_photons <= 0.0 or photon_variance <= 0.0:
+    if not (mean_photons > 0.0 and photon_variance > 0.0):
         raise ValidationError("escher_bound needs N_S > 0 and Var N > 0")
     if not 0.0 < eta <= 1.0:
         raise ValidationError(f"escher_bound needs 0 < eta <= 1, got {eta}")
@@ -114,8 +110,7 @@ def build_report(prior, mean_photons, eta=1.0, photon_variance=None):
     escher without photon-number spread (a variance that is None or
     <= 0), photons or transmission.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValidationError(f"transmittance must lie in [0, 1], got {eta}")
+    _check_eta(eta)
     q = prior.entropy_power()
     pmax = prior.max_density()
     # lossy_sql runs first: invalid input raises its error, not h_limit's

@@ -29,14 +29,19 @@ def unrestricted_capacity(mean_photons):
     difference of two terms of size N ln N loses every digit by N ~ 1e16.
     0*ln(0) = 0, so the vacuum constraint gives zero capacity.
     """
-    n = float(mean_photons)
-    if n < 0.0:
-        raise ValidationError(f"mean photon number must be >= 0, got {n}")
+    n = _check_photons(mean_photons)
     if n == 0.0:
         return 0.0
     # ln(1 + 1/n), as ln(1 + n) - ln n where 1/n overflows (subnormal n)
     inv = math.log1p(1.0 / n) if n > 1e-300 else math.log1p(n) - math.log(n)
     return math.log1p(n) + n * inv
+
+
+def _check_photons(mean_photons):
+    n = float(mean_photons)
+    if not 0.0 <= n < math.inf:
+        raise ValidationError(f"mean photon number must be finite and >= 0, got {n}")
+    return n
 
 
 def _check_eta(eta):
@@ -92,7 +97,7 @@ def loss_distribution(photon_dist, eta):
     off = np.abs(sums - 1.0) > 1e-10
     if off.any():
         raise ValidationError(f"photon distribution sums to "
-                              f"{sums[off].flat[0]!r}, not 1")
+                              f"{float(sums[off].flat[0])!r}, not 1")
     kern = binomial_loss_matrix(p.shape[-1] - 1, eta)
     return p @ kern
 
@@ -129,9 +134,7 @@ def capacity_upper_bound_lossy(mean_photons, eta):
     0.5*ln[2*pi*e*(eta*(1-eta)*N + 1/12)/(1-eta)^2], valid for 0 < eta < 1
     only: it diverges as eta -> 1 and carries no meaning at eta = 0.
     """
-    n = float(mean_photons)
-    if n < 0.0:
-        raise ValidationError(f"mean photon number must be >= 0, got {n}")
+    n = _check_photons(mean_photons)
     eta = _check_eta(eta)
     if eta in (0.0, 1.0):
         raise ValidationError("lossy capacity bound needs 0 < eta < 1")

@@ -185,10 +185,7 @@ class ScenarioConfig:
         probes = [probe for spec in raw["probes"]
                   for probe in _build_probes(spec, ns_list)]
 
-        grid = _section(raw["grid"], "grid")
-        _require(all(_is_number(n, int) for n in grid.values()),
-                 "grid points must be integers, got {!r}", raw["grid"])
-        grid = SimGrid(**grid)
+        grid = SimGrid(**_section(raw["grid"], "grid"))
 
         rd = _section(raw["rd"], "rd")
         rd_grid_size = rd["grid_size"]

@@ -57,7 +57,7 @@ class ProbeSpec:
             raise ValidationError("amplitudes must be a nonempty 1-d array")
         if not np.all(np.isfinite(c)):
             raise ValidationError("amplitudes must be finite")
-        norm = np.sum(np.abs(c) ** 2)
+        norm = float(np.sum(np.abs(c) ** 2))
         if abs(norm - 1.0) > 1e-10:
             raise ValidationError(f"amplitudes have norm^2 {norm!r}, not 1")
         if c.size - 1 > CUTOFF_CAP:
@@ -85,8 +85,6 @@ class ProbeSpec:
             raise ValidationError(
                 f"coherent alpha={abs(alpha):g} needs cutoff beyond {CUTOFF_CAP}")
         ns = abs(alpha) ** 2
-        if ns == 0.0:
-            return cls([1.0], family="coherent", params={"alpha": 0.0})
         # smallest cutoff with tail mass below threshold
         logp, total = [-ns], math.exp(-ns)   # total: sum of exp(logp)
         while total < 1.0 - TAIL_MASS:

@@ -78,7 +78,7 @@ class PhasePrior:
             raise ValidationError("tabulated prior needs at least 2 grid values")
         if not np.all(np.isfinite(values)) or np.any(values < 0):
             raise ValidationError("tabulated prior values must be finite and nonnegative")
-        integral = values.sum() * (TWO_PI / values.size)
+        integral = float(values.sum() * (TWO_PI / values.size))
         if abs(integral - 1.0) > 1e-8:
             raise ValidationError(f"tabulated prior integrates to {integral!r}, not 1")
         values = values / integral

@@ -13,6 +13,8 @@ L(q) - min L <= max_j ln r_j, r = A^T (p / A q). A curve is traced by
 sweeping slopes, never by root finding in D.
 """
 
+import math
+
 import numpy as np
 
 from .errors import ValidationError
@@ -33,18 +35,18 @@ def shannon_lb_rate(entropy_power, distortion):
 
     The bound is vacuous for D >= Q, where it clamps to zero.
     """
-    if entropy_power <= 0.0 or distortion <= 0.0:
+    if not (entropy_power > 0.0 and distortion > 0.0):
         raise ValidationError("shannon_lb_rate needs Q > 0 and D > 0")
     return max(0.0, 0.5 * np.log(entropy_power / distortion))
 
 
 def shannon_lb_distortion(entropy_power, rate):
     """Q*e^{-2R}: Shannon lower bound on D(R) in squared radians."""
-    if entropy_power <= 0.0:
+    if not entropy_power > 0.0:
         raise ValidationError("shannon_lb_distortion needs Q > 0")
-    if rate < 0.0:
+    if not rate >= 0.0:
         raise ValidationError(f"rate must be >= 0, got {rate}")
-    return entropy_power * np.exp(-2.0 * rate)
+    return entropy_power * math.exp(-2.0 * rate)
 
 
 class BAPoint:
@@ -79,7 +81,7 @@ def _check_source(source):
     if np.any(source < 0.0) or not np.all(np.isfinite(source)):
         raise ValidationError("source masses must be finite and nonnegative")
     if abs(source.sum() - 1.0) > 1e-8:
-        raise ValidationError(f"source sums to {source.sum()!r}, not 1")
+        raise ValidationError(f"source sums to {float(source.sum())!r}, not 1")
     return source / source.sum()
 
 
@@ -113,8 +115,8 @@ def blahut_arimoto_point(source, distortion, slope, init_marginal=None):
         raise ValidationError(f"distortion shape {d.shape} does not match source")
     if np.any(d < 0.0):
         raise ValidationError("distortion entries must be >= 0")
-    if slope < 0.0:
-        raise ValidationError(f"slope must be >= 0, got {slope}")
+    if not 0.0 <= slope < math.inf:
+        raise ValidationError(f"slope must be finite and >= 0, got {slope}")
 
     support = np.flatnonzero(p > 0.0)
     if support.size == 1:

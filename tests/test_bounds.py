@@ -9,6 +9,7 @@ from phasebound.bounds import (build_report, escher_bound, h_limit_bound,
 from phasebound.capacity import capacity_upper_bound_lossy, unrestricted_capacity
 from phasebound.errors import ValidationError
 from phasebound.priors import PhasePrior
+from phasebound.rate_distortion import shannon_lb_distortion
 
 TWO_PI = 2.0 * math.pi
 # 2 pi / e^3: uniform full-circle prior at N_S = 0
@@ -24,6 +25,16 @@ def test_iti_bound():
         iti_bound(0.0, 1.0)
     with pytest.raises(ValidationError):
         iti_bound(1.0, -0.2)
+
+
+def test_iti_bound_is_the_shannon_lower_bound():
+    # one implementation of D(R) = Q e^{-2R}: the same bits at every cap
+    for q in [1e-300, 0.1, TWO_PI / math.e, 2.0 * math.pi ** 2 / 3.0, 1e300]:
+        for rate in [0.0, 1e-17, 0.25, 1.0, unrestricted_capacity(7.0),
+                     40.0, 400.0, math.inf]:
+            got, ref = iti_bound(q, rate), shannon_lb_distortion(q, rate)
+            assert type(got) is float
+            assert got.hex() == ref.hex(), (q, rate)
 
 
 def test_h_limit_values():

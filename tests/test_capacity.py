@@ -147,12 +147,20 @@ def meshgrid_loss_matrix(n_max, eta):
 
 
 def test_loss_matrix_equals_meshgrid_construction():
-    # past n_max = 128 the ln k! table gives way to the lgamma list
     for eta in [1e-9, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999999, 0.123456789]:
         for n_max in range(160):
             assert np.array_equal(binomial_loss_matrix(n_max, eta),
                                   meshgrid_loss_matrix(n_max, eta)), \
                 (n_max, eta)
+
+
+def test_loss_matrix_past_the_log_factorial_table():
+    # past n_max = 256 the ln k! table gives way to an lgamma list of the
+    # same values, so the leading block keeps every bit
+    for eta in [1e-9, 0.3, 0.5, 0.999999]:
+        big = binomial_loss_matrix(300, eta)
+        assert np.array_equal(big[:257, :257], binomial_loss_matrix(256, eta))
+        assert np.array_equal(big, meshgrid_loss_matrix(300, eta))
 
 
 def test_xlogy_matches_scipy():

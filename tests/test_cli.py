@@ -361,6 +361,22 @@ def test_rd_curve_sorted(tmp_path, capsys):
     assert all(r[3] in ("true", "false") for r in rows)
 
 
+def test_rd_curve_warns_of_uncertified_slopes(tmp_path, capsys,
+                                             monkeypatch):
+    # one solver step leaves a window prior's point short of its
+    # certificate, and above the zero-rate point in D; slope 0 needs none
+    monkeypatch.setattr(phasebound.rate_distortion, "BA_MAX_ITER", 1)
+    cfg = write_config(tmp_path, dict(
+        SMALL, prior={"kind": "uniform", "center": 3.0, "width": 1.0},
+        rd={"grid_size": 32, "slopes": [0.0, 0.5]}))
+    assert main(["rd-curve", "--config", cfg]) == 0
+    out, err = capsys.readouterr()
+    assert [line.split(",")[2:] for line in out.splitlines()[1:]] == [
+        ["0.0", "true"], ["0.5", "false"]]
+    assert err == ("warning: rd-curve slopes [0.5] did not reach the "
+                   "certified gap 1e-09 within 1 iterations\n")
+
+
 def test_simulate_single_scenario_json(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(SMALL))
     assert main(["simulate", "--config", cfg]) == 0
@@ -527,6 +543,16 @@ def test_exit_codes(tmp_path, capsys):
         "mean_photons": [1.0], "eta": [1.0]}, name="narrow.json")
     assert main(["bounds", "--config", narrow]) == 2
     assert "sigma in [0.002, 4.4]" in capsys.readouterr().err
+
+    assert main(["bounds"]) == 2  # neither probes nor a mean_photons list
+    assert capsys.readouterr().err == \
+        "error: bounds table needs probes or a mean_photons list\n"
+    # Python's json module reads NaN, which is no amplitude
+    nan_amps = tmp_path / "nan_amps.json"
+    nan_amps.write_text('{"probes": [{"family": "amplitudes", '
+                        '"amplitudes": [NaN, 1.0]}]}')
+    assert main(["bounds", "--config", str(nan_amps)]) == 2
+    assert capsys.readouterr().err == "error: amplitudes must be finite\n"
 
     assert main(["simulate"]) == 2  # no probes configured
     assert main(["capacity", "--threads", "0"]) == 2

@@ -226,7 +226,7 @@ AMPS = "each amplitude must be a number or a [re, im] pair of numbers, got "
      "mean_photons entries must be finite and >= 0, got True"),
     ({"grid": [256, 256]}, "grid must be an object"),
     ({"grid": {"phi_points": 256.0}},
-     "grid points must be integers, got {'phi_points': 256.0}"),
+     "phi_points must be a power of two in [128, 4194304], got 256.0"),
     ({"rd": 64}, "rd must be an object"),
     ({"rd": {"grid_size": 15}},
      "rd grid_size must be an integer in [16, 4096], got 15"),
@@ -278,7 +278,7 @@ AMPS = "each amplitude must be a number or a [re, im] pair of numbers, got "
      "rd grid_size must be an integer in [16, 4096], got None"),
     ({"rd": {"slopes": None}}, "rd slopes must be a non-empty list"),
     ({"grid": {"phi_points": None}},
-     "grid points must be integers, got {'phi_points': None}"),
+     "phi_points must be a power of two in [128, 4194304], got None"),
     ({"prior": {"kind": "uniform", "width": None}},
      "prior width must be a number, got None"),
     ({"probes": [{"family": "amplitudes", "amplitudes": None}]},

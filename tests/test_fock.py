@@ -157,6 +157,18 @@ def test_probe_sizes_capped_before_allocation():
     assert ProbeSpec.binomial_phase(129).cutoff == 128
 
 
+def test_coherent_vacuum_is_the_general_truncation():
+    # alpha = 0 takes no branch of its own, yet builds the vacuum probe
+    # bit for bit, descriptor included, whatever the signs of its zeros
+    vacuum = ProbeSpec([1.0], family="coherent", params={"alpha": 0.0})
+    for alpha in [0, 0.0, -0.0, 0j, complex(-0.0, -0.0)]:
+        probe = ProbeSpec.coherent(alpha)
+        assert probe.amplitudes.tobytes() == vacuum.amplitudes.tobytes()
+        assert probe.probabilities.tobytes() == vacuum.probabilities.tobytes()
+        assert probe.descriptor() == vacuum.descriptor()
+        assert repr(probe) == repr(vacuum)
+
+
 def test_coherent_rejects_nan_alpha_by_name():
     # NaN passes the cap check; it is named before any amplitude exists
     for alpha in [float("nan"), complex(1.0, float("nan"))]:

@@ -132,6 +132,14 @@ def test_ba_validation():
         blahut_arimoto_point([0.5, 0.5], [0.0, 1.0], 1.0)
     with pytest.raises(ValidationError):
         blahut_arimoto_point([0.5, 0.5], d, 1.0, init_marginal=[1.0, 2.0, 3.0])
+    # the source must be one finite distribution
+    for source, message in [([[0.5, 0.5]], "source must be a 1-d distribution"),
+                            ([], "source must be a 1-d distribution"),
+                            ([np.nan, 1.0], "source masses must be finite"),
+                            ([np.inf, 0.0], "source masses must be finite"),
+                            ([-0.5, 1.5], "source masses must be finite")]:
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            blahut_arimoto_point(source, d, 1.0)
 
 
 def test_ba_warm_start_is_stationary():
@@ -204,6 +212,10 @@ def test_curve_ordering_and_invariants():
     check_curve(curve)
 
 
+def curve_point(d, r):
+    return BAPoint(d, r, 1.0, True, 1, [r + d], None, 0.0)
+
+
 def test_curve_with_equal_distortions():
     # the zero-rate point of this window repeats at slopes 0 and 0.25, to
     # the last bit: a gap of zero width, which the check must not divide by
@@ -214,9 +226,7 @@ def test_curve_with_equal_distortions():
         warnings.simplefilter("error")
         check_curve(curve)
 
-    def point(d, r):
-        return BAPoint(d, r, 1.0, True, 1, [r + d], None, 0.0)
-
+    point = curve_point
     # the pair's upper point sits 1e-8 above the chord: within tolerance
     check_curve([point(1.0, 2.0), point(2.0, 1.0 + 1e-8), point(2.0, 1.0),
                  point(3.0, 0.5)])
@@ -224,6 +234,18 @@ def test_curve_with_equal_distortions():
     with pytest.raises(ValidationError, match="not convex"):
         check_curve([point(1.0, 2.0), point(2.0, 1.5), point(2.0, 1.4),
                      point(3.0, 0.5)])
+
+
+def test_curve_check_rejects_each_invalid_sample():
+    point = curve_point
+    for points, message in [
+            ([point(1.0, 1.0), point(2.0, -1e-12)], "has a negative rate"),
+            ([point(0.0, 1.0), point(2.0, 0.5)],
+             "has a nonpositive distortion"),
+            ([point(1.0, 1.0), point(2.0, 1.0 + 2e-7)],
+             "rate increases with distortion")]:
+        with pytest.raises(ValidationError, match=f"^rd curve {message}$"):
+            check_curve(points)
 
 
 def test_curve_with_distortions_an_ulp_apart():

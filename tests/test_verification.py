@@ -328,6 +328,25 @@ def test_uncertified_rate_point_is_caught(monkeypatch):
     assert "Blahut gap" in "\n".join(report.lines())
 
 
+def test_rising_rate_curve_is_caught(monkeypatch):
+    # a curve whose rate rises with distortion is no R(D) sample, even when
+    # every point sits above the Shannon bound with a certified gap
+    real = phasebound.rate_distortion.rd_curve
+
+    def rising(prior, grid_size, slopes):
+        curve = real(prior, grid_size, slopes)
+        curve[-1].rate = curve[0].rate + 1.0
+        return curve
+
+    monkeypatch.setattr(phasebound.rate_distortion, "rd_curve", rising)
+    report = light_battery()
+    assert [r.name for r in report.failures()] == [
+        "rate-curve-above-shannon-bound"]
+    details = [line for line in report.lines() if line.startswith("  ")]
+    assert details == ["  curve invariants: rd curve rate increases with "
+                       "distortion (margin -1.000e+00)"]
+
+
 def test_validation_of_inputs():
     # a scenario reaches the battery only through ScenarioConfig, which
     # rejects an empty transmittance list while parsing
