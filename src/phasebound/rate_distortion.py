@@ -113,8 +113,8 @@ def blahut_arimoto_point(source, distortion, slope, init_marginal=None):
     d = np.asarray(distortion, dtype=float)
     if d.ndim != 2 or d.shape[0] != p.size:
         raise ValidationError(f"distortion shape {d.shape} does not match source")
-    if np.any(d < 0.0):
-        raise ValidationError("distortion entries must be >= 0")
+    if not np.all(d >= 0.0):  # NaN fails, +inf is a forbidden pair
+        raise ValidationError("distortion entries must be >= 0 or +inf")
     if not 0.0 <= slope < math.inf:
         raise ValidationError(f"slope must be finite and >= 0, got {slope}")
 
@@ -138,34 +138,38 @@ def blahut_arimoto_point(source, distortion, slope, init_marginal=None):
         q = np.full(d.shape[1], 1.0 / d.shape[1])
     else:
         q = np.asarray(init_marginal, dtype=float)
-        if q.shape != (d.shape[1],) or np.any(q < 0.0) or q.sum() <= 0.0:
-            raise ValidationError("init_marginal must be a distribution over "
-                                  "the reproduction alphabet")
+        if (q.shape != (d.shape[1],) or not np.all(np.isfinite(q))
+                or np.any(q < 0.0) or q.sum() <= 0.0):
+            raise ValidationError("init_marginal must be a finite distribution"
+                                  " over the reproduction alphabet")
         q = q / q.sum()
     # the atoms, the columns every model step spans, start as the columns
     # the start favours over the uniform marginal; mass at or below that
     # level is background the steps trade away, so a uniform or other wide
     # start does not make every column a model column
     atoms = q > 1.0 / q.size
-    history = []
-    for it in range(1, BA_MAX_ITER + 1):
-        # c_k = sum_j q_j e^{-s d_kj}; the floor keeps the log finite where
-        # every used column underflows at extreme slopes
-        c = np.maximum(a @ q, 1e-300)
-        history.append(-(p @ np.log(c)))
-        r = (p / c) @ a
-        gap = float(np.log(r.max()))
-        if gap <= BA_TOL or it == BA_MAX_ITER:
-            break
-        q, atoms = _newton_step(a, p, c, r, q, atoms)
+    root_p, history = np.sqrt(p), []
+    # ln 0 and x/0 in the steps' logs and slopes read as no gain
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(1, BA_MAX_ITER + 1):
+            # c_k = sum_j q_j e^{-s d_kj}; the floor keeps the log finite
+            # where every used column underflows at extreme slopes
+            c = np.maximum(a @ q, 1e-300)
+            history.append(-(p @ np.log(c)))
+            pc = p / c
+            r = pc @ a
+            gap = float(np.log(r.max()))
+            if gap <= BA_TOL or it == BA_MAX_ITER:
+                break
+            q, atoms = _newton_step(a, p, root_p, c, r, q, atoms)
     # the iterations are done with A, so A * d can take its memory
-    dist = (p / c) @ (np.multiply(a, d, out=a) @ q)
+    dist = pc @ (np.multiply(a, d, out=a) @ q)
     # rate can round a hair below zero at slopes where the bound is vacuous
     return BAPoint(dist, max(history[-1] - slope * dist, 0.0), slope,
                    gap <= BA_TOL, it, history, q, gap)
 
 
-def _newton_step(a, p, c, r, q, atoms):
+def _newton_step(a, p, root_p, c, r, q, atoms):
     """One constrained Newton step; returns the next marginal and atom set.
 
     The quadratic model of the Lagrangian about c is
@@ -173,25 +177,25 @@ def _newton_step(a, p, c, r, q, atoms):
     the atoms plus the new peaks of r. It is the second-order expansion of
     the log about c and aims at (A w)_k = 2 c_k, so while some r_j > 2, and
     whenever the model's step does not descend, a vertex step toward the
-    largest r_j is taken instead.
+    largest r_j is taken instead. root_p = sqrt(p); errstate is the caller's.
     """
-    with np.errstate(divide="ignore"):
-        lr = np.log(r)
+    lr = np.log(r)
     top = int(lr.argmax())
     span = atoms.copy()
     span[top] = True
-    if lr[top] > np.log(2.0):
+    if lr[top] > math.log(2.0):
         q = _vertex_step(a, p, c, q, top)
         return q, span & (q > 0.0)
     # local maxima of ln r that break the certificate; a rise below 1e-12
     # is rounding noise, which on a flat stretch of r would mark a peak at
     # every few columns
-    left = np.concatenate(([-np.inf], lr[:-1]))
-    right = np.concatenate((lr[1:], [-np.inf]))
-    span |= (lr > BA_TOL) & (lr > left + 1e-12) & (lr >= right - 1e-12)
+    peak = lr > BA_TOL
+    peak[1:] &= lr[1:] > lr[:-1] + 1e-12
+    peak[:-1] &= lr[:-1] >= lr[1:] - 1e-12
+    span |= peak
     cols = span.nonzero()[0]
     model = np.empty((p.size + 1, cols.size))
-    np.multiply(np.sqrt(p)[:, None], a[:, cols] / c[:, None] - 2.0,
+    np.multiply(root_p[:, None], a[:, cols] / c[:, None] - 2.0,
                 out=model[:-1])
     # a row of ones with target 1 turns the sum constraint into plain NNLS:
     # the model is homogeneous on the simplex, so the NNLS solution rescaled
@@ -209,13 +213,12 @@ def _newton_step(a, p, c, r, q, atoms):
     v = (a @ step) / c
     descent = p @ v
     alpha = 1.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        while descent > 0.0 and alpha > 1e-12:
-            gain = p @ np.log1p(alpha * v)
-            if gain >= _ARMIJO * alpha * descent:
-                q = np.maximum(q + alpha * step, 0.0)
-                return q / q.sum(), span & (q > 0.0)
-            alpha *= 0.5
+    while descent > 0.0 and alpha > 1e-12:
+        gain = p @ np.log1p(alpha * v)
+        if gain >= _ARMIJO * alpha * descent:
+            q = np.maximum(q + alpha * step, 0.0)
+            return q / q.sum(), span & (q > 0.0)
+        alpha *= 0.5
     q = _vertex_step(a, p, c, q, top)
     return q, span & (q > 0.0)
 
@@ -231,8 +234,7 @@ def _vertex_step(a, p, c, q, j):
     Lagrangian where a full model step cannot resolve it.
     """
     u = a[:, j] / c - 1.0
-    with np.errstate(divide="ignore"):
-        full = p @ (u / (1.0 + u)) >= 0.0
+    full = p @ (u / (1.0 + u)) >= 0.0
     lo, hi = -300.0, 0.0  # bracket of log10 t with g rising at 10**lo
     while not full and hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
@@ -252,36 +254,38 @@ def _nnls(gram, rhs, start):
     These are the normal equations of min |M x - e| with gram = M'M and
     rhs = M'e. `start` is a feasible first iterate; its positive entries
     form the first passive set. A ridge at rounding level keeps a passive
-    set with dependent columns solvable.
+    set with dependent columns solvable. The ratio test runs on Python
+    floats: the array form's IEEE operations in its order, at less cost.
     """
     n = rhs.size
     x = start.copy()
-    passive = x > 0.0
+    passive = np.flatnonzero(x > 0.0).tolist()
     ridge = n * np.finfo(float).eps * gram.diagonal().max()
     for _ in range(3 * n):
-        while passive.any():
-            idx = passive.nonzero()[0]
-            sub = gram[idx[:, None], idx]
-            sub.flat[::idx.size + 1] += ridge
-            sol = np.linalg.solve(sub, rhs[idx])
-            z = np.zeros(n)
-            z[idx] = sol
-            if (sol > 0.0).all():
-                x = z
+        while passive:
+            sub = gram.take(passive, 0).take(passive, 1)
+            sub.ravel()[::len(passive) + 1] += ridge
+            sol = np.linalg.solve(sub, rhs.take(passive)).tolist()
+            if all(z > 0.0 for z in sol):
+                x = np.zeros(n)
+                x[passive] = sol
                 break
-            # step back to the boundary and release the blocking entry
-            neg = (passive & (z <= 0.0)).nonzero()[0]
-            ratio = x[neg] / (x[neg] - z[neg])
-            x = x + ratio.min() * (z - x)
-            x[neg[ratio.argmin()]] = 0.0
-            passive &= x > 0.0
-            x[~passive] = 0.0
+            # step back to the boundary and release the blocking entry,
+            # the first of equal ratios as argmin picks it
+            old = x[passive].tolist()
+            t, block = min((xi / (xi - zi), k) for k, (xi, zi)
+                           in enumerate(zip(old, sol)) if zi <= 0.0)
+            new = [xi + t * (zi - xi) for xi, zi in zip(old, sol)]
+            new[block] = 0.0
+            passive = [j for j, xj in zip(passive, new) if xj > 0.0]
+            x = np.zeros(n)
+            x[passive] = [xj for xj in new if xj > 0.0]
         grad = rhs - gram @ x
         grad[passive] = -np.inf
         j = int(grad.argmax())
         if grad[j] <= 10.0 * ridge:
             break
-        passive[j] = True
+        passive = sorted(passive + [j])
     return x
 
 

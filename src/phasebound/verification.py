@@ -5,10 +5,11 @@ after tolerance, over all inequalities it tested. A negative margin
 means a genuine violation and `verify` exits nonzero.
 
 Each (probe, eta) scenario is evaluated once, one decomposition, Holevo
-quantity and MMSE run, and handed to every check that reads it. Bound,
-capacity and estimation functions are looked up through their modules at
-call time, not imported as bare names, so a monkeypatched or corrupted
-bound is caught rather than silently bypassed.
+quantity and MMSE run, and handed to every check that reads it; each
+such check tracks one margin table, scenario rows by inequality columns.
+Bound, capacity and estimation functions are looked up through their
+modules at call time, not imported as bare names, so a monkeypatched or
+corrupted bound is caught rather than silently bypassed.
 """
 
 import numpy as np
@@ -178,20 +179,17 @@ def _check_rate_distortion(prior, grid_size, slopes):
     _, masses = rate_distortion.discretize_prior(prior, grid_size)
     q = rate_distortion.discrete_entropy_power(masses, TWO_PI / grid_size)
     slack = 0.2 * 128.0 / grid_size  # discretization gap shrinks like 1/K
-    for pt in curve:
-        lb = rate_distortion.shannon_lb_rate(q, pt.distortion)
-        check.track(pt.rate - lb + slack, lambda:
-                    f"slope {pt.slope}: rate {pt.rate:.4f} below the Shannon "
-                    f"bound {lb:.4f}")
-    # every point must carry a certified Blahut gap
+    lbs = [rate_distortion.shannon_lb_rate(q, pt.distortion) for pt in curve]
+    # a row per inequality: above the Shannon bound, a certified gap
     tol = rate_distortion.BA_TOL
-    for pt in curve:
-        check.track(tol - pt.gap, lambda:
-                    f"slope {pt.slope}: swept point has Blahut gap "
-                    f"{pt.gap:.2e}")
-    # the solver descends R + s*D, not R alone
+    check.track([[pt.rate - lb + slack for pt, lb in zip(curve, lbs)],
+                 [tol - pt.gap for pt in curve]], lambda i, j: (
+        f"slope {curve[j].slope}: " + (
+            f"rate {curve[j].rate:.4f} below the Shannon bound {lbs[j]:.4f}",
+            f"swept point has Blahut gap {curve[j].gap:.2e}")[i]))
+    # the solver descends R + s*D, not R alone; one slope is one point
     d = rate_distortion.grid_distortion(grid_size)
-    for slope in (min(slopes), max(slopes)):
+    for slope in dict.fromkeys((min(slopes), max(slopes))):
         point = rate_distortion.blahut_arimoto_point(masses, d, slope)
         check.track(tol - point.gap, lambda:
                     f"slope {slope}: cold point has Blahut gap "
@@ -206,17 +204,23 @@ def _check_rate_distortion(prior, grid_size, slopes):
 
 def _check_branch_orthonormality(decomps):
     # the loss record separates branches of different counts, so each count
-    # carries one branch whose norm and weight are its loss probability
+    # carries one branch whose norm and weight are its loss probability;
+    # a probe's own kernel is the leading block of its eta's largest one
     check = CheckResult("environment-branch-orthonormality")
+    kernels = {eta: capacity.binomial_loss_matrix(
+        max(d.probe.cutoff for d in decomps if d.eta == eta), eta)
+        for eta in dict.fromkeys(d.eta for d in decomps)}
+    errs, rows = [], []
     for decomp in decomps:
-        if len(set(decomp.loss_counts)) != len(decomp):
-            check.track(-1.0, lambda:
-                        f"{_tag(decomp)}: two branches share a loss count")
-        q = capacity.loss_distribution(decomp.probe.probabilities, decomp.eta)
+        size = decomp.probe.cutoff + 1
+        q = decomp.probe.probabilities @ kernels[decomp.eta][:size, :size]
         w = np.stack([(np.abs(decomp.branches) ** 2).sum(1), decomp.weights])
-        err = float(np.abs(w / q[decomp.loss_counts] - 1.0).max())
-        check.track(1e-10 - err, lambda:
-                    f"{_tag(decomp)}: branch norm error {err:.2e}")
+        errs.append(float(np.abs(w / q[decomp.loss_counts] - 1.0).max()))
+        shared = len(set(decomp.loss_counts)) != len(decomp)
+        rows.append((-1.0 if shared else np.inf, 1e-10 - errs[-1]))
+    check.track(rows, lambda s, k: f"{_tag(decomps[s])}: " + (
+        "two branches share a loss count",
+        f"branch norm error {errs[s]:.2e}")[k])
     return check
 
 
@@ -231,31 +235,37 @@ def _scenarios(probes, etas, prior, grid):
 
 def _check_holevo_chain(scenarios, prior):
     check = CheckResult("holevo-capacity-chain")
+    # no harmonic up to the cutoff leaves rho_bar dephased, so chi must equal
+    # the chain: it drops <= 8385 populations < 1e-14, each -p ln p <= 3.3e-13
+    bare = {n: not prior.fourier_coefficients(n)[1:].any()
+            for n in {decomp.probe.cutoff for decomp, _, _ in scenarios}}
+    facts, rows = [], []
     for decomp, chi, _ in scenarios:
         probe, eta = decomp.probe, decomp.eta
-        check.track(chi + 1e-10, lambda:
-                    f"{_tag(decomp)}: Holevo quantity negative ({chi:.3e})")
         # the dephased average keeps the block diagonals q_l |u_l[m]|^2
         # (f(0) = 1 for every prior), so its entropy is a Shannon entropy
         gap = (capacity.shannon_entropy(decomp.populations)
                - capacity.shannon_entropy(decomp.weights))
-        # with no harmonic rho_bar is itself dephased, so chi must equal
-        # the chain: it drops <= 8385 populations below 1e-14, each
-        # -p ln p <= 3.3e-13
-        equal = not prior.fourier_coefficients(probe.cutoff)[1:].any()
-        check.track(1e-8 - abs(gap - chi) if equal else gap - chi + 1e-8,
-                    lambda: f"{_tag(decomp)}: dephasing chain {gap:.6f} "
-                    f"{'is not' if equal else 'below'} the Holevo quantity "
-                    f"{chi:.6f}")
         if eta >= 1.0:
             cap = capacity.unrestricted_capacity(probe.mean_photons)
         elif eta <= 0.0:
             cap = 0.0
         else:
             cap = capacity.capacity_upper_bound_lossy(probe.mean_photons, eta)
-        check.track(cap - gap + 1e-8, lambda:
-                    f"{_tag(decomp)}: chain value {gap:.6f} above the "
-                    f"capacity ceiling {cap:.6f}")
+        equal = bare[probe.cutoff]
+        facts.append((decomp, chi, gap, equal, cap))
+        rows.append((chi + 1e-10,
+                     1e-8 - abs(gap - chi) if equal else gap - chi + 1e-8,
+                     cap - gap + 1e-8))
+
+    def detail(s, k):
+        decomp, chi, gap, equal, cap = facts[s]
+        return f"{_tag(decomp)}: " + (
+            f"Holevo quantity negative ({chi:.3e})",
+            f"dephasing chain {gap:.6f} {'is not' if equal else 'below'} "
+            f"the Holevo quantity {chi:.6f}",
+            f"chain value {gap:.6f} above the capacity ceiling {cap:.6f}")[k]
+    check.track(rows, detail)
     return check
 
 
@@ -269,28 +279,33 @@ def _check_mse_floor(scenarios, prior):
     w = first.masses
     phi = np.arange(w.size) * (TWO_PI / w.size)
     spread = w @ (phi - w @ phi) ** 2
+    facts, rows = [], []
     for decomp, chi, sim in scenarios:
-        probe, eta = decomp.probe, decomp.eta
-        info = sim.mutual_information
-        check.track(chi - info + 1e-6, lambda:
-                    f"{_tag(decomp)}: measured information {info:.6f} "
-                    f"exceeds the Holevo quantity {chi:.6f}")
+        probe, info = decomp.probe, sim.mutual_information
         floor = q * np.exp(-2.0 * info)
-        check.track(sim.mse - floor + 1e-6, lambda:
-                    f"{_tag(decomp)}: simulated MSE {sim.mse:.6f} beats the "
-                    f"information floor {floor:.6f}")
-        report = bounds.build_report(prior, probe.mean_photons, eta=eta,
+        report = bounds.build_report(prior, probe.mean_photons, eta=decomp.eta,
                                      photon_variance=probe.photon_variance)
         # escher is a Fisher-information floor that ignores the prior: a
-        # narrow prior's MSE can sit below it, so it bounds no Bayesian MSE
-        for name, value in report.items():
-            if value is not None and name != "escher":
-                check.track(sim.mse - value + 1e-6, lambda:
-                            f"{_tag(decomp)}: simulated MSE {sim.mse:.6f} "
-                            f"beats the {name} bound {value:.6f}")
-        check.track(spread - sim.mse + 1e-6, lambda:
-                    f"{_tag(decomp)}: simulated MSE {sim.mse:.6f} above the "
-                    f"prior variance {spread:.6f} on the phase grid")
+        # narrow prior's MSE can sit below it, so it bounds no Bayesian MSE.
+        # A bound that does not apply (None) has a margin of +inf
+        del report["escher"]
+        facts.append((decomp, chi, sim, floor, report))
+        rows.append([chi - info, sim.mse - floor,
+                     *(np.inf if value is None else sim.mse - value
+                       for value in report.values()), spread - sim.mse])
+
+    def detail(s, k):
+        decomp, chi, sim, floor, report = facts[s]
+        return f"{_tag(decomp)}: " + (
+            [f"measured information {sim.mutual_information:.6f} exceeds "
+             f"the Holevo quantity {chi:.6f}",
+             f"simulated MSE {sim.mse:.6f} beats the information floor "
+             f"{floor:.6f}"]
+            + [f"simulated MSE {sim.mse:.6f} beats the {name} bound {value:.6f}"
+               if value is not None else "" for name, value in report.items()]
+            + [f"simulated MSE {sim.mse:.6f} above the prior variance "
+               f"{spread:.6f} on the phase grid"])[k]
+    check.track(np.array(rows) + 1e-6, detail)
     return check
 
 

@@ -17,8 +17,9 @@ from phasebound.capacity import (capacity_upper_bound_lossy, loss_distribution,
 from phasebound.errors import ValidationError
 from phasebound.fock import ProbeSpec
 from phasebound.priors import PhasePrior
-from phasebound.rate_distortion import (blahut_arimoto_point, rd_curve,
-                                        shannon_lb_distortion, shannon_lb_rate)
+from phasebound.rate_distortion import (blahut_arimoto_point, grid_distortion,
+                                        rd_curve, shannon_lb_distortion,
+                                        shannon_lb_rate)
 
 HAMMING = [[0.0, 1.0], [1.0, 0.0]]
 
@@ -90,3 +91,35 @@ def test_unit_sum_messages_print_a_plain_float(call, message):
     with pytest.raises(ValidationError) as caught:
         call()
     assert str(caught.value) == message
+
+
+def _grid_point(slope, entry=None, init=None):
+    d = grid_distortion(16)
+    if entry is not None:
+        d[3, 5] = entry
+    return blahut_arimoto_point(np.full(16, 1.0 / 16), d, slope,
+                                init_marginal=init)
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.5])
+@pytest.mark.parametrize("entry", [math.nan, -1.0, -math.inf])
+def test_distortion_entries_must_be_nonnegative(entry, slope):
+    # a NaN entry returned D = nan at slope 0 and died in numpy's
+    # zero-size reduction at slope 0.5
+    with pytest.raises(ValidationError,
+                       match=r"^distortion entries must be >= 0 or \+inf$"):
+        _grid_point(slope, entry=entry)
+
+
+def test_infinite_distortion_is_a_forbidden_pair():
+    point = _grid_point(0.0, entry=math.inf)
+    assert point.distortion == _grid_point(0.0).distortion
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, -1.0])
+def test_init_marginal_must_be_finite_and_nonnegative(entry):
+    init = np.ones(16)
+    init[0] = entry
+    with pytest.raises(ValidationError, match="^init_marginal must be a "
+                                              "finite distribution"):
+        _grid_point(0.5, init=init)

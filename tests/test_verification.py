@@ -370,3 +370,72 @@ def test_scenario_without_probes_borrows_the_battery(monkeypatch):
     # one call carries every borrowed probe at the scenario's eta
     assert seen == [([probe.descriptor() for probe in battery], [0.5])]
     assert single == []
+
+
+def test_one_slope_solves_its_cold_point_once(monkeypatch):
+    # the lowest and the highest slope are the same point: rd_curve solves
+    # it warm, the descent check once cold
+    calls = []
+    real = phasebound.rate_distortion.blahut_arimoto_point
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(phasebound.rate_distortion, "blahut_arimoto_point",
+                        counted)
+    report = light_battery(rd={"grid_size": 16, "slopes": [0.5]})
+    assert report.passed
+    assert calls == [0.5, 0.5]
+
+
+def test_detail_lines_are_scenario_major(monkeypatch):
+    # two inequalities broken in every scenario of two checks at once:
+    # chi - 1 is negative and off the dephasing chain, and below the
+    # measured information; h_limit x 1e3 sits above every simulated MSE
+    real_chi = phasebound.fock.holevo_quantity
+    real_h = phasebound.bounds.h_limit_bound
+    monkeypatch.setattr(phasebound.fock, "holevo_quantity",
+                        lambda decomp, prior: real_chi(decomp, prior) - 1.0)
+    monkeypatch.setattr(phasebound.bounds, "h_limit_bound",
+                        lambda q, n: real_h(q, n) * 1e3)
+    probes = [{"family": "amplitudes", "amplitudes": HALF},
+              {"family": "coherent", "alpha": 0.5}]
+    etas = [0.5, 1.0]
+    report = light_battery(probes=probes, eta=etas)
+    cfg = ScenarioConfig.from_dict(dict(LIGHT, probes=probes, eta=etas))
+    # chi_decompose_all's order: probe-major, eta within a probe
+    tags = [f"{probe.descriptor()} eta={eta}" for probe in cfg.probes
+            for eta in etas]
+    expected = {
+        "holevo-capacity-chain": ["Holevo quantity negative",
+                                  "dephasing chain"],
+        "simulated-mse-between-bounds-and-prior": [
+            "measured information", "beats the h_limit bound"]}
+    failures = report.failures()
+    assert [r.name for r in failures] == list(expected)
+    for result in failures:
+        pairs = [(tag, phrase) for tag in tags
+                 for phrase in expected[result.name]]
+        assert len(result.details) == len(pairs)
+        for detail, (tag, phrase) in zip(result.details, pairs):
+            assert detail.startswith(f"{tag}: ") and phrase in detail
+
+
+def test_branch_details_are_scenario_major():
+    # every decomposition gets a shared loss count, which also reads the
+    # wrong loss probability for its second branch: two lines each
+    decomps = phasebound.fock.chi_decompose_all(
+        [phasebound.fock.ProbeSpec.coherent(1.0),
+         phasebound.fock.ProbeSpec.flat_superposition(3)], [0.3, 0.7])
+    for decomp in decomps:
+        decomp.loss_counts[1] = decomp.loss_counts[0]
+    check = _check_branch_orthonormality(decomps)
+    assert not check.passed
+    tags = [f"{d.probe.descriptor()} eta={d.eta}" for d in decomps]
+    pairs = [(tag, phrase) for tag in tags
+             for phrase in ("two branches share a loss count",
+                            "branch norm error")]
+    assert len(check.details) == len(pairs)
+    for detail, (tag, phrase) in zip(check.details, pairs):
+        assert detail.startswith(f"{tag}: ") and phrase in detail
