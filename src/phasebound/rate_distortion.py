@@ -162,8 +162,13 @@ def blahut_arimoto_point(source, distortion, slope, init_marginal=None):
             if gap <= BA_TOL or it == BA_MAX_ITER:
                 break
             q, atoms = _newton_step(a, p, root_p, c, r, q, atoms)
-    # the iterations are done with A, so A * d can take its memory
-    dist = pc @ (np.multiply(a, d, out=a) @ q)
+        # the iterations are done with A, so A * d can take its memory; a
+        # forbidden pair, A = 0 at d = inf, adds 0 to D, not 0 * inf = nan
+        ad = np.multiply(a, d, out=a)
+        dist = pc @ (ad @ q)
+        if math.isnan(dist):
+            ad[np.isnan(ad)] = 0.0
+            dist = pc @ (ad @ q)
     # rate can round a hair below zero at slopes where the bound is vacuous
     return BAPoint(dist, max(history[-1] - slope * dist, 0.0), slope,
                    gap <= BA_TOL, it, history, q, gap)
@@ -332,16 +337,21 @@ def rd_curve(prior, grid_size, slopes):
     package.
     """
     _, masses = discretize_prior(prior, grid_size)
-    d = grid_distortion(grid_size)
-    # sweep slopes in increasing order, warm-starting each point from the
-    # previous marginal; neighbors on the curve have nearby optima
-    results, q = [], None
+    points = _sweep(masses, grid_distortion(grid_size), slopes)
+    return sorted(points, key=lambda pt: pt.distortion)
+
+
+def _sweep(source, distortion, slopes):
+    """BAPoints in solve order: slopes increasing, each point warm-started
+    from the previous marginal, the first solved cold; neighbors on the
+    curve have nearby optima."""
+    points, q = [], None
     for s in sorted(float(s) for s in slopes):
-        point = blahut_arimoto_point(masses, d, s, init_marginal=q)
-        results.append(point)
+        point = blahut_arimoto_point(source, distortion, s, init_marginal=q)
+        points.append(point)
         if point.output_marginal is not None:
             q = point.output_marginal
-    return sorted(results, key=lambda pt: pt.distortion)
+    return points
 
 
 def check_curve(points):

@@ -171,12 +171,14 @@ def _check_shannon_pair(prior):
 
 def _check_rate_distortion(prior, grid_size, slopes):
     check = CheckResult("rate-curve-above-shannon-bound")
-    curve = rate_distortion.rd_curve(prior, grid_size, slopes)
+    _, masses = rate_distortion.discretize_prior(prior, grid_size)
+    d = rate_distortion.grid_distortion(grid_size)
+    swept = rate_distortion._sweep(masses, d, slopes)
+    curve = sorted(swept, key=lambda pt: pt.distortion)
     try:
         rate_distortion.check_curve(curve)
     except ValidationError as exc:
         check.track(-1.0, lambda: f"curve invariants: {exc}")
-    _, masses = rate_distortion.discretize_prior(prior, grid_size)
     q = rate_distortion.discrete_entropy_power(masses, TWO_PI / grid_size)
     slack = 0.2 * 128.0 / grid_size  # discretization gap shrinks like 1/K
     lbs = [rate_distortion.shannon_lb_rate(q, pt.distortion) for pt in curve]
@@ -187,10 +189,13 @@ def _check_rate_distortion(prior, grid_size, slopes):
         f"slope {curve[j].slope}: " + (
             f"rate {curve[j].rate:.4f} below the Shannon bound {lbs[j]:.4f}",
             f"swept point has Blahut gap {curve[j].gap:.2e}")[i]))
-    # the solver descends R + s*D, not R alone; one slope is one point
-    d = rate_distortion.grid_distortion(grid_size)
-    for slope in dict.fromkeys((min(slopes), max(slopes))):
-        point = rate_distortion.blahut_arimoto_point(masses, d, slope)
+    # the solver descends R + s*D, not R alone; the sweep solved the lowest
+    # slope cold, and one slope is one point
+    low, top = min(slopes), max(slopes)
+    cold = [(low, swept[0])]
+    if top != low:
+        cold.append((top, rate_distortion.blahut_arimoto_point(masses, d, top)))
+    for slope, point in cold:
         check.track(tol - point.gap, lambda:
                     f"slope {slope}: cold point has Blahut gap "
                     f"{point.gap:.2e}")

@@ -114,6 +114,13 @@ def test_distortion_entries_must_be_nonnegative(entry, slope):
 def test_infinite_distortion_is_a_forbidden_pair():
     point = _grid_point(0.0, entry=math.inf)
     assert point.distortion == _grid_point(0.0).distortion
+    # at a positive slope e^{-s inf} = 0 = e^{-s 1e300}, so the pair adds
+    # 0 to D, not 0 * inf = nan
+    point = _grid_point(0.5, entry=math.inf)
+    huge = _grid_point(0.5, entry=1e300)
+    assert math.isfinite(point.distortion)
+    for name in ("distortion", "rate", "gap"):
+        assert getattr(point, name).hex() == getattr(huge, name).hex(), name
 
 
 @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, -1.0])

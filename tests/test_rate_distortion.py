@@ -212,6 +212,29 @@ def test_curve_ordering_and_invariants():
     check_curve(curve)
 
 
+SWEPT_PRIORS = {"full-circle": PhasePrior.uniform(),
+                "uniform-3-1": PhasePrior.uniform(center=3.0, width=1.0),
+                "gauss-pi-0.3": PhasePrior.wrapped_gaussian(math.pi, 0.3),
+                "window-2-0.8": PhasePrior.uniform(center=2.0, width=0.8)}
+
+
+@pytest.mark.parametrize("low", [0.0, 0.1, 0.5, 2.0])
+@pytest.mark.parametrize("k", [16, 64])
+@pytest.mark.parametrize("prior", SWEPT_PRIORS.values(),
+                         ids=SWEPT_PRIORS.keys())
+def test_sweep_starts_with_the_cold_point(prior, k, low):
+    # `verify` reads its cold point at the lowest slope off the sweep's
+    # first solve instead of solving it again; the slopes come unsorted
+    _, p = discretize_prior(prior, k)
+    d = grid_distortion(k)
+    slopes = [low + 3.0, low, low + 0.5]
+    first = rd._sweep(p, d, slopes)[0]
+    cold = blahut_arimoto_point(p, d, min(slopes))
+    for name in ("distortion", "rate", "gap", "iterations", "converged",
+                 "lagrangian_history"):
+        assert np.array_equal(getattr(first, name), getattr(cold, name)), name
+
+
 def curve_point(d, r):
     return BAPoint(d, r, 1.0, True, 1, [r + d], None, 0.0)
 

@@ -331,14 +331,15 @@ def test_uncertified_rate_point_is_caught(monkeypatch):
 def test_rising_rate_curve_is_caught(monkeypatch):
     # a curve whose rate rises with distortion is no R(D) sample, even when
     # every point sits above the Shannon bound with a certified gap
-    real = phasebound.rate_distortion.rd_curve
+    real = phasebound.rate_distortion._sweep
 
-    def rising(prior, grid_size, slopes):
-        curve = real(prior, grid_size, slopes)
-        curve[-1].rate = curve[0].rate + 1.0
-        return curve
+    def rising(source, distortion, slopes):
+        # solve order: the lowest slope, the largest distortion, comes first
+        points = real(source, distortion, slopes)
+        points[0].rate = points[-1].rate + 1.0
+        return points
 
-    monkeypatch.setattr(phasebound.rate_distortion, "rd_curve", rising)
+    monkeypatch.setattr(phasebound.rate_distortion, "_sweep", rising)
     report = light_battery()
     assert [r.name for r in report.failures()] == [
         "rate-curve-above-shannon-bound"]
@@ -373,8 +374,8 @@ def test_scenario_without_probes_borrows_the_battery(monkeypatch):
 
 
 def test_one_slope_solves_its_cold_point_once(monkeypatch):
-    # the lowest and the highest slope are the same point: rd_curve solves
-    # it warm, the descent check once cold
+    # the lowest and the highest slope are the same point: the sweep
+    # solves it cold, and the descent check reads that solve
     calls = []
     real = phasebound.rate_distortion.blahut_arimoto_point
 
@@ -386,7 +387,35 @@ def test_one_slope_solves_its_cold_point_once(monkeypatch):
                         counted)
     report = light_battery(rd={"grid_size": 16, "slopes": [0.5]})
     assert report.passed
-    assert calls == [0.5, 0.5]
+    assert calls == [0.5]
+
+
+@pytest.mark.parametrize("slopes, solved", [
+    ([0.0, 0.25], [0.0, 0.25, 0.25]),
+    ([0.25, 0.7], [0.25, 0.7, 0.7]),
+    ([1, 1, 2], [1.0, 1.0, 2.0, 2]),
+    ([0.7, 0.7], [0.7, 0.7])], ids=["zero", "two", "repeated", "one"])
+def test_one_verify_builds_one_kernel(monkeypatch, slopes, solved):
+    # the rate check builds the source and the K x K kernel once, solves
+    # each swept slope once and a cold top slope only above the lowest
+    kernels, calls = [], []
+    real_kernel = phasebound.rate_distortion.grid_distortion
+    real_point = phasebound.rate_distortion.blahut_arimoto_point
+
+    def kernel(grid_size):
+        kernels.append(grid_size)
+        return real_kernel(grid_size)
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real_point(*args, **kwargs)
+
+    monkeypatch.setattr(phasebound.rate_distortion, "grid_distortion", kernel)
+    monkeypatch.setattr(phasebound.rate_distortion, "blahut_arimoto_point",
+                        counted)
+    assert light_battery(rd={"grid_size": 16, "slopes": slopes}).passed
+    assert kernels == [16]
+    assert calls == solved
 
 
 def test_detail_lines_are_scenario_major(monkeypatch):
