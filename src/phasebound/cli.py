@@ -139,7 +139,7 @@ def _cmd_bounds(cfg, threads):
 
 
 def _cmd_rd_curve(cfg, threads):
-    del threads  # the sweep is sequential by design: it warm-starts
+    del threads  # the slopes are solved one after another
     curve = rate_distortion.rd_curve(cfg.prior, cfg.rd_grid_size,
                                      cfg.rd_slopes)
     rows = [(pt.distortion, pt.rate, pt.slope, pt.converged) for pt in curve]

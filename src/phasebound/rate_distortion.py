@@ -96,20 +96,25 @@ def blahut_arimoto_point(source, distortion, slope, init_marginal=None):
     slope : s >= 0 in nats per squared radian. s = 0 returns the zero-rate
         point directly.
     init_marginal : optional starting reproduction marginal; defaults to
-        uniform. Warm starts from a neighboring slope cut iteration counts
-        when sweeping a curve.
+        uniform. A start from a neighboring slope's marginal does not
+        reliably cut the time: it can take fewer iterations over a wider
+        Newton model, or more.
 
-    Each iteration grows the support of the output marginal by the local
-    maxima of r (in column order) that break the certificate, minimizes a
-    quadratic model of the Lagrangian over that support by nonnegative
-    least squares, and backtracks along the step until the Lagrangian
-    falls. Where the model cannot help (some r_j > 2, or no descent) it
-    moves mass to the column of largest r_j instead, by an exact line
-    search. The Lagrangian never rises. Returns a BAPoint, converged once
-    the certified gap is <= BA_TOL, or flagged unconverged with its gap
-    after BA_MAX_ITER evaluations.
+    A square distortion first tries the source masses as the marginal,
+    and returns them if their certificate holds: where exp(-s d)
+    underflows off the diagonal, A = I and that start is the optimum,
+    which no iteration from a wider start reaches. Otherwise the usual
+    start runs. Each iteration grows the support of the output marginal
+    by the local maxima of r (in column order) that break the
+    certificate, minimizes a quadratic model of the Lagrangian over that
+    support by nonnegative least squares, and backtracks along the step
+    until the Lagrangian falls. Where the model cannot help (some
+    r_j > 2, or no descent) it moves mass to the column of largest r_j
+    instead, by an exact line search. The Lagrangian never rises. Returns
+    a BAPoint, converged once the certified gap is <= BA_TOL, or flagged
+    unconverged with its gap after BA_MAX_ITER evaluations.
     """
-    p = _check_source(source)
+    p = masses = _check_source(source)
     d = np.asarray(distortion, dtype=float)
     if d.ndim != 2 or d.shape[0] != p.size:
         raise ValidationError(f"distortion shape {d.shape} does not match source")
@@ -149,9 +154,14 @@ def blahut_arimoto_point(source, distortion, slope, init_marginal=None):
     # start does not make every column a model column
     atoms = q > 1.0 / q.size
     root_p, history = np.sqrt(p), []
+    # a square kernel first tries the source masses, zero masses included,
+    # as evaluation 0; the history and the iterations count the start kept
+    start, first = q, 1
+    if d.shape[1] == masses.size:
+        q, first = masses, 0
     # ln 0 and x/0 in the steps' logs and slopes read as no gain
     with np.errstate(divide="ignore", invalid="ignore"):
-        for it in range(1, BA_MAX_ITER + 1):
+        for it in range(first, BA_MAX_ITER + 1):
             # c_k = sum_j q_j e^{-s d_kj}; the floor keeps the log finite
             # where every used column underflows at extreme slopes
             c = np.maximum(a @ q, 1e-300)
@@ -161,7 +171,10 @@ def blahut_arimoto_point(source, distortion, slope, init_marginal=None):
             gap = float(np.log(r.max()))
             if gap <= BA_TOL or it == BA_MAX_ITER:
                 break
-            q, atoms = _newton_step(a, p, root_p, c, r, q, atoms)
+            if it == 0:
+                q, history = start, []
+            else:
+                q, atoms = _newton_step(a, p, root_p, c, r, q, atoms)
         # the iterations are done with A, so A * d can take its memory; a
         # forbidden pair, A = 0 at d = inf, adds 0 to D, not 0 * inf = nan
         ad = np.multiply(a, d, out=a)
@@ -171,7 +184,7 @@ def blahut_arimoto_point(source, distortion, slope, init_marginal=None):
             dist = pc @ (ad @ q)
     # rate can round a hair below zero at slopes where the bound is vacuous
     return BAPoint(dist, max(history[-1] - slope * dist, 0.0), slope,
-                   gap <= BA_TOL, it, history, q, gap)
+                   gap <= BA_TOL, len(history), history, q, gap)
 
 
 def _newton_step(a, p, root_p, c, r, q, atoms):
@@ -331,27 +344,16 @@ def discrete_entropy_power(masses, cell_width):
 def rd_curve(prior, grid_size, slopes):
     """Trace R(D) of the discretized prior over a slope schedule.
 
-    Returns the list of BAPoints sorted by increasing D (slopes are
-    reordered to match; equal distortions keep their slope order).
-    Squared error is non-periodic, consistent with the rest of the
-    package.
+    Each slope is solved once, cold, in increasing order. Returns the
+    list of BAPoints sorted by increasing D (slopes are reordered to
+    match; equal distortions keep their slope order). Squared error is
+    non-periodic, consistent with the rest of the package.
     """
     _, masses = discretize_prior(prior, grid_size)
-    points = _sweep(masses, grid_distortion(grid_size), slopes)
+    d = grid_distortion(grid_size)
+    points = [blahut_arimoto_point(masses, d, s)
+              for s in sorted(float(s) for s in slopes)]
     return sorted(points, key=lambda pt: pt.distortion)
-
-
-def _sweep(source, distortion, slopes):
-    """BAPoints in solve order: slopes increasing, each point warm-started
-    from the previous marginal, the first solved cold; neighbors on the
-    curve have nearby optima."""
-    points, q = [], None
-    for s in sorted(float(s) for s in slopes):
-        point = blahut_arimoto_point(source, distortion, s, init_marginal=q)
-        points.append(point)
-        if point.output_marginal is not None:
-            q = point.output_marginal
-    return points
 
 
 def check_curve(points):

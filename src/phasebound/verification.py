@@ -171,39 +171,28 @@ def _check_shannon_pair(prior):
 
 def _check_rate_distortion(prior, grid_size, slopes):
     check = CheckResult("rate-curve-above-shannon-bound")
-    _, masses = rate_distortion.discretize_prior(prior, grid_size)
-    d = rate_distortion.grid_distortion(grid_size)
-    swept = rate_distortion._sweep(masses, d, slopes)
-    curve = sorted(swept, key=lambda pt: pt.distortion)
+    curve = rate_distortion.rd_curve(prior, grid_size, slopes)
     try:
         rate_distortion.check_curve(curve)
     except ValidationError as exc:
         check.track(-1.0, lambda: f"curve invariants: {exc}")
+    _, masses = rate_distortion.discretize_prior(prior, grid_size)
     q = rate_distortion.discrete_entropy_power(masses, TWO_PI / grid_size)
     slack = 0.2 * 128.0 / grid_size  # discretization gap shrinks like 1/K
     lbs = [rate_distortion.shannon_lb_rate(q, pt.distortion) for pt in curve]
-    # a row per inequality: above the Shannon bound, a certified gap
+    # the solver descends R + s*D, not R alone, so each point's Lagrangian
+    # must not rise; a one-entry history rises nowhere
+    rises = [float(np.diff(pt.lagrangian_history).max(initial=-np.inf))
+             for pt in curve]
+    # a row per inequality: above the Shannon bound, a certified gap, descent
     tol = rate_distortion.BA_TOL
     check.track([[pt.rate - lb + slack for pt, lb in zip(curve, lbs)],
-                 [tol - pt.gap for pt in curve]], lambda i, j: (
+                 [tol - pt.gap for pt in curve],
+                 [1e-12 - rise for rise in rises]], lambda i, j: (
         f"slope {curve[j].slope}: " + (
             f"rate {curve[j].rate:.4f} below the Shannon bound {lbs[j]:.4f}",
-            f"swept point has Blahut gap {curve[j].gap:.2e}")[i]))
-    # the solver descends R + s*D, not R alone; the sweep solved the lowest
-    # slope cold, and one slope is one point
-    low, top = min(slopes), max(slopes)
-    cold = [(low, swept[0])]
-    if top != low:
-        cold.append((top, rate_distortion.blahut_arimoto_point(masses, d, top)))
-    for slope, point in cold:
-        check.track(tol - point.gap, lambda:
-                    f"slope {slope}: cold point has Blahut gap "
-                    f"{point.gap:.2e}")
-        lag = point.lagrangian_history
-        if len(lag) > 1:
-            worst = float(np.diff(lag).max())
-            check.track(1e-12 - worst, lambda:
-                        f"slope {slope}: Lagrangian rose by {worst:.2e}")
+            f"point has Blahut gap {curve[j].gap:.2e}",
+            f"Lagrangian rose by {rises[j]:.2e}")[i]))
     return check
 
 

@@ -30,7 +30,7 @@ PRIORS = {"uniform": PhasePrior.uniform(),
 
 def oracle_point(p, d, slope, init_marginal=None):
     """blahut_arimoto_point past its input checks, in arrays only."""
-    p = p / p.sum()   # the source as its check hands it on
+    p = masses = p / p.sum()   # the source as its check hands it on
     support = np.flatnonzero(p > 0.0)
     if support.size == 1:
         dmin = float(d[support[0]].min())
@@ -49,14 +49,21 @@ def oracle_point(p, d, slope, init_marginal=None):
         q = q / q.sum()
     atoms = q > 1.0 / q.size
     history = []
-    for it in range(1, BA_MAX_ITER + 1):
-        c = np.maximum(a @ q, 1e-300)
-        history.append(-(p @ np.log(c)))
-        r = (p / c) @ a
-        gap = float(np.log(r.max()))
-        if gap <= BA_TOL or it == BA_MAX_ITER:
-            break
-        q, atoms = oracle_newton_step(a, p, c, r, q, atoms)
+    gap = math.inf
+    if d.shape[1] == masses.size:  # a square kernel tries the source first
+        c = np.maximum(a @ masses, 1e-300)
+        gap = float(np.log(((p / c) @ a).max()))
+    if gap <= BA_TOL:
+        q, it, history = masses, 1, [-(p @ np.log(c))]
+    else:
+        for it in range(1, BA_MAX_ITER + 1):
+            c = np.maximum(a @ q, 1e-300)
+            history.append(-(p @ np.log(c)))
+            r = (p / c) @ a
+            gap = float(np.log(r.max()))
+            if gap <= BA_TOL or it == BA_MAX_ITER:
+                break
+            q, atoms = oracle_newton_step(a, p, c, r, q, atoms)
     dist = (p / c) @ (np.multiply(a, d, out=a) @ q)
     return BAPoint(dist, max(history[-1] - slope * dist, 0.0), slope,
                    gap <= BA_TOL, it, history, q, gap)

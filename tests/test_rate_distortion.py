@@ -223,16 +223,19 @@ SWEPT_PRIORS = {"full-circle": PhasePrior.uniform(),
 @pytest.mark.parametrize("prior", SWEPT_PRIORS.values(),
                          ids=SWEPT_PRIORS.keys())
 def test_sweep_starts_with_the_cold_point(prior, k, low):
-    # `verify` reads its cold point at the lowest slope off the sweep's
-    # first solve instead of solving it again; the slopes come unsorted
+    # rd_curve solves every slope once, cold, so its sweep starts with and
+    # is made of cold points, which verify reads; the slopes come unsorted
+    slopes = [low + 3.0, low, low + 0.5]
     _, p = discretize_prior(prior, k)
     d = grid_distortion(k)
-    slopes = [low + 3.0, low, low + 0.5]
-    first = rd._sweep(p, d, slopes)[0]
-    cold = blahut_arimoto_point(p, d, min(slopes))
-    for name in ("distortion", "rate", "gap", "iterations", "converged",
-                 "lagrangian_history"):
-        assert np.array_equal(getattr(first, name), getattr(cold, name)), name
+    curve = rd_curve(prior, k, slopes)
+    assert sorted(pt.slope for pt in curve) == sorted(slopes)
+    for point in curve:
+        cold = blahut_arimoto_point(p, d, point.slope)
+        for name in ("distortion", "rate", "gap", "iterations", "converged",
+                     "lagrangian_history"):
+            assert np.array_equal(getattr(point, name),
+                                  getattr(cold, name)), name
 
 
 def curve_point(d, r):
@@ -375,6 +378,19 @@ def test_concentrated_prior_sweep_is_certified():
             assert gap <= BA_TOL
             assert np.diff(point.lagrangian_history).max(initial=-1) < 1e-12
         q = point.output_marginal
+
+
+def test_kernel_past_underflow_stops_at_the_source():
+    # at s = 1e300 every off-diagonal exp(-s d) underflows, so A = I and
+    # q = p is the optimum, with zero distortion and the source's entropy;
+    # the uniform start alone ends its 200 iterations 0.849 nats short
+    _, p = discretize_prior(PhasePrior.wrapped_gaussian(math.pi, 0.2), 512)
+    point = blahut_arimoto_point(p, grid_distortion(512), 1e300)
+    assert point.converged
+    assert point.distortion == 0.0
+    pos = p[p > 0.0]
+    assert abs(point.rate + pos @ np.log(pos)) <= 1e-12
+    assert point.iterations == point.lagrangian_history.size == 1
 
 
 @pytest.mark.parametrize("prior", [PhasePrior.uniform(),

@@ -331,15 +331,14 @@ def test_uncertified_rate_point_is_caught(monkeypatch):
 def test_rising_rate_curve_is_caught(monkeypatch):
     # a curve whose rate rises with distortion is no R(D) sample, even when
     # every point sits above the Shannon bound with a certified gap
-    real = phasebound.rate_distortion._sweep
+    real = phasebound.rate_distortion.rd_curve
 
-    def rising(source, distortion, slopes):
-        # solve order: the lowest slope, the largest distortion, comes first
-        points = real(source, distortion, slopes)
-        points[0].rate = points[-1].rate + 1.0
-        return points
+    def rising(prior, grid_size, slopes):
+        curve = real(prior, grid_size, slopes)
+        curve[-1].rate = curve[0].rate + 1.0
+        return curve
 
-    monkeypatch.setattr(phasebound.rate_distortion, "_sweep", rising)
+    monkeypatch.setattr(phasebound.rate_distortion, "rd_curve", rising)
     report = light_battery()
     assert [r.name for r in report.failures()] == [
         "rate-curve-above-shannon-bound"]
@@ -374,8 +373,8 @@ def test_scenario_without_probes_borrows_the_battery(monkeypatch):
 
 
 def test_one_slope_solves_its_cold_point_once(monkeypatch):
-    # the lowest and the highest slope are the same point: the sweep
-    # solves it cold, and the descent check reads that solve
+    # the lowest and the highest slope are the same point, solved once,
+    # cold, and every check reads that solve
     calls = []
     real = phasebound.rate_distortion.blahut_arimoto_point
 
@@ -390,14 +389,36 @@ def test_one_slope_solves_its_cold_point_once(monkeypatch):
     assert calls == [0.5]
 
 
+def test_rising_lagrangian_at_a_middle_slope_is_caught(monkeypatch):
+    # the descent row covers every point of the curve, not only the lowest
+    # and the highest slope
+    real = phasebound.rate_distortion.blahut_arimoto_point
+
+    def rising(source, distortion, slope, *args, **kwargs):
+        point = real(source, distortion, slope, *args, **kwargs)
+        if slope == 0.25:
+            lag = point.lagrangian_history
+            point.lagrangian_history = np.append(lag, lag[-1] + 1e-6)
+        return point
+
+    monkeypatch.setattr(phasebound.rate_distortion, "blahut_arimoto_point",
+                        rising)
+    report = light_battery(rd={"grid_size": 16, "slopes": [0.0, 0.25, 0.5]})
+    assert [r.name for r in report.failures()] == [
+        "rate-curve-above-shannon-bound"]
+    details = [line for line in report.lines() if line.startswith("  ")]
+    assert details == ["  slope 0.25: Lagrangian rose by 1.00e-06 "
+                       "(margin -1.000e-06)"]
+
+
 @pytest.mark.parametrize("slopes, solved", [
-    ([0.0, 0.25], [0.0, 0.25, 0.25]),
-    ([0.25, 0.7], [0.25, 0.7, 0.7]),
-    ([1, 1, 2], [1.0, 1.0, 2.0, 2]),
+    ([0.0, 0.25], [0.0, 0.25]),
+    ([0.25, 0.7], [0.25, 0.7]),
+    ([1, 1, 2], [1.0, 1.0, 2.0]),
     ([0.7, 0.7], [0.7, 0.7])], ids=["zero", "two", "repeated", "one"])
 def test_one_verify_builds_one_kernel(monkeypatch, slopes, solved):
-    # the rate check builds the source and the K x K kernel once, solves
-    # each swept slope once and a cold top slope only above the lowest
+    # the rate check builds the K x K kernel once, through rd_curve, and
+    # solves each configured slope once, cold
     kernels, calls = [], []
     real_kernel = phasebound.rate_distortion.grid_distortion
     real_point = phasebound.rate_distortion.blahut_arimoto_point

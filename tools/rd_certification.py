@@ -2,9 +2,10 @@
 
     python3 tools/rd_certification.py
 
-One pinned grid of points, each solved cold by `blahut_arimoto_point`
-and warm through the sweep that `rd_curve` and `verify` run (slopes
-increasing, each point started from the previous marginal):
+One pinned grid of points, each solved twice by `blahut_arimoto_point`:
+cold, as `rd-curve` and `verify` run every slope, and warm, in
+increasing slope order, each point started from the previous marginal
+through `init_marginal`, the first cold:
 
 - K in {64, 512} grid cells;
 - the full circle, uniform(3, 1), uniform(1, 0.3), and wrapped Gaussians
@@ -47,7 +48,12 @@ def points(grid_sizes=GRID_SIZES, priors=PRIORS, slopes=SLOPES):
             for slope in slopes:
                 yield k, label, "cold", rd.blahut_arimoto_point(masses, d,
                                                                 slope)
-            for point in rd._sweep(masses, d, slopes):
+            q = None
+            for slope in sorted(slopes):
+                point = rd.blahut_arimoto_point(masses, d, slope,
+                                                init_marginal=q)
+                if point.output_marginal is not None:
+                    q = point.output_marginal
                 yield k, label, "warm", point
 
 
