@@ -243,7 +243,7 @@ def main(argv=None):
         return 3
     if not args.out:
         sys.stdout.write(text)
-    return 0 if code is None else code
+    return code
 
 
 if __name__ == "__main__":

@@ -85,7 +85,7 @@ def _check_source(source):
     return source / source.sum()
 
 
-def blahut_arimoto_point(source, distortion, slope, init_marginal=None):
+def blahut_arimoto_point(source, distortion, slope):
     """R(D) point of a discrete source at Lagrange slope -slope.
 
     Parameters
@@ -95,16 +95,12 @@ def blahut_arimoto_point(source, distortion, slope, init_marginal=None):
         reproduction columns.
     slope : s >= 0 in nats per squared radian. s = 0 returns the zero-rate
         point directly.
-    init_marginal : optional starting reproduction marginal; defaults to
-        uniform. A start from a neighboring slope's marginal does not
-        reliably cut the time: it can take fewer iterations over a wider
-        Newton model, or more.
 
     A square distortion first tries the source masses as the marginal,
     and returns them if their certificate holds: where exp(-s d)
     underflows off the diagonal, A = I and that start is the optimum,
-    which no iteration from a wider start reaches. Otherwise the usual
-    start runs. Each iteration grows the support of the output marginal
+    which no iteration from a wider start reaches. Otherwise the uniform
+    marginal starts. Each iteration grows the support of the output marginal
     by the local maxima of r (in column order) that break the
     certificate, minimizes a quadratic model of the Lagrangian over that
     support by nonnegative least squares, and backtracks along the step
@@ -138,27 +134,14 @@ def blahut_arimoto_point(source, distortion, slope, init_marginal=None):
         p, d = p[support], d[support]
     a = np.multiply(d, -slope)
     np.exp(a, out=a)
-    if init_marginal is None:
-        # the uniform start is kept exactly, so symmetric optima stop at once
-        q = np.full(d.shape[1], 1.0 / d.shape[1])
-    else:
-        q = np.asarray(init_marginal, dtype=float)
-        if (q.shape != (d.shape[1],) or not np.all(np.isfinite(q))
-                or np.any(q < 0.0) or q.sum() <= 0.0):
-            raise ValidationError("init_marginal must be a finite distribution"
-                                  " over the reproduction alphabet")
-        q = q / q.sum()
-    # the atoms, the columns every model step spans, start as the columns
-    # the start favours over the uniform marginal; mass at or below that
-    # level is background the steps trade away, so a uniform or other wide
-    # start does not make every column a model column
-    atoms = q > 1.0 / q.size
-    root_p, history = np.sqrt(p), []
+    # the uniform start is kept exactly, so symmetric optima stop at once;
     # a square kernel first tries the source masses, zero masses included,
     # as evaluation 0; the history and the iterations count the start kept
-    start, first = q, 1
-    if d.shape[1] == masses.size:
-        q, first = masses, 0
+    uniform = np.full(d.shape[1], 1.0 / d.shape[1])
+    q, first = (masses, 0) if d.shape[1] == masses.size else (uniform, 1)
+    # the atoms, the columns every model step spans, start empty
+    atoms = np.zeros(uniform.size, bool)
+    root_p, history = np.sqrt(p), []
     # ln 0 and x/0 in the steps' logs and slopes read as no gain
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(first, BA_MAX_ITER + 1):
@@ -172,7 +155,7 @@ def blahut_arimoto_point(source, distortion, slope, init_marginal=None):
             if gap <= BA_TOL or it == BA_MAX_ITER:
                 break
             if it == 0:
-                q, history = start, []
+                q, history = uniform, []
             else:
                 q, atoms = _newton_step(a, p, root_p, c, r, q, atoms)
         # the iterations are done with A, so A * d can take its memory; a

@@ -156,13 +156,10 @@ def test_criterion_7_rate_distortion_curve():
     _, masses = rd.discretize_prior(UNIFORM, grid_size)
     q = rd.discrete_entropy_power(masses, TWO_PI / grid_size)
     dmat = rd.grid_distortion(grid_size)
-    warm = None
     for target in (0.05, 0.1, 0.5, 1.0):
         s = 1.0 / (2.0 * target)  # slope of the Shannon bound at D
         for _ in range(6):
-            point = rd.blahut_arimoto_point(masses, dmat, s,
-                                            init_marginal=warm)
-            warm = point.output_marginal
+            point = rd.blahut_arimoto_point(masses, dmat, s)
             if abs(point.distortion / target - 1.0) <= 0.01:
                 break
             s += (point.distortion - target) / (2.0 * point.distortion ** 2)

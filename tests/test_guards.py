@@ -93,12 +93,11 @@ def test_unit_sum_messages_print_a_plain_float(call, message):
     assert str(caught.value) == message
 
 
-def _grid_point(slope, entry=None, init=None):
+def _grid_point(slope, entry=None):
     d = grid_distortion(16)
     if entry is not None:
         d[3, 5] = entry
-    return blahut_arimoto_point(np.full(16, 1.0 / 16), d, slope,
-                                init_marginal=init)
+    return blahut_arimoto_point(np.full(16, 1.0 / 16), d, slope)
 
 
 @pytest.mark.parametrize("slope", [0.0, 0.5])
@@ -121,12 +120,3 @@ def test_infinite_distortion_is_a_forbidden_pair():
     assert math.isfinite(point.distortion)
     for name in ("distortion", "rate", "gap"):
         assert getattr(point, name).hex() == getattr(huge, name).hex(), name
-
-
-@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, -1.0])
-def test_init_marginal_must_be_finite_and_nonnegative(entry):
-    init = np.ones(16)
-    init[0] = entry
-    with pytest.raises(ValidationError, match="^init_marginal must be a "
-                                              "finite distribution"):
-        _grid_point(0.5, init=init)
