@@ -117,9 +117,10 @@ def _window(decomp, lattice):
 class _GuideTable:
     """Exact inverse-CDF draws from one distribution p, by guide table.
 
-    draw(u) is np.searchsorted(np.cumsum(p), u) for u in [0, 1). With a
-    power-of-two bucket count b >= max(p.size, min_buckets), u * b and
-    k / b are exact.
+    draw(u) is min(np.searchsorted(np.cumsum(p), u), p.size - 1) for u
+    in [0, 1): the cdf's last entry is read as at least 1, so a tip that
+    rounds below 1 draws the last index. With a power-of-two bucket
+    count b >= max(p.size, min_buckets), u * b and k / b are exact.
     first[k] counts the cdf values below k / b, so a draw in bucket k
     has its answer in [first[k], first[k + 1]]: one comparison settles a
     bucket at most one wide (Chen & Asau 1974; Devroye 1986, III.2.4).
@@ -131,6 +132,7 @@ class _GuideTable:
 
     def __init__(self, p, min_buckets=1):
         cdf = np.cumsum(p)
+        cdf[-1] = max(cdf[-1], 1.0)
         self.buckets = b = 1 << (max(p.size, min_buckets) - 1).bit_length()
         keys = np.minimum(cdf * b, b).astype(np.intp)
         first = np.cumsum(np.bincount(keys + 1, minlength=b + 2))[:b + 1]
@@ -351,8 +353,8 @@ def monte_carlo_mse(sim, samples=100000, seed=0):
 
     Draws (phi, theta) from the fine-grid joint that `bayesian_mmse`
     already built and scores its estimator table. Each coordinate is an
-    exact inverse-CDF draw, the index np.searchsorted(np.cumsum(p), u)
-    found through a guide table: the masses' table is the one kept with
+    exact inverse-CDF draw through a guide table (`_GuideTable.draw`),
+    so every index is in range: the masses' table is the one kept with
     `sim`'s prior part, built on its first read, and the window's is
     built here. Exact for square grids; with phi finer than theta the
     outcome snaps to the nearest theta point.
@@ -366,15 +368,12 @@ def monte_carlo_mse(sim, samples=100000, seed=0):
     g_phi, g_theta = sim.grid.phi_points, sim.grid.theta_points
     lattice = max(g_phi, g_theta)
     rng = np.random.default_rng(seed)
-    # a cdf tip that rounds below 1 can return the past-the-end index
     i = sim.prior_part.table.draw(rng.random(samples))
-    np.minimum(i, g_phi - 1, out=i)
     # a table's time and memory grow with its buckets, its savings with
     # the draws: one bucket per 16 draws settles most of 100 000 draws on
     # a 2048 lattice in one comparison and stays small beside the draws
     window = _GuideTable(sim.window / sim.window.sum(), samples // 16)
     j = window.draw(rng.random(samples))
-    np.minimum(j, lattice - 1, out=j)
     errs = i * (TWO_PI / g_phi)
     # the outcome index round((i L / g_phi + j) / step) mod g_theta, in
     # place; all sizes are powers of two, so shifts and one mask do it,

@@ -497,6 +497,21 @@ def test_prior_on_odd_grid_points_is_unconverged(tmp_path, capsys):
                          "the prior's mass")
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a tabulated prior has two "
+                   "readings: point masses for chi, a linear interpolant "
+                   "for the simulator (ROADMAP item 9)")
+def test_verify_passes_a_two_point_tabulated_prior(tmp_path, capsys):
+    # the reading the simulator draws from measures 0.68 nats of
+    # information where chi, read off the node masses, is 0
+    cfg = write_config(tmp_path, {
+        "prior": {"kind": "tabulated", "values": [0.3183098861837907, 0.0]},
+        "grid": {"phi_points": 256, "theta_points": 256},
+        "rd": {"grid_size": 16, "slopes": [0.0, 0.5]},
+        "samples": 10000})
+    assert main(["verify", "--config", cfg]) == 0
+
+
 def test_verify_flags_corrupted_bound(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(phasebound.bounds, "h_limit_bound",
                         lambda q, n: 1000.0)
