@@ -53,7 +53,7 @@ __all__ = ["SimGrid", "SimulationResult", "MonteCarloResult",
 
 CONVERGED_TOL = 1e-4     # fine-vs-half-grid MSE drift for the converged flag
 LATTICE_CAP = 2 ** 22    # largest grid size; a run peaks near 24 floats/point
-STACK_POINTS = 2 ** 16   # lattice points per stacked pass of scenarios
+STACK_POINTS = 2 ** 15   # lattice points per stacked pass of scenarios
 SAMPLES_CAP = 10 ** 7    # largest Monte Carlo draw a scenario may request
 _log = np.vectorize(math.log, otypes=[float])  # math.log's bits, not np.log's
 
@@ -127,7 +127,7 @@ class _GuideTable:
     A draw in a wider bucket (tails, point masses) climbs from first[k]
     by halving strides; past its bracket the cdf is >= (k + 1) / b > u,
     so no stride overshoots it. Built once per distribution; its arrays
-    are read-only and its indices int32.
+    are read-only and its indices int32. draw returns intp indices.
     """
 
     def __init__(self, p, min_buckets=1):
@@ -148,13 +148,17 @@ class _GuideTable:
             arr.flags.writeable = False
 
     def draw(self, u):
-        k = (u * self.buckets).astype(np.intp)
-        out = self.first.take(k)
+        # one intp array holds the buckets, then the answers, so no take
+        # converts an index array; the unsafe cast truncates u * b >= 0
+        out = np.empty(u.shape, np.intp)
+        np.multiply(u, self.buckets, out=out, casting="unsafe")
+        if self.strides:
+            wide = np.flatnonzero(self.wide.take(out))
+            pos = self.first.take(out.take(wide))
+        out[:] = self.first.take(out)
         out += self.cdf.take(out) < u
         if self.strides:
-            wide = np.flatnonzero(self.wide.take(k))
             u = u.take(wide)
-            pos = self.first.take(k.take(wide))
             for stride in self.strides:
                 np.add(pos, stride, out=pos,
                        where=self.cdf.take(pos + (stride - 1)) < u)
@@ -368,18 +372,24 @@ def monte_carlo_mse(sim, samples=100000, seed=0):
     g_phi, g_theta = sim.grid.phi_points, sim.grid.theta_points
     lattice = max(g_phi, g_theta)
     rng = np.random.default_rng(seed)
-    i = sim.prior_part.table.draw(rng.random(samples))
+    u = rng.random(samples)
+    i = sim.prior_part.table.draw(u)
     # a table's time and memory grow with its buckets, its savings with
     # the draws: one bucket per 16 draws settles most of 100 000 draws on
     # a 2048 lattice in one comparison and stays small beside the draws
     window = _GuideTable(sim.window / sim.window.sum(), samples // 16)
-    j = window.draw(rng.random(samples))
+    # the outcome uniforms reuse the phase uniforms' buffer: the same
+    # stream as a second rng.random(samples), one array fewer at the peak
+    j = window.draw(rng.random(out=u))
+    del u, window
     errs = i * (TWO_PI / g_phi)
     # the outcome index round((i L / g_phi + j) / step) mod g_theta, in
     # place; all sizes are powers of two, so shifts and one mask do it,
     # and the mod g_theta covers the lattice's own mod L
-    i <<= (lattice // g_phi).bit_length() - 1
+    if g_phi < lattice:
+        i <<= (lattice // g_phi).bit_length() - 1
     i += j
+    del j
     step = lattice // g_theta
     if step > 1:
         i += step // 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -626,6 +627,33 @@ def test_monte_carlo_matches_the_oracle_on_workload_windows(probe, eta, grid):
         assert (mc.mean, mc.stderr) == oracle_monte_carlo(res, 100000, seed)
 
 
+def traced_peak(fn, *args):
+    """The tracemalloc peak, in bytes, of one call fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("grid", [SimGrid(2048, 2048), SimGrid(2 ** 15, 256)])
+def test_monte_carlo_peaks_below_36_bytes_per_draw(grid):
+    # at the outcome draw the uniforms, the phase indices and the outcome
+    # indices (8 B each) meet one cdf probe and its comparison (8 + 1):
+    # 33 B, read as ~34 with the window's table and the wide buckets'
+    # climb. One more index array per draw reads above 40 B. The 2 B of
+    # margin covers numpy versions (CI runs numpy 1.24 too) whose small
+    # temporaries differ; every large step is an out= or a take, alike
+    # in both
+    res = bayesian_mmse(chi_decompose(ProbeSpec.binomial_phase(5), 0.7),
+                        UNIFORM, grid)
+    res.prior_part.table   # built before the draws, as `simulate` does
+    samples = 10 ** 6
+    peak = traced_peak(monte_carlo_mse, res, samples, 3)
+    assert peak <= 36 * samples, peak / samples
+
+
 def _odd_point_prior(g_phi):
     # all the mass on phase point 3 of g_phi: the half grid holds none
     return PhasePrior.uniform(center=TWO_PI * 3 / g_phi, width=0.03 / g_phi)
@@ -670,7 +698,7 @@ def test_stacked_runs_match_lone_runs_bit_for_bit(grid):
 
 @pytest.mark.parametrize("grid,passes", [
     (SimGrid(256, 256), 1),
-    (SimGrid(2 ** 15, 256), 3),
+    (SimGrid(estimation.STACK_POINTS // 2, 256), 3),
     (SimGrid(estimation.STACK_POINTS, 256), 5),
     (SimGrid(256, 2 * estimation.STACK_POINTS), 5)])
 def test_stacked_passes_hold_at_most_the_cap(grid, passes, monkeypatch):
@@ -691,3 +719,14 @@ def test_stacked_passes_hold_at_most_the_cap(grid, passes, monkeypatch):
     assert len(results) == 5 and len(sizes) == 2 * passes
     assert max(sizes) <= max(estimation.STACK_POINTS,
                              max(grid.phi_points, grid.theta_points))
+
+
+def test_a_tall_pass_peaks_below_3_mb():
+    # 2^15 x 256, the tall simulate shape, runs one scenario per pass:
+    # three passes' transients (~2.6 MB with the three windows the
+    # results keep) against ~4.2 MB for two scenarios in one pass
+    parts = estimation.prior_parts(UNIFORM, SimGrid(2 ** 15, 256))
+    decomps = [chi_decompose(ProbeSpec.binomial_phase(5), eta)
+               for eta in (1.0, 0.0, 0.7)]
+    peak = traced_peak(estimation.bayesian_mmse_all, decomps, parts)
+    assert peak <= 3e6, peak
