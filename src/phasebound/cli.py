@@ -28,7 +28,7 @@ from . import fock
 from . import rate_distortion
 from .config import ScenarioConfig
 from .errors import NumericalError, ValidationError
-from .verification import DEFAULT_BATTERY, run_verification
+from .verification import DEFAULT_BATTERY, _scenarios, run_verification
 
 __all__ = ["main"]
 
@@ -100,6 +100,7 @@ _BOUNDS_HEADER = ("N_S", "eta", "Q", "h_limit", "hall_wiseman", "lossy_sql",
 
 
 def _cmd_bounds(cfg, threads):
+    del threads  # every probe table measured ran slower on two threads
     prior = cfg.prior
     if not cfg.probes and cfg.mean_photons is None:
         raise ValidationError(
@@ -112,30 +113,22 @@ def _cmd_bounds(cfg, threads):
             prior, ns, eta=eta, photon_variance=photon_variance).values())
 
     if not cfg.probes:
-        # no thread: each row is build_report in Python, which holds the GIL
         return _csv(_BOUNDS_HEADER, [report(ns, eta) + (None, None, None)
                                      for ns in cfg.mean_photons
                                      for eta in cfg.etas]), 0
-    # the shared work, done here before any worker starts: every
-    # decomposition and both prior parts
-    decomps = fock.chi_decompose_all(cfg.probes, cfg.etas)
-    parts = estimation.prior_parts(prior, cfg.grid)
-
-    def rows(chunk, _):
-        cells = [report(d.probe.mean_photons, d.eta, d.probe.photon_variance)
-                 + (fock.holevo_quantity(d, prior),) for d in chunk]
-        return list(zip(cells, estimation.bayesian_mmse_all(chunk, parts)))
-
-    out = _sliced(rows, decomps, threads)
-    for d, (_, sim) in zip(decomps, out):
+    scenarios = _scenarios(cfg.probes, cfg.etas, prior, cfg.grid)
+    table = _csv(_BOUNDS_HEADER, [
+        report(d.probe.mean_photons, d.eta, d.probe.photon_variance)
+        + (chi, sim.mutual_information, sim.mse)
+        for d, chi, sim in scenarios])
+    for d, _, sim in scenarios:
         if not sim.converged:
             drift = abs(sim.mse - sim.mse_coarse)
             why = "holds none of the prior's mass" if math.isnan(drift) else \
                 f"moves it by {drift!r}, beyond {estimation.CONVERGED_TOL}"
             print(f"warning: bounds mse_sim for {d.probe!r} at eta {d.eta!r} "
                   f"is not converged: the half grid {why}", file=sys.stderr)
-    return _csv(_BOUNDS_HEADER, [cells + (sim.mutual_information, sim.mse)
-                                 for cells, sim in out]), 0
+    return table, 0
 
 
 def _cmd_rd_curve(cfg, threads):

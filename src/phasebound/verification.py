@@ -219,7 +219,10 @@ def _check_branch_orthonormality(decomps):
 
 
 def _scenarios(probes, etas, prior, grid):
-    """(decomposition, Holevo quantity, MMSE run) per (probe, eta) pair."""
+    """(decomposition, Holevo quantity, MMSE run) per (probe, eta) pair.
+
+    `verify` checks these triples and `bounds` tabulates them.
+    """
     decomps = fock.chi_decompose_all(probes, etas)
     sims = estimation.bayesian_mmse_all(
         decomps, estimation.prior_parts(prior, grid))

@@ -263,7 +263,8 @@ def test_simulate_builds_the_prior_side_once_on_two_threads(tmp_path, capsys,
 
 def test_bounds_builds_the_prior_side_once_on_two_threads(tmp_path, capsys,
                                                          monkeypatch):
-    # as for simulate, but bounds never draws: no guide table
+    # as for simulate, but bounds never draws and runs on the calling
+    # thread at any --threads: no guide table
     calls, tables = count_prior_builds(monkeypatch)
     probes = SMALL["probes"] + [{"family": "coherent", "alpha": 1.0}]
     cfg = write_config(tmp_path, dict(SMALL, probes=probes,
@@ -279,8 +280,9 @@ def test_bounds_builds_the_prior_side_once_on_two_threads(tmp_path, capsys,
     (NumericalError, 3, "numerical error: "), (ValidationError, 2, "error: ")])
 def test_worker_failure_exits_with_its_code(command, error, code, prefix,
                                             tmp_path, capsys, monkeypatch):
-    # a fault raised only in the second slice, on the worker thread,
-    # reaches main on the calling thread with its exit code and message
+    # a fault raised only in the second scenario reaches main with its
+    # exit code and message. simulate raises it in the second slice, on
+    # the worker thread; bounds runs every scenario on the calling thread
     raised = []
     cfg = write_config(tmp_path, dict(SMALL, eta=[1.0, 0.5], seed=7))
     if command == "simulate":
@@ -308,7 +310,8 @@ def test_worker_failure_exits_with_its_code(command, error, code, prefix,
     assert capsys.readouterr() == ("", f"{prefix}second slice failed\n")
     raised.clear()
     assert main([command, "--config", cfg, "--threads", "2"]) == code
-    assert len(raised) == 1 and raised[0] is not threading.main_thread()
+    assert len(raised) == 1
+    assert (raised[0] is threading.main_thread()) == (command == "bounds")
     assert capsys.readouterr() == ("", f"{prefix}second slice failed\n")
 
 
@@ -348,6 +351,22 @@ def test_analytic_bounds_start_no_thread(tmp_path, monkeypatch):
     assert main(["bounds", "--config", cfg, "--out", two,
                  "--threads", "2"]) == 0
     assert open(one, "rb").read() == open(two, "rb").read()
+
+
+def test_probe_bounds_start_no_thread(tmp_path, monkeypatch):
+    # probe rows share one MMSE pass on the calling thread at any --threads
+    def refuse(thread):
+        raise AssertionError("bounds started a thread")
+
+    probes = SMALL["probes"] + [{"family": "coherent", "alpha": 1.0}]
+    cfg = write_config(tmp_path, dict(SMALL, probes=probes, eta=[1.0, 0.5]))
+    one, four = (str(tmp_path / name) for name in ("one.csv", "four.csv"))
+    assert main(["bounds", "--config", cfg, "--out", one]) == 0
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert main(["bounds", "--config", cfg, "--out", four,
+                 "--threads", "4"]) == 0
+    assert open(one, "rb").read() == open(four, "rb").read()
+    assert len(open(one).read().splitlines()) == 1 + 4
 
 
 def test_rd_curve_sorted(tmp_path, capsys):
@@ -425,8 +444,8 @@ def test_outputs_byte_identical(tmp_path):
 
 @pytest.mark.parametrize("command", ["bounds", "capacity"])
 def test_tables_bytes_independent_of_threads(command, tmp_path, capsys):
-    # five (probe, eta) scenarios: slices of 3 + 2 on 2 threads and
-    # 2 + 2 + 1 on 3; the unconverged warnings on stderr match too
+    # five (probe, eta) scenarios, which neither command slices across
+    # threads; the unconverged warnings on stderr match too
     cfg = write_config(tmp_path, dict(
         SMALL, probes=[{"family": "coherent", "alpha": 1.0}],
         eta=[1.0, 0.75, 0.5, 0.25, 0.0]))
@@ -730,8 +749,9 @@ def test_options_may_precede_the_command(tmp_path, capsys):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_bounds_above_the_stack_cap_runs_one_scenario_per_pass(
         threads, tmp_path, capsys, monkeypatch):
-    # each thread runs one contiguous slice of the scenarios as stacked
-    # passes, under `bounds` and under `simulate`
+    # under `simulate` each thread runs one contiguous slice of the
+    # scenarios as stacked passes; `bounds` runs them all on the calling
+    # thread, at any --threads
     stacks = []
     real = phasebound.estimation._core
 
@@ -741,9 +761,9 @@ def test_bounds_above_the_stack_cap_runs_one_scenario_per_pass(
 
     monkeypatch.setattr(phasebound.estimation, "_core", counted)
     probes = SMALL["probes"] + [{"family": "coherent", "alpha": 1.0}]
-    per_thread = 4 // int(threads)
     for command in ("bounds", "simulate"):
-        for points, expected in [(256, [(per_thread,)] * 2 * int(threads)),
+        slices = int(threads) if command == "simulate" else 1
+        for points, expected in [(256, [(4 // slices,)] * 2 * slices),
                                  (2 * phasebound.estimation.STACK_POINTS,
                                   [(1,)] * 8)]:
             cfg = write_config(tmp_path, dict(
