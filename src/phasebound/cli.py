@@ -38,9 +38,7 @@ def _fmt(value):
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
+    return repr(float(value))
 
 
 def _csv(header, rows):
@@ -206,7 +204,7 @@ _PARSER.add_argument("--config", help="scenario JSON file")
 _PARSER.add_argument("--out", help="write output here instead of stdout")
 _PARSER.add_argument("--seed", type=int, help="override the scenario seed")
 _PARSER.add_argument("--threads", type=int, default=1,
-                     help="worker threads (default: 1)")
+                     help="threads simulate runs on (default: 1)")
 
 
 def main(argv=None):

@@ -269,25 +269,23 @@ def _core(spec, part, g_theta):
 class SimulationResult:
     """MMSE run output: fine-grid values plus the half-resolution rerun.
 
-    `estimator` holds the posterior mean at theta_j = 2 pi j / g_theta.
-    `window` (g on the lattice) and `masses` (the prior on the phase
-    grid) are the fine grid's joint, kept for Monte Carlo draws.
-    `prior_part` is the fine grid's _PriorPart, shared by every result
-    built on it; its masses' guide table is built on its first read, so
+    `estimator` holds the posterior mean at theta_j = 2 pi j / g_theta
+    and `window` g on the lattice; with the masses of `prior_part`, the
+    fine grid's _PriorPart shared by every result built on it, they are
+    the fine grid's joint, and Monte Carlo reads the grid off their
+    sizes. The masses' guide table is built on the part's first read, so
     a result that is never sampled builds none.
     """
 
     def __init__(self, mse, mse_coarse, mutual_information, converged,
-                 estimator, grid, window, prior_part):
+                 estimator, window, prior_part):
         self.mse = mse
         self.mse_coarse = mse_coarse
         self.mutual_information = mutual_information
         self.converged = converged
         self.estimator = estimator
-        self.grid = grid
         self.window = window
         self.prior_part = prior_part
-        self.masses = prior_part.masses
 
     def __repr__(self):
         return (f"SimulationResult(mse={self.mse:.6g}, "
@@ -347,7 +345,7 @@ def bayesian_mmse_all(decomps, parts):
         mse_c = np.full(len(g), math.nan) if half is None else \
             _core(_fold(spec, 2), half, g_theta // 2)[0]
         out += [SimulationResult(m, c, i, abs(m - c) <= CONVERGED_TOL, e,
-                                 grid, w, part) for m, c, i, e, w in
+                                 w, part) for m, c, i, e, w in
                 zip(mse.tolist(), mse_c.tolist(), info.tolist(), est, g)]
     return out
 
@@ -369,8 +367,9 @@ def monte_carlo_mse(sim, samples=100000, seed=0):
         raise ValidationError(f"samples must be an integer in [10000, "
                               f"{SAMPLES_CAP}], got {samples!r}")
     samples = int(samples)
-    g_phi, g_theta = sim.grid.phi_points, sim.grid.theta_points
-    lattice = max(g_phi, g_theta)
+    # the grid is the sizes of the arrays drawn from and indexed
+    g_phi, g_theta = sim.prior_part.masses.size, sim.estimator.size
+    lattice = sim.window.size
     rng = np.random.default_rng(seed)
     u = rng.random(samples)
     i = sim.prior_part.table.draw(u)

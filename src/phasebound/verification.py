@@ -273,7 +273,7 @@ def _check_mse_floor(scenarios, prior):
     # its masses on the phase grid, off the continuous one by O(1/K).
     # Every run of one bayesian_mmse_all call shares those masses.
     _, _, first = scenarios[0]
-    w = first.masses
+    w = first.prior_part.masses
     phi = np.arange(w.size) * (TWO_PI / w.size)
     spread = w @ (phi - w @ phi) ** 2
     facts, rows = [], []

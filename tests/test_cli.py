@@ -8,6 +8,7 @@ import threading
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 import phasebound
@@ -667,6 +668,17 @@ def test_numerical_errors_map_to_exit_3(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, dict(SMALL))
     assert main(["simulate", "--config", cfg]) == 3
     assert "negative eigenvalue" in capsys.readouterr().err
+
+
+def test_negative_window_exits_3(tmp_path, capsys, monkeypatch):
+    # a window transform that dips below zero is not a state's density
+    monkeypatch.setattr(np.fft, "hfft", lambda half, n: np.full(n, -1.0))
+    cfg = write_config(tmp_path, dict(SMALL))
+    assert main(["simulate", "--config", cfg]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numerical error: outcome density dips to " \
+        f"{-1.0 / (2.0 * math.pi)}; not a valid state\n"
 
 
 def test_help_lists_every_command(capsys):

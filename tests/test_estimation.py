@@ -308,12 +308,13 @@ def searchsorted_draw(p, u):
     return np.searchsorted(np.cumsum(p), u)
 
 
-def oracle_monte_carlo(sim, samples, seed):
-    """Reference for monte_carlo_mse: searchsorted draws, % and // maths."""
-    g_phi, g_theta = sim.grid.phi_points, sim.grid.theta_points
+def oracle_monte_carlo(sim, grid, samples, seed):
+    """Reference for monte_carlo_mse: searchsorted draws, % and // maths,
+    on the sizes of `grid`, the grid the test built `sim` on."""
+    g_phi, g_theta = grid.phi_points, grid.theta_points
     lattice = max(g_phi, g_theta)
     rng = np.random.default_rng(seed)
-    w = sim.masses
+    w = sim.prior_part.masses
     i = np.minimum(searchsorted_draw(w, rng.random(samples)), w.size - 1)
     gh = sim.window / sim.window.sum()
     j = np.minimum(searchsorted_draw(gh, rng.random(samples)), gh.size - 1)
@@ -365,11 +366,11 @@ def test_monte_carlo_matches_searchsorted_oracle(grid, prior):
     if prior.kind == "wrapped_gaussian":
         # the narrow prior's tails pack many cells into one bucket, so
         # the draws there climb their wide bucket
-        cdf = np.cumsum(res.masses)
+        cdf = np.cumsum(res.prior_part.masses)
         first = np.searchsorted(cdf, np.arange(513) / 512)
         assert np.diff(first).max() > 1
     mc = monte_carlo_mse(res, samples=100000, seed=4)
-    assert (mc.mean, mc.stderr) == oracle_monte_carlo(res, 100000, 4)
+    assert (mc.mean, mc.stderr) == oracle_monte_carlo(res, grid, 100000, 4)
 
 
 def test_monte_carlo_rejects_bad_sample_counts(monkeypatch):
@@ -410,10 +411,9 @@ def test_monte_carlo_draws_from_the_result(monkeypatch):
 
 def test_prior_part_is_read_only():
     # every scenario of one bayesian_mmse_all call shares these arrays
-    res = bayesian_mmse(chi_decompose(PROBE_01, 0.5), UNIFORM,
-                        SimGrid(512, 256))
-    part = res.prior_part
-    assert type(part) is estimation._PriorPart and res.masses is part.masses
+    _, part, _ = parts = estimation.prior_parts(UNIFORM, SimGrid(512, 256))
+    res, = estimation.bayesian_mmse_all([chi_decompose(PROBE_01, 0.5)], parts)
+    assert type(part) is estimation._PriorPart and res.prior_part is part
     for arr in (part.masses, part.spectra, part.table.first,
                 part.table.wide, part.table.cdf):
         assert not arr.flags.writeable
@@ -424,8 +424,8 @@ def test_prior_part_is_read_only():
 def test_monte_carlo_builds_no_prior_work(monkeypatch):
     # the masses' guide table is the prior part's, which the result
     # carries; only the window's table is built per draw
-    res = bayesian_mmse(chi_decompose(PROBE_01, 0.5), UNIFORM,
-                        SimGrid(256, 256))
+    grid = SimGrid(256, 256)
+    res = bayesian_mmse(chi_decompose(PROBE_01, 0.5), UNIFORM, grid)
 
     def no_prior(*args):
         raise AssertionError("monte_carlo_mse rebuilt the prior part")
@@ -433,7 +433,7 @@ def test_monte_carlo_builds_no_prior_work(monkeypatch):
     monkeypatch.setattr(estimation, "_PriorPart", no_prior)
     monkeypatch.setattr(estimation, "discretize_prior", no_prior)
     mc = monte_carlo_mse(res, samples=10000, seed=1)
-    assert (mc.mean, mc.stderr) == oracle_monte_carlo(res, 10000, 1)
+    assert (mc.mean, mc.stderr) == oracle_monte_carlo(res, grid, 10000, 1)
 
 
 def test_equal_priors_give_identical_results():
@@ -445,8 +445,9 @@ def test_equal_priors_give_identical_results():
     a, b = results
     assert (a.mse, a.mse_coarse, a.mutual_information, a.converged) == \
         (b.mse, b.mse_coarse, b.mutual_information, b.converged)
-    for name in ("estimator", "window", "masses"):
+    for name in ("estimator", "window"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert np.array_equal(a.prior_part.masses, b.prior_part.masses)
     mc_a, mc_b = (monte_carlo_mse(r, samples=20000, seed=2) for r in results)
     assert (mc_a.mean, mc_a.stderr) == (mc_b.mean, mc_b.stderr)
 
@@ -624,7 +625,8 @@ def test_monte_carlo_matches_the_oracle_on_workload_windows(probe, eta, grid):
     assert table.strides
     for seed in range(3):
         mc = monte_carlo_mse(res, samples=100000, seed=seed)
-        assert (mc.mean, mc.stderr) == oracle_monte_carlo(res, 100000, seed)
+        assert (mc.mean, mc.stderr) == \
+            oracle_monte_carlo(res, grid, 100000, seed)
 
 
 def traced_peak(fn, *args):

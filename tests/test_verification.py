@@ -14,6 +14,8 @@ from phasebound.estimation import MonteCarloResult, SimulationResult
 from phasebound.priors import PhasePrior
 from phasebound.verification import (DEFAULT_BATTERY, CheckResult,
                                      _check_branch_orthonormality,
+                                     _check_capacity_shape,
+                                     _check_prior_properties,
                                      run_verification)
 
 HALF = [0.7071067811865475] * 2
@@ -193,8 +195,7 @@ def test_corrupted_simulator_is_caught(monkeypatch):
         return [SimulationResult(mse=1e-6, mse_coarse=1e-6,
                                  mutual_information=sim.mutual_information,
                                  converged=True, estimator=sim.estimator,
-                                 grid=sim.grid, window=sim.window,
-                                 prior_part=sim.prior_part)
+                                 window=sim.window, prior_part=sim.prior_part)
                 for sim in real(decomps, parts)]
 
     monkeypatch.setattr(phasebound.estimation, "bayesian_mmse_all", too_good)
@@ -202,6 +203,67 @@ def test_corrupted_simulator_is_caught(monkeypatch):
     assert not report.passed
     names = [r.name for r in report.failures()]
     assert "simulated-mse-between-bounds-and-prior" in names
+
+
+UNIFORM_NAME = ("{'kind': 'uniform', 'center': 3.141592653589793, "
+                "'width': 6.283185307179586}")
+
+
+def test_corrupted_variance_is_caught(monkeypatch):
+    # a variance below the uniform prior's entropy power 2 pi / e; only the
+    # prior check reads the variance
+    monkeypatch.setattr(PhasePrior, "variance", lambda self: 1.0)
+    report = light_battery()
+    assert [r.name for r in report.failures()] == \
+        ["prior-entropy-power-and-normalization"]
+    assert f"  {UNIFORM_NAME}: entropy power exceeds the variance " \
+        "(margin -1.311e+00)" in report.lines()
+
+
+def test_corrupted_peak_density_is_caught(monkeypatch):
+    # checked directly: the Hall-Wiseman bound reads the peak density too,
+    # and raises below the uniform floor 1/(2 pi)
+    monkeypatch.setattr(PhasePrior, "max_density", lambda self: 0.1)
+    check = _check_prior_properties(PhasePrior.uniform())
+    assert not check.passed
+    assert check.details == [f"{UNIFORM_NAME}: peak density below the "
+                             "uniform floor (margin -5.915e-02)"]
+
+
+def test_unstochastic_loss_matrix_is_caught(monkeypatch):
+    # rows that sum to 1.01; checked directly, since the branch check and
+    # the entropy gain read the loss matrix too
+    real = phasebound.capacity.binomial_loss_matrix
+    monkeypatch.setattr(phasebound.capacity, "binomial_loss_matrix",
+                        lambda n, eta: real(n, eta) * 1.01)
+    check = _check_capacity_shape()
+    assert not check.passed
+    assert check.details == [
+        f"loss matrix rows at eta={eta} sum off by 1.00e-02 "
+        "(margin -1.000e-02)" for eta in (0.3, 0.7)]
+
+
+def test_changing_monte_carlo_rerun_is_caught(monkeypatch):
+    # each draw moves by a thousandth of a standard error, so the first
+    # stays within 4 sigma of the quadrature, but the rerun with the same
+    # seed no longer repeats it
+    real = phasebound.estimation.monte_carlo_mse
+    calls = []
+
+    def drifting(sim, samples=100000, seed=0):
+        mc = real(sim, samples=samples, seed=seed)
+        calls.append(seed)
+        return MonteCarloResult(mc.mean + 1e-3 * len(calls) * mc.stderr,
+                                mc.stderr)
+
+    monkeypatch.setattr(phasebound.estimation, "monte_carlo_mse", drifting)
+    report = light_battery()
+    assert calls == [7, 7]
+    assert [r.name for r in report.failures()] == \
+        ["monte-carlo-matches-quadrature"]
+    assert [line for line in report.lines() if line.startswith("  ")] == \
+        ["  Monte Carlo rerun with the same seed changed its answer "
+         "(margin -1.000e+00)"]
 
 
 def test_nan_margin_fails(monkeypatch):
