@@ -214,10 +214,11 @@ class ScenarioConfig:
 
     @classmethod
     def from_file(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
         try:
-            raw = json.loads(text)
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except (UnicodeDecodeError, RecursionError) as exc:
+            raise ValidationError(f"config cannot be decoded: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ValidationError(
                 f"malformed config JSON at line {exc.lineno} column {exc.colno}: "

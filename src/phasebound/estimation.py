@@ -274,15 +274,17 @@ class SimulationResult:
     fine grid's _PriorPart shared by every result built on it, they are
     the fine grid's joint, and Monte Carlo reads the grid off their
     sizes. The masses' guide table is built on the part's first read, so
-    a result that is never sampled builds none.
+    a result that is never sampled builds none. `converged` is read off
+    the half-grid drift: |mse - mse_coarse| <= CONVERGED_TOL, so a nan
+    mse_coarse (no half grid) reads False.
     """
 
-    def __init__(self, mse, mse_coarse, mutual_information, converged,
-                 estimator, window, prior_part):
+    def __init__(self, mse, mse_coarse, mutual_information, estimator,
+                 window, prior_part):
         self.mse = mse
         self.mse_coarse = mse_coarse
         self.mutual_information = mutual_information
-        self.converged = converged
+        self.converged = abs(mse - mse_coarse) <= CONVERGED_TOL
         self.estimator = estimator
         self.window = window
         self.prior_part = prior_part
@@ -327,10 +329,8 @@ def bayesian_mmse_all(decomps, parts):
     """Posterior-mean MSE of the canonical measurement, per decomposition.
 
     Each is a probe's ChiDecomposition at the channel's eta; `parts` is
-    prior_parts(prior, grid). converged means a half-grid rerun (the
-    fine spectra folded) moves the fine, primary MSE by at most 1e-4; a
-    prior the half grid misses gets mse_coarse = nan and converged =
-    False.
+    prior_parts(prior, grid). mse_coarse is a half-grid rerun (the fine
+    spectra folded), nan for a prior the half grid misses.
     """
     grid, part, half = parts
     g_theta = grid.theta_points
@@ -344,8 +344,7 @@ def bayesian_mmse_all(decomps, parts):
         # without a half grid the fine values stand
         mse_c = np.full(len(g), math.nan) if half is None else \
             _core(_fold(spec, 2), half, g_theta // 2)[0]
-        out += [SimulationResult(m, c, i, abs(m - c) <= CONVERGED_TOL, e,
-                                 w, part) for m, c, i, e, w in
+        out += [SimulationResult(m, c, i, e, w, part) for m, c, i, e, w in
                 zip(mse.tolist(), mse_c.tolist(), info.tolist(), est, g)]
     return out
 

@@ -55,19 +55,19 @@ class BAPoint:
     `lagrangian_history` holds R + s*D, the quantity the solver descends,
     once per iteration; the rate alone is not monotone. `gap` is Blahut's
     bound max_j ln r_j on how far the point's Lagrangian sits above the
-    minimum, in nats; `converged` means gap <= BA_TOL.
+    minimum, in nats; `converged` is read off it: gap <= BA_TOL.
     """
 
-    def __init__(self, distortion, rate, slope, converged, iterations,
+    def __init__(self, distortion, rate, slope, iterations,
                  lagrangian_history, output_marginal, gap):
         self.distortion = float(distortion)
         self.rate = float(rate)
         self.slope = float(slope)
-        self.converged = bool(converged)
         self.iterations = int(iterations)
         self.lagrangian_history = np.asarray(lagrangian_history, dtype=float)
         self.output_marginal = output_marginal
         self.gap = float(gap)
+        self.converged = self.gap <= BA_TOL
 
     def __repr__(self):
         return (f"BAPoint(D={self.distortion:.6g}, R={self.rate:.6g}, "
@@ -123,10 +123,10 @@ def blahut_arimoto_point(source, distortion, slope):
     if support.size == 1:
         # single atom: zero rate at the best reproduction point for any slope
         dmin = float(d[support[0]].min())
-        return BAPoint(dmin, 0.0, slope, True, 0, [slope * dmin], None, 0.0)
+        return BAPoint(dmin, 0.0, slope, 0, [slope * dmin], None, 0.0)
     if slope == 0.0:
         dmin = float((p @ d).min())
-        return BAPoint(dmin, 0.0, slope, True, 0, [0.0], None, 0.0)
+        return BAPoint(dmin, 0.0, slope, 0, [0.0], None, 0.0)
 
     # source letters without mass add nothing to any sum below; a full
     # support keeps the caller's matrix uncopied
@@ -167,7 +167,7 @@ def blahut_arimoto_point(source, distortion, slope):
             dist = pc @ (ad @ q)
     # rate can round a hair below zero at slopes where the bound is vacuous
     return BAPoint(dist, max(history[-1] - slope * dist, 0.0), slope,
-                   gap <= BA_TOL, len(history), history, q, gap)
+                   len(history), history, q, gap)
 
 
 def _newton_step(a, p, root_p, c, r, q, atoms):

@@ -34,10 +34,10 @@ def oracle_point(p, d, slope):
     support = np.flatnonzero(p > 0.0)
     if support.size == 1:
         dmin = float(d[support[0]].min())
-        return BAPoint(dmin, 0.0, slope, True, 0, [slope * dmin], None, 0.0)
+        return BAPoint(dmin, 0.0, slope, 0, [slope * dmin], None, 0.0)
     if slope == 0.0:
         dmin = float((p @ d).min())
-        return BAPoint(dmin, 0.0, slope, True, 0, [0.0], None, 0.0)
+        return BAPoint(dmin, 0.0, slope, 0, [0.0], None, 0.0)
     if support.size < p.size:
         p, d = p[support], d[support]
     a = np.multiply(d, -slope)
@@ -62,7 +62,7 @@ def oracle_point(p, d, slope):
             q, atoms = oracle_newton_step(a, p, c, r, q, atoms)
     dist = (p / c) @ (np.multiply(a, d, out=a) @ q)
     return BAPoint(dist, max(history[-1] - slope * dist, 0.0), slope,
-                   gap <= BA_TOL, it, history, q, gap)
+                   it, history, q, gap)
 
 
 def oracle_newton_step(a, p, c, r, q, atoms):

@@ -194,16 +194,22 @@ def test_commands_never_import_scipy(tmp_path, command):
 
 def test_cli_import_leaves_the_thread_pool_unloaded():
     # --threads starts plain threads: importing the CLI loads neither
-    # concurrent.futures nor the logging it pulls in
-    script = ("import json, sys, phasebound.cli\n"
+    # concurrent.futures nor the logging it pulls in. Only Monte Carlo and
+    # the entropy-gain check draw random numbers, inside calls, so the CLI
+    # leaves numpy.random unloaded too, where numpy itself does (numpy 2
+    # loads it lazily, numpy 1.x on import)
+    script = ("import json, sys, numpy\n"
+              "bare = 'numpy.random' in sys.modules\n"
+              "import phasebound.cli\n"
               "print(json.dumps([m in sys.modules for m in "
-              "('concurrent.futures', 'logging')]))\n")
+              "('concurrent.futures', 'logging', 'numpy.random')] + [bare]))\n")
     src = os.path.dirname(os.path.dirname(phasebound.__file__))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [False, False]
+    *loaded, bare = json.loads(proc.stdout)
+    assert loaded == [False, False, bare]
 
 
 def test_simulate_builds_the_prior_side_once(tmp_path, capsys, monkeypatch):
@@ -463,14 +469,17 @@ def test_tables_bytes_independent_of_threads(command, tmp_path, capsys):
 def test_simulate_bytes_independent_of_threads(tmp_path):
     # phase grid finer than the outcome grid: the snapped Monte Carlo path.
     # 4 scenarios run as slices of 2 + 2 on 2 and on 3 threads, 5 as 3 + 2
-    # on 2 threads and 2 + 2 + 1 on 3
+    # on 2 threads and 2 + 2 + 1 on 3. At 2^15 x 256 an MMSE pass holds
+    # one scenario (STACK_POINTS), so each slice runs several passes
     probes = [{"family": "coherent", "alpha": 1.0},
               {"family": "flat-superposition", "d": 4}]
-    for probes, etas in [(probes, [1.0, 0.5]),
-                         (probes[:1], [1.0, 0.75, 0.5, 0.25, 0.0])]:
+    for probes, etas, phi_points in [
+            (probes, [1.0, 0.5], 4096),
+            (probes[:1], [1.0, 0.75, 0.5, 0.25, 0.0], 4096),
+            (probes, [1.0, 0.5], 2 ** 15)]:
         cfg = write_config(tmp_path, dict(
             SMALL, probes=probes, eta=etas,
-            grid={"phi_points": 4096, "theta_points": 256}))
+            grid={"phi_points": phi_points, "theta_points": 256}))
         blobs = []
         for threads in "123":
             out = str(tmp_path / f"sim{threads}.json")
@@ -540,6 +549,24 @@ def test_verify_flags_corrupted_bound(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "FAIL simulated-mse-between-bounds-and-prior" in out
     assert "h_limit" in out
+
+
+@pytest.mark.parametrize("payload, reason", [
+    (b'\xff\xfe{"eta": 1}', "'utf-8' codec can't decode byte 0xff in "
+                             "position 0: invalid start byte"),
+    (b"[" * 100000, "maximum recursion depth exceeded")],
+    ids=["not-utf8", "nested-100000-deep"])
+def test_undecodable_config_exits_2(tmp_path, capsys, payload, reason):
+    # a file json cannot decode is invalid input, not a crash with exit 1,
+    # which is verify's code for a violated inequality
+    path = tmp_path / "cfg.json"
+    path.write_bytes(payload)
+    assert main(["capacity", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err, = captured.err.splitlines()
+    assert err.startswith("error: config cannot be decoded: " + reason)
+    assert "Traceback" not in captured.err
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -436,6 +436,22 @@ def test_monte_carlo_builds_no_prior_work(monkeypatch):
     assert (mc.mean, mc.stderr) == oracle_monte_carlo(res, grid, 10000, 1)
 
 
+@pytest.mark.parametrize("mse, mse_coarse, converged", [
+    (0.5, 0.5, True), (estimation.CONVERGED_TOL, 0.0, True),
+    (0.0, estimation.CONVERGED_TOL, True),
+    (math.nextafter(estimation.CONVERGED_TOL, math.inf), 0.0, False),
+    (0.0, math.nextafter(estimation.CONVERGED_TOL, math.inf), False),
+    (0.5, math.nan, False), (0.5, math.inf, False)])
+def test_result_flag_is_read_off_its_drift(mse, mse_coarse, converged):
+    # the flag is the half-grid drift's verdict, at the tolerance's edge
+    # too; a nan half-grid MSE (no half grid) reads unconverged
+    res = estimation.SimulationResult(mse, mse_coarse, 0.1, None, None, None)
+    assert res.converged is converged
+    with pytest.raises(TypeError):
+        estimation.SimulationResult(mse, mse_coarse, 0.1, None, None, None,
+                                    converged=True)
+
+
 def test_equal_priors_give_identical_results():
     # each call builds its own prior part; a twin prior gives the same bits
     decomp = chi_decompose(ProbeSpec.coherent(1.0), 0.6)

@@ -234,7 +234,19 @@ def test_sweep_starts_with_the_cold_point(prior, k, low):
 
 
 def curve_point(d, r):
-    return BAPoint(d, r, 1.0, True, 1, [r + d], None, 0.0)
+    return BAPoint(d, r, 1.0, 1, [r + d], None, 0.0)
+
+
+@pytest.mark.parametrize("gap, converged", [
+    (0.0, True), (BA_TOL, True), (math.nextafter(BA_TOL, math.inf), False),
+    (1.0, False), (math.inf, False), (math.nan, False)])
+def test_point_flag_is_read_off_its_gap(gap, converged):
+    # the flag is the certificate's verdict, at the tolerance's edge too;
+    # no caller can hand a point a flag its gap contradicts
+    point = BAPoint(0.5, 0.1, 1.0, 3, [0.6], None, gap)
+    assert point.converged is converged
+    with pytest.raises(TypeError):
+        BAPoint(0.5, 0.1, 1.0, 3, [0.6], None, gap, converged=True)
 
 
 def test_curve_with_equal_distortions():

@@ -194,8 +194,8 @@ def test_corrupted_simulator_is_caught(monkeypatch):
     def too_good(decomps, parts):
         return [SimulationResult(mse=1e-6, mse_coarse=1e-6,
                                  mutual_information=sim.mutual_information,
-                                 converged=True, estimator=sim.estimator,
-                                 window=sim.window, prior_part=sim.prior_part)
+                                 estimator=sim.estimator, window=sim.window,
+                                 prior_part=sim.prior_part)
                 for sim in real(decomps, parts)]
 
     monkeypatch.setattr(phasebound.estimation, "bayesian_mmse_all", too_good)
