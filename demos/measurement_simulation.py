@@ -10,8 +10,8 @@ import math
 import numpy as np
 
 from phasebound import (PhasePrior, ProbeSpec, SimGrid, bayesian_mmse,
-                        chi_decompose, h_limit_bound, lossy_sql_bound,
-                        monte_carlo_mse)
+                        chi_decompose, h_limit_bound, iti_bound,
+                        lossy_sql_bound, monte_carlo_mse)
 
 prior = PhasePrior.uniform()
 probe = ProbeSpec(np.array([1.0, 1.0]) / np.sqrt(2.0))
@@ -35,5 +35,5 @@ print("every simulated MSE sits above its bound, and the information")
 print("converse holds too: MSE >= Q exp(-2 I(Phi;Theta))")
 sim = bayesian_mmse(chi_decompose(probe, 1.0), prior, grid)
 print(f"  I = {sim.mutual_information:.6f} nats -> floor "
-      f"{q * math.exp(-2.0 * sim.mutual_information):.6f} "
+      f"{iti_bound(q, sim.mutual_information):.6f} "
       f"<= {sim.mse:.6f}")

@@ -6,7 +6,9 @@ analytic tables, `rd-curve` sweeps the rate-distortion trade-off,
 the bounds against the simulator.
 
 Exit codes: 0 success, 1 verify found a violated inequality, 2 bad
-input or configuration, 3 a numerical guard tripped. Output is plain
+input or configuration (`--threads` past MAX_THREADS too, before any
+thread starts), 3 a numerical guard tripped; an error line is clipped
+to MAX_ERROR_LINE characters, "..." its last three. Output is plain
 text with repr-formatted floats and no timestamps, so repeated runs of
 the same scenario are byte-identical.
 
@@ -31,6 +33,8 @@ from .errors import NumericalError, ValidationError
 from .verification import DEFAULT_BATTERY, _scenarios, run_verification
 
 __all__ = ["main"]
+
+MAX_THREADS, MAX_ERROR_LINE = 64, 500
 
 
 def _fmt(value):
@@ -210,8 +214,9 @@ _PARSER.add_argument("--threads", type=int, default=1,
 def main(argv=None):
     args = _PARSER.parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ValidationError(f"threads must be >= 1, got {args.threads}")
+        if not 1 <= args.threads <= MAX_THREADS:
+            raise ValidationError(
+                f"threads must be in [1, {MAX_THREADS}], got {args.threads}")
         if args.config is not None:
             cfg = ScenarioConfig.from_file(args.config)
         else:
@@ -226,12 +231,12 @@ def main(argv=None):
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
-    except (ValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NumericalError, OverflowError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
+    except (ValidationError, OSError, NumericalError, OverflowError) as exc:
+        numerical = isinstance(exc, (NumericalError, OverflowError))
+        line = f"{'numerical error' if numerical else 'error'}: {exc}"
+        print(line[:MAX_ERROR_LINE - 3] + "..." if len(line) > MAX_ERROR_LINE
+              else line, file=sys.stderr)
+        return 3 if numerical else 2
     if not args.out:
         sys.stdout.write(text)
     return code

@@ -129,10 +129,8 @@ class ProbeSpec:
         return cls(np.sqrt(p / p.sum()), family="binomial-phase", params={"d": d})
 
     def descriptor(self):
-        out = {"family": self._family or "amplitudes", "cutoff": self.cutoff,
-               "mean_photons": self.mean_photons}
-        out.update(self._params)
-        return out
+        return {"family": self._family or "amplitudes", "cutoff": self.cutoff,
+                "mean_photons": self.mean_photons, **self._params}
 
     def __repr__(self):
         return (f"ProbeSpec({self._family or 'amplitudes'}, cutoff={self.cutoff}, "

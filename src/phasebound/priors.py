@@ -227,10 +227,7 @@ class PhasePrior:
 
     def descriptor(self):
         """JSON-friendly description of the prior."""
-        out = {"kind": self.kind}
-        out.update({k: (v if not isinstance(v, np.generic) else float(v))
-                    for k, v in self.params.items()})
-        return out
+        return {"kind": self.kind, **self.params}
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v:.6g}" for k, v in self.params.items())

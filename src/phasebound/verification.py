@@ -7,9 +7,9 @@ means a genuine violation and `verify` exits nonzero.
 Each (probe, eta) scenario is evaluated once, one decomposition, Holevo
 quantity and MMSE run, and handed to every check that reads it; each
 such check tracks one margin table, scenario rows by inequality columns.
-Bound, capacity and estimation functions are looked up through their
-modules at call time, not imported as bare names, so a monkeypatched or
-corrupted bound is caught rather than silently bypassed.
+Bound, capacity, rate-distortion and estimation functions are looked up
+through their modules at call time, not imported as bare names, so a
+monkeypatched or corrupted bound is caught rather than silently bypassed.
 """
 
 import numpy as np
@@ -243,12 +243,10 @@ def _check_holevo_chain(scenarios, prior):
         # (f(0) = 1 for every prior), so its entropy is a Shannon entropy
         gap = (capacity.shannon_entropy(decomp.populations)
                - capacity.shannon_entropy(decomp.weights))
-        if eta >= 1.0:
-            cap = capacity.unrestricted_capacity(probe.mean_photons)
-        elif eta <= 0.0:
-            cap = 0.0
-        else:
-            cap = capacity.capacity_upper_bound_lossy(probe.mean_photons, eta)
+        # g(eta N) where C_lossy is undefined: 1.0 * N is N and g(0) is 0.0
+        cap = (capacity.capacity_upper_bound_lossy(probe.mean_photons, eta)
+               if 0.0 < eta < 1.0 else
+               capacity.unrestricted_capacity(eta * probe.mean_photons))
         equal = bare[probe.cutoff]
         facts.append((decomp, chi, gap, equal, cap))
         rows.append((chi + 1e-10,
@@ -279,7 +277,9 @@ def _check_mse_floor(scenarios, prior):
     facts, rows = [], []
     for decomp, chi, sim in scenarios:
         probe, info = decomp.probe, sim.mutual_information
-        floor = q * np.exp(-2.0 * info)
+        # a NaN information fails its own row; D(R) refuses it as a rate
+        floor = np.nan if np.isnan(info) else \
+            rate_distortion.shannon_lb_distortion(q, info)
         report = bounds.build_report(prior, probe.mean_photons, eta=decomp.eta,
                                      photon_variance=probe.photon_variance)
         # escher is a Fisher-information floor that ignores the prior: a

@@ -15,7 +15,9 @@ import phasebound
 import phasebound.bounds
 import phasebound.estimation
 import phasebound.fock
+import phasebound.cli as cli
 from phasebound.cli import main
+from phasebound.config import ScenarioConfig
 from phasebound.errors import NumericalError, ValidationError
 from phasebound.verification import DEFAULT_BATTERY
 
@@ -567,6 +569,59 @@ def test_undecodable_config_exits_2(tmp_path, capsys, payload, reason):
     err, = captured.err.splitlines()
     assert err.startswith("error: config cannot be decoded: " + reason)
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("payload, start", [
+    ({"seed": list(range(100000))},
+     "error: seed must be a nonnegative integer, got [0, 1, 2, "),
+    ({"grid": {f"key{k}": 1 for k in range(20000)}},
+     "error: unknown grid keys: ['key0', 'key1', 'key10', "),
+    ({"eta": [[0.5] * 50000]}, "error: eta must lie in [0, 1], got [0.5, ")],
+    ids=["seed-list-100000", "grid-keys-20000", "nested-eta-50000"])
+def test_oversized_config_value_prints_one_clipped_line(tmp_path, capsys,
+                                                        payload, start):
+    # each message quotes its value in full, hundreds of kilobytes of it
+    cfg = write_config(tmp_path, payload)
+    assert main(["capacity", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err, = captured.err.splitlines()
+    assert len(err) == cli.MAX_ERROR_LINE
+    assert err.startswith(start) and err.endswith("...")
+
+
+@pytest.mark.parametrize("error, prefix, code", [
+    (ValidationError, "error: ", 2), (NumericalError, "numerical error: ", 3)])
+def test_error_lines_are_clipped_past_the_cap(monkeypatch, capsys, error,
+                                              prefix, code):
+    # a line of exactly MAX_ERROR_LINE characters is printed as it is;
+    # one character more and it keeps MAX_ERROR_LINE - 3 and "..."
+    cap = cli.MAX_ERROR_LINE
+    for size, line in ((cap, prefix + "x" * (cap - len(prefix))),
+                       (cap + 1, prefix + "x" * (cap - 3 - len(prefix))
+                        + "...")):
+        def fail(raw, size=size):
+            raise error("x" * (size - len(prefix)))
+
+        monkeypatch.setattr(ScenarioConfig, "from_dict", fail)
+        assert main(["capacity"]) == code
+        assert capsys.readouterr() == ("", line + "\n")
+
+
+@pytest.mark.parametrize("threads", ["65", str(10 ** 9)])
+def test_threads_past_the_cap_exit_2_before_any_thread(monkeypatch, capsys,
+                                                       threads):
+    # rejected before the config is read, so no thread is ever built: a
+    # refused OS thread would escape as a traceback with exit 1
+    class NoThread:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a thread was constructed")
+
+    monkeypatch.setattr(threading, "Thread", NoThread)
+    assert main(["simulate", "--config", "missing.json",
+                 "--threads", threads]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: threads must be in [1, 64], got {threads}\n")
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -8,6 +8,7 @@ import phasebound.capacity
 import phasebound.estimation
 import phasebound.fock
 import phasebound.rate_distortion
+import phasebound.verification as verification
 from phasebound.config import ScenarioConfig
 from phasebound.errors import ValidationError
 from phasebound.estimation import MonteCarloResult, SimulationResult
@@ -90,6 +91,75 @@ def test_corrupted_shannon_inversion_is_caught(monkeypatch):
     assert [r.name for r in report.failures()] == ["shannon-bound-inversion"]
     assert any(line.startswith("FAIL shannon-bound-inversion margin=-")
                for line in report.lines())
+
+
+def test_corrupted_distortion_bound_fails_the_floor_row(monkeypatch):
+    # the information floor is D(R) at the measured information, read
+    # through its module: tripled, it sits above the simulated MSE too
+    real = phasebound.rate_distortion.shannon_lb_distortion
+    monkeypatch.setattr(phasebound.rate_distortion, "shannon_lb_distortion",
+                        lambda q, rate: real(q, rate) * 3.0)
+    report = light_battery()
+    assert [r.name for r in report.failures()] == [
+        "shannon-bound-inversion", "simulated-mse-between-bounds-and-prior"]
+    floor, = [line for line in report.lines()
+              if "beats the information floor" in line]
+    assert "eta=1.0: simulated MSE 2.789793 beats the information floor " \
+        "3.753855 (margin -9.641e-01)" in floor
+
+
+def test_nan_information_fails_the_floor_rows(monkeypatch):
+    # D(R) refuses a NaN rate; a NaN measured information fails both rows
+    # that read it instead of ending verify with an input error
+    real = phasebound.estimation.bayesian_mmse_all
+
+    def blind(decomps, parts):
+        return [SimulationResult(mse=sim.mse, mse_coarse=sim.mse_coarse,
+                                 mutual_information=math.nan,
+                                 estimator=sim.estimator, window=sim.window,
+                                 prior_part=sim.prior_part)
+                for sim in real(decomps, parts)]
+
+    monkeypatch.setattr(phasebound.estimation, "bayesian_mmse_all", blind)
+    report = light_battery()
+    assert [r.name for r in report.failures()] == [
+        "simulated-mse-between-bounds-and-prior"]
+    details = [line for line in report.lines() if line.startswith("  ")]
+    assert len(details) == 2
+    assert "measured information nan exceeds" in details[0]
+    assert "beats the information floor nan (margin +nan)" in details[1]
+
+
+@pytest.mark.parametrize("etas", [[0.0, 0.5, 1.0], [0, 0.5, 1]],
+                         ids=["floats", "ints"])
+def test_chain_ceiling_keeps_the_three_branch_bits(monkeypatch, etas):
+    # g(eta N) stands in for the lossless ceiling g(N) and the dark one,
+    # 0.0, so every chain margin keeps the bits of the three-way branch
+    cfg = ScenarioConfig.from_dict(dict(
+        LIGHT, eta=etas, probes=[{"family": "coherent", "alpha": 1.5},
+                                 {"family": "number", "n": 3}]))
+    scenarios = verification._scenarios(cfg.probes, cfg.etas, cfg.prior,
+                                         cfg.grid)
+    tracked = []
+    monkeypatch.setattr(CheckResult, "track",
+                        lambda self, margins, text: tracked.append(margins))
+    verification._check_holevo_chain(scenarios, cfg.prior)
+    expected = []
+    for decomp, chi, _ in scenarios:
+        n, eta = decomp.probe.mean_photons, decomp.eta
+        if eta >= 1.0:
+            cap = phasebound.capacity.unrestricted_capacity(n)
+        elif eta <= 0.0:
+            cap = 0.0
+        else:
+            cap = phasebound.capacity.capacity_upper_bound_lossy(n, eta)
+        gap = (phasebound.capacity.shannon_entropy(decomp.populations)
+               - phasebound.capacity.shannon_entropy(decomp.weights))
+        expected.append((chi + 1e-10, 1e-8 - abs(gap - chi),
+                         cap - gap + 1e-8))
+    rows, = tracked
+    assert len(rows) == 6
+    assert np.asarray(rows).tobytes() == np.asarray(expected).tobytes()
 
 
 def test_corrupted_capacity_ceiling_is_caught(monkeypatch):
